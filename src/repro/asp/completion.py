@@ -15,15 +15,14 @@ node", "pick at most one installed hash per package").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.asp.errors import SolveError
 from repro.asp.ground import GroundProgram
 from repro.asp.solver import CDCLSolver
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(NamedTuple):
     """One way an atom can be derived: a body literal plus the body's positive
     atoms (needed by the unfounded-set check to identify external support)."""
 
@@ -63,11 +62,8 @@ class CompletedProgram:
 
     def true_atoms(self) -> Set[int]:
         """Atoms true in the solver's current model."""
-        return {
-            atom_id
-            for atom_id, var in self.atom_to_var.items()
-            if self.solver.model_value(var)
-        }
+        model = self.solver.model()
+        return {atom_id for atom_id, var in self.atom_to_var.items() if model[var]}
 
     def level_cost(self, priority: int) -> int:
         """Cost of the current model at one priority level."""
@@ -87,7 +83,15 @@ class CompletedProgram:
 
 
 class CompletionBuilder:
-    """Builds a :class:`CompletedProgram` from a :class:`GroundProgram`."""
+    """Builds a :class:`CompletedProgram` from a :class:`GroundProgram`.
+
+    Every atom of the program's table gets a solver variable up front
+    (atom ``a`` is variable ``a + offset``), so literals are computed
+    instead of looked up.  Clauses are buffered in emission order and handed
+    to :meth:`CDCLSolver.add_clauses` in bulk: before each linear constraint
+    and at the end.  The solver sees the same clauses in the same order as
+    with one ``add_clause`` call each, so its state is the same.
+    """
 
     def __init__(
         self,
@@ -102,37 +106,37 @@ class CompletionBuilder:
         # fact atom id -> suspect-group index; these facts are guarded by a
         # per-group selector instead of being asserted unconditionally
         self._retractable: Dict[int, int] = dict(retractable or {})
+        self._offset = 0
+        self._clauses: List[List[int]] = []
 
     # -- low-level helpers --------------------------------------------------
 
-    def _atom_var(self, atom_id: int) -> int:
-        var = self.completed.atom_to_var.get(atom_id)
-        if var is None:
-            var = self.solver.new_var()
-            self.completed.atom_to_var[atom_id] = var
-            self.completed.var_to_atom[var] = atom_id
-        return var
-
-    def _body_literals(self, pos: Sequence[int], neg: Sequence[int]) -> List[int]:
-        literals = [self._atom_var(a) for a in pos]
-        literals += [-self._atom_var(a) for a in neg]
-        return literals
+    def _flush(self):
+        """Hand the buffered clauses to the solver."""
+        self.solver.add_clauses(self._clauses)
+        self._clauses = []
 
     def _body_literal(self, pos: Sequence[int], neg: Sequence[int]) -> int:
         """Return a literal equivalent to the conjunction of the body."""
-        literals = self._body_literals(pos, neg)
-        if not literals:
-            return self.completed.true_literal
-        if len(literals) == 1:
-            return literals[0]
+        offset = self._offset
+        if not neg:
+            if len(pos) == 1:
+                return pos[0] + offset
+            if not pos:
+                return self.completed.true_literal
+        elif not pos and len(neg) == 1:
+            return -neg[0] - offset
         key = (tuple(sorted(pos)), tuple(sorted(neg)))
         cached = self._body_cache.get(key)
         if cached is not None:
             return cached
+        literals = [a + offset for a in pos]
+        literals += [-a - offset for a in neg]
         aux = self.solver.new_var()
+        clauses = self._clauses
         for literal in literals:
-            self.solver.add_clause([-aux, literal])
-        self.solver.add_clause([aux] + [-literal for literal in literals])
+            clauses.append([-aux, literal])
+        clauses.append([aux] + [-literal for literal in literals])
         self._body_cache[key] = aux
         return aux
 
@@ -148,23 +152,28 @@ class CompletionBuilder:
         self._add_constraints()
         self._add_completion_clauses()
         self._add_objectives()
+        self._flush()
         return self.completed
 
     def _create_true_constant(self):
         true_var = self.solver.new_var()
-        self.solver.add_clause([true_var])
+        self._clauses.append([true_var])
         self.completed.true_literal = true_var
 
     def _intern_all_atoms(self):
-        for atom_id, _ in self.ground_program.atoms.atoms():
-            self._atom_var(atom_id)
+        count = len(self.ground_program.atoms)
+        offset = self._offset = self.solver.new_vars(count) - 1
+        atoms = range(1, count + 1)
+        self.completed.atom_to_var = {atom_id: atom_id + offset for atom_id in atoms}
+        self.completed.var_to_atom = {atom_id + offset: atom_id for atom_id in atoms}
 
     def _add_facts(self):
+        offset = self._offset
         for atom_id in self.ground_program.facts:
             if atom_id in self._retractable:
                 continue  # guarded by a selector, not asserted unconditionally
             self.completed.fact_atoms.add(atom_id)
-            self.solver.add_clause([self._atom_var(atom_id)])
+            self._clauses.append([atom_id + offset])
 
     def _add_retractable_support(self):
         """Selector-guarded support for retractable atoms.
@@ -178,21 +187,23 @@ class CompletionBuilder:
             if selector is None:
                 selector = self.solver.new_var()
                 self.completed.selectors[group] = selector
-            self.solver.add_clause([-selector, self._atom_var(atom_id)])
+            self._clauses.append([-selector, atom_id + self._offset])
             self.completed.supports.setdefault(atom_id, []).append(
                 Support(selector, ())
             )
 
     def _add_normal_rules(self):
+        offset = self._offset
+        clauses = self._clauses
+        supports = self.completed.supports
+        body_literal_of = self._body_literal
         for rule in self.ground_program.rules:
-            head_var = self._atom_var(rule.head)
-            body_literal = self._body_literal(rule.pos, rule.neg)
-            self.solver.add_clause([-body_literal, head_var])
-            self.completed.supports.setdefault(rule.head, []).append(
-                Support(body_literal, tuple(rule.pos))
-            )
+            body_literal = body_literal_of(rule.pos, rule.neg)
+            clauses.append([-body_literal, rule.head + offset])
+            supports.setdefault(rule.head, []).append(Support(body_literal, tuple(rule.pos)))
 
     def _add_choice_rules(self):
+        offset = self._offset
         for choice in self.ground_program.choices:
             body_literal = self._body_literal(choice.pos, choice.neg)
             candidates: List[int] = []
@@ -205,7 +216,7 @@ class CompletionBuilder:
                 self.completed.supports.setdefault(atom_id, []).append(
                     Support(body_literal, tuple(choice.pos))
                 )
-            candidate_vars = [self._atom_var(a) for a in candidates]
+            candidate_vars = [a + offset for a in candidates]
             count = len(candidate_vars)
 
             lower = choice.lower
@@ -213,8 +224,9 @@ class CompletionBuilder:
             if lower is not None and lower > 0:
                 if lower > count:
                     # Body must never hold: the bound is unreachable.
-                    self.solver.add_clause([-body_literal])
+                    self._clauses.append([-body_literal])
                 else:
+                    self._flush()
                     self.solver.add_linear_geq(
                         candidate_vars + [-body_literal],
                         [1] * count + [lower],
@@ -222,6 +234,7 @@ class CompletionBuilder:
                     )
             if upper is not None and upper < count:
                 slack_needed = count - upper
+                self._flush()
                 self.solver.add_linear_geq(
                     [-v for v in candidate_vars] + [-body_literal],
                     [1] * count + [slack_needed],
@@ -229,22 +242,26 @@ class CompletionBuilder:
                 )
 
     def _add_constraints(self):
+        offset = self._offset
+        clauses = self._clauses
         for constraint in self.ground_program.constraints:
-            clause = [-self._atom_var(a) for a in constraint.pos]
-            clause += [self._atom_var(a) for a in constraint.neg]
-            self.solver.add_clause(clause)
+            clause = [-a - offset for a in constraint.pos]
+            clause += [a + offset for a in constraint.neg]
+            clauses.append(clause)
 
     def _add_completion_clauses(self):
-        for atom_id, _ in self.ground_program.atoms.atoms():
-            if atom_id in self.completed.fact_atoms:
+        offset = self._offset
+        clauses = self._clauses
+        fact_atoms = self.completed.fact_atoms
+        supports = self.completed.supports
+        for atom_id in range(1, len(self.ground_program.atoms) + 1):
+            if atom_id in fact_atoms:
                 continue
-            atom_var = self._atom_var(atom_id)
-            supports = self.completed.supports.get(atom_id, [])
-            if not supports:
-                self.solver.add_clause([-atom_var])
+            atom_supports = supports.get(atom_id)
+            if not atom_supports:
+                clauses.append([-atom_id - offset])
                 continue
-            clause = [-atom_var] + [s.body_literal for s in supports]
-            self.solver.add_clause(clause)
+            clauses.append([-atom_id - offset] + [s.body_literal for s in atom_supports])
 
     def _add_objectives(self):
         grouped: Dict[Tuple, List] = {}
@@ -272,8 +289,8 @@ class CompletionBuilder:
             for element in elements:
                 body_literal = self._body_literal(element.pos, element.neg)
                 condition_literals.append(body_literal)
-                self.solver.add_clause([-body_literal, objective_var])
-            self.solver.add_clause([-objective_var] + condition_literals)
+                self._clauses.append([-body_literal, objective_var])
+            self._clauses.append([-objective_var] + condition_literals)
 
             self.completed.objectives.setdefault(priority, []).append(
                 ObjectiveTerm(weight=weight, variable=objective_var, key=key)

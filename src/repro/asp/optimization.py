@@ -65,7 +65,7 @@ class Optimizer:
     # -- helpers ---------------------------------------------------------------
 
     def _snapshot(self) -> Tuple[Set[int], Dict[int, int]]:
-        atoms = self.completed.true_atoms()
+        atoms = self.enforcer.model_atoms
         costs = self.completed.cost_vector()
         self.models_found += 1
         if self.on_model is not None:

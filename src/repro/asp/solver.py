@@ -1,10 +1,11 @@
-"""A CDCL (conflict-driven clause learning) SAT solver with linear constraints.
+"""A flat-array CDCL (conflict-driven clause learning) solver with linear
+constraints.
 
 This is the propositional engine underneath the ASP system, playing the role
 of *clasp* in the paper.  Features:
 
 * two-watched-literal clause propagation,
-* counter-based propagation for linear (cardinality / pseudo-Boolean)
+* slack-counter propagation for linear (cardinality / pseudo-Boolean)
   constraints with non-negative coefficients,
 * 1UIP conflict analysis with clause learning,
 * VSIDS-style activity heuristic (or a fixed variable order), phase saving,
@@ -13,13 +14,46 @@ of *clasp* in the paper.  Features:
   :meth:`CDCLSolver.solve`, and assumptions are supported (used by the
   optimization driver to guard tentative objective bounds).
 
-Literals are integers in DIMACS convention: ``+v`` is variable ``v`` true,
-``-v`` is variable ``v`` false.  Variables are numbered from 1.
+Literals cross the interface in DIMACS convention: ``+v`` is variable ``v``
+true, ``-v`` is variable ``v`` false, and variables are numbered from 1.
+Inside, the kernel follows MiniSat's flat layout (Eén & Sörensson, "An
+Extensible SAT-solver", SAT 2003):
+
+* **Literal codes.**  ``+v`` is coded ``2v`` and ``-v`` is ``2v + 1``, so a
+  code's negation is ``code ^ 1`` and its variable is ``code >> 1``.  One
+  list indexed by code holds every literal's value (``1`` true, ``0`` false,
+  ``-1`` unassigned; both codes of a variable always agree).  Clauses and
+  reasons are plain sequences of codes: binary clauses are tuples, longer
+  ones lists.
+* **Watches.**  ``watches[code]`` holds the clauses whose first two codes
+  include ``code`` and is visited when ``code`` becomes false.  A visit
+  skips the clause if its other watched code is true; otherwise it moves
+  the false code to position 1 and the watch to any non-false code at
+  position 2 or later (swap-removing the clause from this list), or finds
+  the clause unit or conflicting.  One loop in :meth:`propagate` does all
+  of this inline, for every clause of every dequeued literal.  The order
+  of a binary clause's codes, and of a longer clause's first two, is only
+  read right after the visit that made the clause a reason or a conflict,
+  so neither tuples nor skipped visits need it kept.
+* **Slack counters.**  A linear constraint keeps ``slack = sum of the
+  coefficients of its non-false literals - bound``.  Assigning a literal
+  subtracts the coefficient of every term its negation falsifies (through
+  ``linear_occurs``), and backtracking adds it back, so the counter is exact
+  at every moment.  Propagation scans a constraint's terms only when its
+  slack falls below its largest coefficient: only then can a term be forced
+  (coefficient above slack) or the constraint be violated (slack below 0).
+* **Decision order.**  Unbumped variables all have activity 0 and are
+  ordered by index, so a cursor walks them; only bumped variables enter the
+  ``(-activity, var)`` heap, on backtrack.  The pick is the unassigned
+  variable of highest activity, ties to the lowest index.
+* **Backtracking to level 0**, which every optimization step does, copies a
+  snapshot of the level-0 values and slack counters back instead of
+  undoing trail entries one by one (see :meth:`backtrack`).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asp.errors import SolveError
@@ -28,42 +62,39 @@ _UNASSIGNED = -1
 _FALSE = 0
 _TRUE = 1
 
+#: activities are rescaled by 1e-100 once one exceeds this
+_RESCALE_LIMIT = 1e100
 
-def _lit_index(lit: int) -> int:
-    """Map a literal to a dense non-negative index (for watch lists)."""
+
+def _code(lit: int) -> int:
+    """The code of a DIMACS literal."""
     return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
 
 
-class Clause:
-    """A disjunction of literals.  The first two literals are watched."""
-
-    __slots__ = ("lits", "learnt")
-
-    def __init__(self, lits: List[int], learnt: bool = False):
-        self.lits = lits
-        self.learnt = learnt
-
-    def __repr__(self):
-        return f"Clause({self.lits})"
+def _literal(code: int) -> int:
+    """The DIMACS literal of a code."""
+    return -(code >> 1) if code & 1 else code >> 1
 
 
 class LinearConstraint:
-    """A constraint ``sum(coeff_i * [lit_i is true]) >= bound``.
+    """A constraint ``sum(coeff_i * [lit_i is true]) >= bound`` over codes.
 
-    All coefficients must be positive.  Propagation is counter-based: whenever
-    a literal of the constraint becomes false we recompute the remaining slack
-    and propagate literals that have become necessary.
+    ``slack`` is kept equal to the summed coefficients of the terms that are
+    not false, minus ``bound``; the constraint is violated when it drops
+    below 0 and forces every unassigned term whose coefficient exceeds it.
     """
 
-    __slots__ = ("lits", "coeffs", "bound")
+    __slots__ = ("lits", "coeffs", "bound", "slack", "max_coeff")
 
     def __init__(self, lits: List[int], coeffs: List[int], bound: int):
         self.lits = lits
         self.coeffs = coeffs
         self.bound = bound
+        self.slack = sum(coeffs) - bound
+        self.max_coeff = max(coeffs)
 
     def __repr__(self):
-        terms = " + ".join(f"{c}*({l})" for c, l in zip(self.coeffs, self.lits))
+        terms = " + ".join(f"{c}*({_literal(l)})" for c, l in zip(self.coeffs, self.lits))
         return f"LinearConstraint({terms} >= {self.bound})"
 
 
@@ -123,35 +154,51 @@ class CDCLSolver:
         self.var_decay = var_decay
 
         self.num_vars = 0
-        self.assigns: List[int] = [_UNASSIGNED]  # index 0 unused
+        # per code (codes 0 and 1 belong to the unused variable 0)
+        self.values: List[int] = [_UNASSIGNED, _UNASSIGNED]
+        self.watches: List[List[Sequence[int]]] = [[], []]
+        #: ``(constraint, coeff)`` for every linear term over the code; the
+        #: shared empty tuple until the code's first term
+        self.linear_occurs: List[Sequence[Tuple[LinearConstraint, int]]] = [(), ()]
+        #: 1 for the code that was true when its variable was last
+        #: unassigned, 0 for its negation (initially the default phase)
+        self._phase_pair = (_TRUE, _FALSE) if default_phase else (_FALSE, _TRUE)
+        self.phase: List[int] = list(self._phase_pair)
+        # per variable
         self.levels: List[int] = [0]
-        self.reasons: List[Optional[Clause]] = [None]
-        self.saved_phase: List[bool] = [default_phase]
+        self.reasons: List[Optional[Sequence[int]]] = [None]
         self.activity: List[float] = [0.0]
 
-        self.clauses: List[Clause] = []
-        self.learnts: List[Clause] = []
+        #: problem clauses of two or more codes
+        self.clauses: List[Sequence[int]] = []
         self.linears: List[LinearConstraint] = []
-
-        # watch lists indexed by _lit_index(l): traversed when l becomes FALSE
-        self.watches: List[List[Clause]] = [[], []]
-        self.linear_watches: List[List[LinearConstraint]] = [[], []]
 
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
-        self.propagation_queue_head = 0
+        self.qhead = 0
 
         self.var_inc = 1.0
         self.ok = True  # False once the clause set is unsatisfiable at level 0
         self.stats = SolverStatistics()
         self._model: Optional[List[int]] = None
-        self.conflict_budget: Optional[int] = None
         # assumptions involved in the last UNSAT answer (minisat analyzeFinal);
         # empty when the formula is unsatisfiable regardless of assumptions
         self.failed_assumptions: List[int] = []
 
-        # lazy max-activity heap of (-activity, var)
+        self._vsids = heuristic != "fixed"
+        # (-activity, var) of bumped variables; stale entries are skipped
         self._order_heap: List[Tuple[float, int]] = []
+        self._bumped: List[int] = []
+        # every unassigned variable of activity 0 is at or above the cursor
+        self._cursor = 1
+        # the level-0 state as of the last solve() call, which backtrack(0)
+        # copies back while the level-0 trail still has this length
+        self._root_trail = -1
+        self._root_values: List[int] = []
+        self._root_slacks: List[int] = []
+        self._root_cursor = 1
+        # the phases already hold the current assignment (it is a model)
+        self._phase_saved = False
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -159,102 +206,123 @@ class CDCLSolver:
 
     def new_var(self) -> int:
         self.num_vars += 1
-        self.assigns.append(_UNASSIGNED)
+        self.values += (_UNASSIGNED, _UNASSIGNED)
+        self.phase += self._phase_pair
+        self.watches += ([], [])
+        self.linear_occurs += ((), ())
         self.levels.append(0)
         self.reasons.append(None)
-        self.saved_phase.append(self.default_phase)
         self.activity.append(0.0)
-        self.watches.append([])
-        self.watches.append([])
-        self.linear_watches.append([])
-        self.linear_watches.append([])
-        heapq.heappush(self._order_heap, (0.0, self.num_vars))
         return self.num_vars
+
+    def new_vars(self, count: int) -> int:
+        """Add ``count`` variables; returns the first one's number."""
+        first = self.num_vars + 1
+        self.num_vars += count
+        self.values += [_UNASSIGNED] * (2 * count)
+        self.phase += self._phase_pair * count
+        self.watches += [[] for _ in range(2 * count)]
+        self.linear_occurs += [()] * (2 * count)
+        self.levels += [0] * count
+        self.reasons += [None] * count
+        self.activity += [0.0] * count
+        return first
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause.  Returns False if the solver became UNSAT at level 0."""
+        return self.add_clauses((list(lits),))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add clauses in order, exactly as one :meth:`add_clause` call each.
+
+        Each clause is simplified against the level-0 assignment (duplicate
+        and false literals dropped, satisfied clauses and tautologies
+        skipped) and a unit is propagated before the next clause is read.
+        Returns False if the solver became UNSAT at level 0.
+        """
         if not self.ok:
             return False
-        if self.decision_level() != 0:
+        if self.trail_lim:
             self.backtrack(0)
-
-        # Simplify: remove duplicates and false literals, detect tautologies.
-        seen = set()
-        simplified: List[int] = []
-        for lit in lits:
-            if lit in seen:
-                continue
-            if -lit in seen:
-                return True  # tautology
-            value = self.lit_value(lit)
-            if value == _TRUE:
-                return True  # already satisfied at level 0
-            if value == _FALSE:
-                continue
-            seen.add(lit)
-            simplified.append(lit)
-
-        if not simplified:
-            self.ok = False
-            return False
-        if len(simplified) == 1:
-            if not self._enqueue(simplified[0], None):
-                self.ok = False
-                return False
-            conflict = self.propagate()
-            if conflict is not None:
-                self.ok = False
-                return False
-            return True
-
-        clause = Clause(simplified)
-        self.clauses.append(clause)
-        self._watch_clause(clause)
+        values = self.values
+        watches = self.watches
+        store = self.clauses.append
+        for lits in clauses:
+            if len(lits) == 2:  # the common case: two distinct unassigned variables
+                first, second = lits
+                if first != second and first != -second:
+                    first = (first << 1) if first > 0 else ((-first << 1) | 1)
+                    second = (second << 1) if second > 0 else ((-second << 1) | 1)
+                    if values[first] == values[second] == _UNASSIGNED:
+                        clause = (first, second)
+                        store(clause)
+                        watches[first].append(clause)
+                        watches[second].append(clause)
+                        continue
+            codes: List[int] = []
+            for lit in lits:
+                code = (lit << 1) if lit > 0 else ((-lit << 1) | 1)
+                value = values[code]
+                if value == _TRUE or code ^ 1 in codes:
+                    break  # satisfied at level 0, or a tautology
+                if value == _FALSE or code in codes:
+                    continue
+                codes.append(code)
+            else:
+                if len(codes) > 1:
+                    clause = codes if len(codes) > 2 else (codes[0], codes[1])
+                    store(clause)
+                    watches[codes[0]].append(clause)
+                    watches[codes[1]].append(clause)
+                elif not codes or not self._enqueue(codes[0], None) or (
+                    self.propagate() is not None
+                ):
+                    self.ok = False
+                    return False
         return True
 
     def add_linear_geq(self, lits: Sequence[int], coeffs: Sequence[int], bound: int) -> bool:
         """Add ``sum(coeff_i * lit_i) >= bound`` (coefficients must be >= 0)."""
         if not self.ok:
             return False
-        if self.decision_level() != 0:
+        if self.trail_lim:
             self.backtrack(0)
 
-        filtered_lits: List[int] = []
-        filtered_coeffs: List[int] = []
+        values = self.values
+        codes: List[int] = []
+        kept: List[int] = []
         for lit, coeff in zip(lits, coeffs):
             if coeff < 0:
                 raise SolveError("linear constraints require non-negative coefficients")
             if coeff == 0:
                 continue
-            value = self.lit_value(lit)
+            code = _code(lit)
+            value = values[code]
             if value == _TRUE:
                 bound -= coeff
                 continue
             if value == _FALSE:
                 continue
-            filtered_lits.append(lit)
-            filtered_coeffs.append(coeff)
+            codes.append(code)
+            kept.append(coeff)
 
         if bound <= 0:
             return True  # trivially satisfied
-        if sum(filtered_coeffs) < bound:
+        if sum(kept) < bound:
             self.ok = False
             return False
 
-        constraint = LinearConstraint(filtered_lits, filtered_coeffs, bound)
+        constraint = LinearConstraint(codes, kept, bound)
         self.linears.append(constraint)
-        for lit in filtered_lits:
-            # stored under the literal itself; traversed when that literal
-            # becomes false (same convention as clause watch lists)
-            self.linear_watches[_lit_index(lit)].append(constraint)
+        occurs = self.linear_occurs
+        for code, coeff in zip(codes, kept):
+            if occurs[code]:
+                occurs[code].append((constraint, coeff))
+            else:
+                occurs[code] = [(constraint, coeff)]
 
         # Propagate anything already forced at level 0.
-        conflict_clause = self._linear_propagate(constraint)
-        if conflict_clause is not None:
-            self.ok = False
-            return False
-        conflict = self.propagate()
-        if conflict is not None:
+        if self._linear_propagate(constraint) is not None or self.propagate() is not None:
             self.ok = False
             return False
         return True
@@ -269,184 +337,197 @@ class CDCLSolver:
         return self.add_linear_geq(list(lits), [1] * len(lits), k)
 
     # ------------------------------------------------------------------
-    # Assignment helpers
+    # Models
     # ------------------------------------------------------------------
-
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
-
-    def var_value(self, var: int) -> int:
-        return self.assigns[var]
-
-    def lit_value(self, lit: int) -> int:
-        value = self.assigns[abs(lit)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        if lit > 0:
-            return value
-        return _TRUE if value == _FALSE else _FALSE
 
     def model_value(self, var: int) -> bool:
         if self._model is None:
             raise SolveError("no model available")
-        return self._model[var] == _TRUE
+        return self._model[var << 1] == _TRUE
 
     def model(self) -> List[bool]:
+        """The last model, indexed by variable (index 0 is unused)."""
         if self._model is None:
             raise SolveError("no model available")
-        return [False] + [self._model[v] == _TRUE for v in range(1, self.num_vars + 1)]
+        return list(map(_TRUE.__eq__, self._model[0::2]))
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
 
-    def _watch_clause(self, clause: Clause):
-        self.watches[_lit_index(clause.lits[0])].append(clause)
-        self.watches[_lit_index(clause.lits[1])].append(clause)
-
-    def _enqueue(self, lit: int, reason: Optional[Clause]) -> bool:
-        value = self.lit_value(lit)
-        if value == _FALSE:
-            return False
-        if value == _TRUE:
-            return True
-        var = abs(lit)
-        self.assigns[var] = _TRUE if lit > 0 else _FALSE
-        self.levels[var] = self.decision_level()
+    def _enqueue(self, code: int, reason: Optional[Sequence[int]]) -> bool:
+        """Make ``code`` true at the current level; False if it is false."""
+        values = self.values
+        value = values[code]
+        if value != _UNASSIGNED:
+            return value == _TRUE
+        values[code] = _TRUE
+        values[code ^ 1] = _FALSE
+        var = code >> 1
+        self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
-        self.trail.append(lit)
+        self.trail.append(code)
+        for constraint, coeff in self.linear_occurs[code ^ 1]:
+            constraint.slack -= coeff
         return True
 
-    def propagate(self) -> Optional[Clause]:
-        """Propagate all enqueued assignments; return a conflict clause or None."""
-        while self.propagation_queue_head < len(self.trail):
-            lit = self.trail[self.propagation_queue_head]
-            self.propagation_queue_head += 1
-            self.stats.propagations += 1
+    def propagate(self) -> Optional[Sequence[int]]:
+        """Propagate every enqueued assignment.
 
-            false_lit = -lit
-            conflict = self._propagate_clauses(false_lit)
-            if conflict is not None:
-                return conflict
-            conflict = self._propagate_linears(false_lit)
-            if conflict is not None:
-                return conflict
-        return None
-
-    def _propagate_clauses(self, false_lit: int) -> Optional[Clause]:
-        watch_list = self.watches[_lit_index(false_lit)]
-        index = 0
-        while index < len(watch_list):
-            clause = watch_list[index]
-            lits = clause.lits
-            # Ensure the false literal is at position 1.
-            if lits[0] == false_lit:
-                lits[0], lits[1] = lits[1], lits[0]
-            first = lits[0]
-            if self.lit_value(first) == _TRUE:
-                index += 1
-                continue
-            # Look for a replacement watch.
-            found = False
-            for position in range(2, len(lits)):
-                if self.lit_value(lits[position]) != _FALSE:
-                    lits[1], lits[position] = lits[position], lits[1]
-                    watch_list[index] = watch_list[-1]
-                    watch_list.pop()
-                    self.watches[_lit_index(lits[1])].append(clause)
-                    found = True
+        Returns a conflicting clause (codes that are all false) or None.  Clause watches of a dequeued literal are visited
+        before the linear constraints over it.
+        """
+        trail = self.trail
+        values = self.values
+        watches = self.watches
+        occurs = self.linear_occurs
+        levels = self.levels
+        reasons = self.reasons
+        level = len(self.trail_lim)
+        start = head = self.qhead
+        conflict = None
+        while head < len(trail):
+            false_code = trail[head] ^ 1
+            head += 1
+            watchers = watches[false_code]
+            index = 0
+            end = len(watchers)
+            while index < end:
+                clause = watchers[index]
+                first = clause[0]
+                if first == false_code:
+                    first = clause[1]
+                first_value = values[first]
+                if first_value == _TRUE:
+                    index += 1
+                    continue
+                if len(clause) > 2:
+                    clause[0] = first
+                    clause[1] = false_code
+                    moved = False
+                    for position in range(2, len(clause)):
+                        other = clause[position]
+                        if values[other]:  # true or unassigned: watch it instead
+                            clause[1] = other
+                            clause[position] = false_code
+                            end -= 1
+                            watchers[index] = watchers[end]
+                            watchers.pop()
+                            watches[other].append(clause)
+                            moved = True
+                            break
+                    if moved:
+                        continue
+                if first_value == _FALSE:
+                    conflict = clause
                     break
-            if found:
-                continue
-            # No replacement: clause is unit or conflicting.
-            if not self._enqueue(first, clause):
-                return clause
-            index += 1
-        return None
-
-    def _propagate_linears(self, false_lit: int) -> Optional[Clause]:
-        for constraint in self.linear_watches[_lit_index(false_lit)]:
-            conflict = self._linear_propagate(constraint)
+                values[first] = _TRUE
+                values[first ^ 1] = _FALSE
+                var = first >> 1
+                levels[var] = level
+                reasons[var] = clause
+                trail.append(first)
+                for constraint, coeff in occurs[first ^ 1]:
+                    constraint.slack -= coeff
+                index += 1
             if conflict is not None:
-                return conflict
-        return None
+                break
+            for constraint, _ in occurs[false_code]:
+                if constraint.slack < constraint.max_coeff:
+                    conflict = self._linear_propagate(constraint)
+                    if conflict is not None:
+                        break
+            if conflict is not None:
+                break
+        self.stats.propagations += head - start
+        self.qhead = head
+        return conflict
 
-    def _linear_propagate(self, constraint: LinearConstraint) -> Optional[Clause]:
-        """Check/propagate one linear constraint.  Returns a conflict clause."""
-        max_possible = 0
-        false_lits: List[int] = []
-        for lit, coeff in zip(constraint.lits, constraint.coeffs):
-            if self.lit_value(lit) == _FALSE:
-                false_lits.append(lit)
-            else:
-                max_possible += coeff
-        if max_possible < constraint.bound:
-            # Conflict: at least one of the falsified literals must be true.
-            return Clause(list(false_lits))
-        slack = max_possible - constraint.bound
-        for lit, coeff in zip(constraint.lits, constraint.coeffs):
-            if coeff > slack and self.lit_value(lit) == _UNASSIGNED:
-                reason = Clause([lit] + false_lits)
-                if not self._enqueue(lit, reason):
-                    return reason
+    def _linear_propagate(self, constraint: LinearConstraint) -> Optional[List[int]]:
+        """Check/propagate one linear constraint.  Returns a conflict clause.
+
+        The reason of a forced term, and the conflict clause, is the term
+        plus every currently false term of the constraint.
+        """
+        values = self.values
+        false_codes = [code for code in constraint.lits if values[code] == _FALSE]
+        slack = constraint.slack
+        if slack < 0:
+            return false_codes
+        for code, coeff in zip(constraint.lits, constraint.coeffs):
+            if coeff > slack and values[code] == _UNASSIGNED:
+                self._enqueue(code, [code] + false_codes)
         return None
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
 
-    def _bump_var(self, var: int):
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for index in range(1, self.num_vars + 1):
-                self.activity[index] *= 1e-100
-            self.var_inc *= 1e-100
-        heapq.heappush(self._order_heap, (-self.activity[var], var))
+    def _rescale_activity(self):
+        activity = self.activity
+        for var in range(1, self.num_vars + 1):
+            activity[var] *= 1e-100
+        self.var_inc *= 1e-100
+        values = self.values
+        self._order_heap = [
+            (-activity[var], var)
+            for var in range(1, self.num_vars + 1)
+            if activity[var] and values[var << 1] == _UNASSIGNED
+        ]
+        heapify(self._order_heap)
 
-    def _decay_activities(self):
-        self.var_inc /= self.var_decay
-
-    def analyze(self, conflict: Clause) -> Tuple[List[int], int]:
+    def analyze(self, conflict: Sequence[int]) -> Tuple[List[int], int]:
         """1UIP conflict analysis.  Returns (learnt clause, backjump level).
 
         Precondition: at least one literal of ``conflict`` was assigned at the
         current decision level (the solve loop guarantees this by backtracking
         to the highest level present in the conflict before calling analyze).
+        Every variable met is bumped; all of them are assigned, so they reach
+        the order heap when backtracking unassigns them.
         """
+        levels = self.levels
+        reasons = self.reasons
+        trail = self.trail
+        activity = self.activity
         learnt: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
+        seen = set()
         counter = 0
-        resolved_lit: Optional[int] = None
+        resolved = 0  # variable 0 appears in no clause
         clause = conflict
-        index = len(self.trail) - 1
-        current_level = self.decision_level()
+        index = len(trail) - 1
+        current_level = len(self.trail_lim)
 
         while True:
-            for q in clause.lits:
-                var = abs(q)
-                if resolved_lit is not None and var == abs(resolved_lit):
+            for code in clause:
+                var = code >> 1
+                if var == resolved or var in seen:
                     continue
-                if not seen[var] and self.levels[var] > 0:
-                    seen[var] = True
-                    self._bump_var(var)
-                    if self.levels[var] >= current_level:
+                level = levels[var]
+                if level > 0:
+                    seen.add(var)
+                    if not activity[var]:
+                        self._bumped.append(var)
+                    activity[var] += self.var_inc
+                    if activity[var] > _RESCALE_LIMIT:
+                        self._rescale_activity()
+                    if level >= current_level:
                         counter += 1
                     else:
-                        learnt.append(q)
+                        learnt.append(code)
 
             # Select the next literal on the trail to resolve on.
-            while not seen[abs(self.trail[index])]:
+            while trail[index] >> 1 not in seen:
                 index -= 1
-            resolved_lit = self.trail[index]
-            var = abs(resolved_lit)
-            seen[var] = False
+            code = trail[index]
+            resolved = code >> 1
+            seen.discard(resolved)
             index -= 1
             counter -= 1
             if counter <= 0:
                 break
-            clause = self.reasons[var]
+            clause = reasons[resolved]
 
-        learnt[0] = -resolved_lit
+        learnt[0] = code ^ 1
 
         # Compute backjump level: highest level among the other literals.
         if len(learnt) == 1:
@@ -454,10 +535,10 @@ class CDCLSolver:
         else:
             max_index = 1
             for position in range(2, len(learnt)):
-                if self.levels[abs(learnt[position])] > self.levels[abs(learnt[max_index])]:
+                if levels[learnt[position] >> 1] > levels[learnt[max_index] >> 1]:
                     max_index = position
             learnt[1], learnt[max_index] = learnt[max_index], learnt[1]
-            backjump = self.levels[abs(learnt[1])]
+            backjump = levels[learnt[1] >> 1]
         return learnt, backjump
 
     # ------------------------------------------------------------------
@@ -465,85 +546,132 @@ class CDCLSolver:
     # ------------------------------------------------------------------
 
     def backtrack(self, level: int):
-        if self.decision_level() <= level:
+        """Unassign every level above ``level``: save phases, restore the
+        slack counters, and return the variables to the decision order.
+
+        Backtracking to level 0 while the level-0 trail is as long as when
+        :meth:`solve` last started copies that root state back instead of
+        undoing each trail entry: the values and slack counters from the
+        snapshot (variables and constraints created since are unassigned
+        and untouched at level 0), every bumped variable into the heap, and
+        the root cursor.  Right after a model the phases already hold the
+        assignment, so no trail entry is visited at all.
+        """
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self.trail_lim[level]
-        for position in range(len(self.trail) - 1, limit - 1, -1):
-            lit = self.trail[position]
-            var = abs(lit)
-            self.saved_phase[var] = lit > 0
-            self.assigns[var] = _UNASSIGNED
-            self.reasons[var] = None
-            heapq.heappush(self._order_heap, (-self.activity[var], var))
-        del self.trail[limit:]
-        del self.trail_lim[level:]
-        self.propagation_queue_head = len(self.trail)
+        trail = self.trail
+        limit = trail_lim[level]
+        values = self.values
+        phase = self.phase
+        if level == 0 and limit == self._root_trail:
+            if not self._phase_saved:
+                for code in trail[limit:]:
+                    phase[code] = _TRUE
+                    phase[code ^ 1] = _FALSE
+            root = self._root_values
+            values[: len(root)] = root
+            values[len(root):] = [_UNASSIGNED] * (len(values) - len(root))
+            linears = self.linears
+            slacks = self._root_slacks
+            for constraint, slack in zip(linears, slacks):
+                constraint.slack = slack
+            for constraint in linears[len(slacks):]:
+                constraint.slack = sum(constraint.coeffs) - constraint.bound
+            if self._vsids:
+                heap = self._order_heap
+                activity = self.activity
+                for var in self._bumped:
+                    if activity[var] and values[var << 1] == _UNASSIGNED:
+                        heappush(heap, (-activity[var], var))
+            self._cursor = self._root_cursor
+        else:
+            occurs = self.linear_occurs
+            activity = self.activity
+            heap = self._order_heap if self._vsids else None
+            cursor = self._cursor
+            for code in trail[limit:]:
+                var = code >> 1
+                values[code] = _UNASSIGNED
+                values[code ^ 1] = _UNASSIGNED
+                phase[code] = _TRUE
+                phase[code ^ 1] = _FALSE
+                for constraint, coeff in occurs[code ^ 1]:
+                    constraint.slack += coeff
+                if heap is not None and activity[var]:
+                    heappush(heap, (-activity[var], var))
+                elif var < cursor:
+                    cursor = var
+            self._cursor = cursor
+        self._phase_saved = False
+        del trail[limit:]
+        del trail_lim[level:]
+        self.qhead = limit
 
     def _pick_branch_var(self) -> Optional[int]:
-        if self.heuristic == "fixed":
-            for var in range(1, self.num_vars + 1):
-                if self.assigns[var] == _UNASSIGNED:
+        values = self.values
+        if self._vsids:
+            heap = self._order_heap
+            while heap:
+                var = heappop(heap)[1]
+                if values[var << 1] == _UNASSIGNED:
                     return var
+        # no bumped variable is unassigned: the lowest unassigned index
+        try:
+            var = values.index(_UNASSIGNED, self._cursor << 1) >> 1
+        except ValueError:
+            self._cursor = self.num_vars + 1
             return None
-        while self._order_heap:
-            _, var = heapq.heappop(self._order_heap)
-            if self.assigns[var] == _UNASSIGNED:
-                return var
-        # Heap exhausted (stale entries): fall back to a scan.
-        for var in range(1, self.num_vars + 1):
-            if self.assigns[var] == _UNASSIGNED:
-                return var
-        return None
-
-    def _decide(self, var: int):
-        self.stats.decisions += 1
-        self.trail_lim.append(len(self.trail))
-        phase = self.saved_phase[var]
-        lit = var if phase else -var
-        self._enqueue(lit, None)
+        self._cursor = var
+        return var
 
     # ------------------------------------------------------------------
     # Main search
     # ------------------------------------------------------------------
 
-    def solve(self, assumptions: Sequence[int] = ()) -> Optional[bool]:
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Search for a model.
 
-        Returns True (SAT, model available via :meth:`model`), False (UNSAT
-        under the given assumptions), or None if the conflict budget was
-        exhausted.
+        Returns True (SAT, model available via :meth:`model`) or False (UNSAT
+        under the given assumptions; see :attr:`failed_assumptions`).
         """
-        self.stats.solve_calls += 1
+        stats = self.stats
+        stats.solve_calls += 1
         self._model = None
         self.failed_assumptions = []
         if not self.ok:
             return False
         self.backtrack(0)
-        conflict = self.propagate()
-        if conflict is not None:
+        if self.propagate() is not None:
             self.ok = False
             return False
 
-        assumptions = list(assumptions)
+        assumptions = [_code(lit) for lit in assumptions]
+        levels = self.levels
+        values = self.values
+        trail = self.trail
+        trail_lim = self.trail_lim
+        self._root_trail = len(trail)
+        self._root_values = values[:]
+        self._root_slacks = [constraint.slack for constraint in self.linears]
+        self._root_cursor = self._cursor
         restarts = 0
         conflicts_until_restart = self._next_restart_limit(0)
-        conflicts_this_call = 0
 
         while True:
             conflict = self.propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
-                conflicts_this_call += 1
+                stats.conflicts += 1
 
                 conflict_level = 0
-                for lit in conflict.lits:
-                    level = self.levels[abs(lit)]
+                for code in conflict:
+                    level = levels[code >> 1]
                     if level > conflict_level:
                         conflict_level = level
                 if conflict_level == 0:
                     self.ok = False
                     return False
-                if conflict_level < self.decision_level():
+                if conflict_level < len(trail_lim):
                     self.backtrack(conflict_level)
 
                 learnt, backjump = self.analyze(conflict)
@@ -553,82 +681,88 @@ class CDCLSolver:
                         self.ok = False
                         return False
                 else:
-                    clause = Clause(learnt, learnt=True)
-                    self.learnts.append(clause)
-                    self.stats.learned_clauses += 1
-                    self._watch_clause(clause)
-                    self._enqueue(learnt[0], clause)
-                self._decay_activities()
+                    stats.learned_clauses += 1
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
+                self.var_inc /= self.var_decay
 
-                if self.conflict_budget is not None and conflicts_this_call >= self.conflict_budget:
-                    self.backtrack(0)
-                    return None
                 if conflicts_until_restart is not None:
                     conflicts_until_restart -= 1
                     if conflicts_until_restart <= 0:
                         restarts += 1
-                        self.stats.restarts += 1
+                        stats.restarts += 1
                         conflicts_until_restart = self._next_restart_limit(restarts)
                         self.backtrack(0)
                 continue
 
-            if self.decision_level() > self.stats.max_decision_level:
-                self.stats.max_decision_level = self.decision_level()
+            depth = len(trail_lim)
+            if depth > stats.max_decision_level:
+                stats.max_decision_level = depth
 
             # Place assumptions first (one pseudo decision level each).
-            if self.decision_level() < len(assumptions):
-                assumption = assumptions[self.decision_level()]
-                value = self.lit_value(assumption)
+            if depth < len(assumptions):
+                assumption = assumptions[depth]
+                value = values[assumption]
                 if value == _TRUE:
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(trail))
                     continue
                 if value == _FALSE:
                     self.failed_assumptions = self._analyze_final(assumption)
                     self.backtrack(0)
                     return False
-                self.stats.decisions += 1
-                self.trail_lim.append(len(self.trail))
+                stats.decisions += 1
+                trail_lim.append(len(trail))
                 self._enqueue(assumption, None)
                 continue
 
             var = self._pick_branch_var()
             if var is None:
-                self._model = list(self.assigns)
+                self._model = values[:]
+                self.phase = values[:]
+                self._phase_saved = True
                 return True
-            self._decide(var)
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            code = var << 1
+            self._enqueue(code if self.phase[code] == _TRUE else code | 1, None)
 
     def _analyze_final(self, failed: int) -> List[int]:
-        """The subset of the current assumptions that forced ``failed`` FALSE.
+        """The subset of the current assumptions that forced ``failed`` FALSE,
+        as DIMACS literals.
 
         Called during assumption placement, when every assigned variable
         with a ``None`` reason above level 0 is itself an earlier assumption
         (no branch decisions have been made yet).  Walking the implication
         graph backwards from the failed assumption collects exactly the
-        earlier assumptions it depends on — minisat's ``analyzeFinal``.  A
-        level-0 falsification means the base formula alone refutes the
-        assumption, so the core is the assumption by itself.
+        earlier assumptions it depends on — minisat's ``analyzeFinal`` —
+        including an earlier assumption of its own negation.  A level-0
+        falsification means the base formula alone refutes the assumption,
+        so the core is the assumption by itself.
         """
-        out = [failed]
-        var = abs(failed)
-        if self.levels[var] == 0:
+        out = [_literal(failed)]
+        var = failed >> 1
+        levels = self.levels
+        if levels[var] == 0:
             return out
+        trail = self.trail
+        reasons = self.reasons
         seen = {var}
-        for position in range(len(self.trail) - 1, -1, -1):
+        for position in range(len(trail) - 1, -1, -1):
             if not seen:
                 break
-            trail_var = abs(self.trail[position])
+            trail_var = trail[position] >> 1
             if trail_var not in seen:
                 continue
             seen.discard(trail_var)
-            reason = self.reasons[trail_var]
+            reason = reasons[trail_var]
             if reason is None:
-                if trail_var != var:
-                    out.append(self.trail[position])
+                out.append(_literal(trail[position]))
             else:
-                for lit in reason.lits:
-                    lit_var = abs(lit)
-                    if lit_var != trail_var and self.levels[lit_var] > 0:
-                        seen.add(lit_var)
+                for code in reason:
+                    code_var = code >> 1
+                    if code_var != trail_var and levels[code_var] > 0:
+                        seen.add(code_var)
         return out
 
     def _next_restart_limit(self, restarts: int) -> Optional[int]:

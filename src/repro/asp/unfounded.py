@@ -29,7 +29,7 @@ def well_founded_atoms(completed: CompletedProgram, model_atoms: Set[int]) -> Se
     all its positive body atoms have already been derived; derived heads are
     limited to atoms true in the model because the model satisfies every rule.
     """
-    solver = completed.solver
+    model = completed.solver.model()
     derived: Set[int] = set(completed.fact_atoms)
 
     # Index supports by the positive atoms they are still waiting on.
@@ -41,7 +41,7 @@ def well_founded_atoms(completed: CompletedProgram, model_atoms: Set[int]) -> Se
         if atom_id in derived:
             continue
         for support in completed.supports.get(atom_id, []):
-            if solver.model_value(abs(support.body_literal)) != (support.body_literal > 0):
+            if model[abs(support.body_literal)] != (support.body_literal > 0):
                 continue  # the body is not satisfied in this model
             missing = {a for a in support.positive_atoms if a not in derived}
             entry = [atom_id, missing]
@@ -118,6 +118,8 @@ class StableModelEnforcer:
         self.checks = 0
         self.rejected_models = 0
         self.loop_nogoods = 0
+        #: true atoms of the model the last successful :meth:`solve` found
+        self.model_atoms: Set[int] = set()
 
     def solve(self, assumptions: Iterable[int] = ()) -> bool:
         """Solve until a *stable* model is found (or UNSAT)."""
@@ -126,15 +128,16 @@ class StableModelEnforcer:
             satisfiable = self.completed.solver.solve(assumptions)
             if not satisfiable:
                 return False
-            if not self.enabled:
-                return True
-            self.checks += 1
             model_atoms = self.completed.true_atoms()
-            unfounded = find_unfounded_set(self.completed, model_atoms)
-            if not unfounded:
-                return True
-            self.rejected_models += 1
-            self.loop_nogoods += add_loop_nogoods(self.completed, unfounded)
+            if self.enabled:
+                self.checks += 1
+                unfounded = find_unfounded_set(self.completed, model_atoms)
+                if unfounded:
+                    self.rejected_models += 1
+                    self.loop_nogoods += add_loop_nogoods(self.completed, unfounded)
+                    continue
+            self.model_atoms = model_atoms
+            return True
 
     def statistics(self) -> Dict[str, int]:
         return {

@@ -58,6 +58,9 @@ class ConcretizationRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"  # keep-alive + chunked streaming
     server_version = "repro-concretize/1"
+    # headers and body go out as two writes; with Nagle's algorithm on, the
+    # body would wait ~40 ms for the client's delayed ACK of the headers
+    disable_nagle_algorithm = True
 
     # quiet by default; the server enables logging when asked to
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature

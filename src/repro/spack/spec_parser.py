@@ -95,6 +95,8 @@ def parse_specs(text: str) -> List[Spec]:
             if current_root is None:
                 raise SpecSyntaxError(f"dangling '^' in {text!r}")
             name = lexer.take(_NAME_RE, "a dependency name")
+            if name == current_root.name:
+                raise SpecSyntaxError(f"{name!r} cannot depend on itself in {text!r}")
             dependency = current_root.dependencies.get(name)
             if dependency is None:
                 dependency = Spec(name=name)

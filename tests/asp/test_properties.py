@@ -1,11 +1,14 @@
 """Property-based tests for the ASP core (hypothesis).
 
-The key invariant: for small random programs, the CDCL-based engine agrees
-with a brute-force stable-model enumerator on satisfiability, and any model it
-returns *is* a stable model.
+The key invariants: for small random programs, the CDCL-based engine agrees
+with a brute-force stable-model enumerator on satisfiability, any model it
+returns *is* a stable model, and under ``#minimize`` its cost vector is the
+lexicographic minimum over all stable models.  The CDCL kernel on its own is
+checked against truth tables, including weighted linear constraints added
+between solves and the assumption cores it reports.
 """
 
-from itertools import chain, combinations
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -41,32 +44,54 @@ def program_text(rules):
     return "\n".join(lines)
 
 
-def brute_force_stable_models(rules):
-    """Enumerate stable models of a ground normal program by definition."""
-    atoms = sorted({head for head, _, _ in rules} | {a for _, p, n in rules for a in p + n})
+def least_model(reduct):
+    derived = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, pos in reduct:
+            if head not in derived and all(p in derived for p in pos):
+                derived.add(head)
+                changed = True
+    return derived
 
-    def least_model(reduct):
-        derived = set()
-        changed = True
-        while changed:
-            changed = False
-            for head, pos in reduct:
-                if head not in derived and all(p in derived for p in pos):
-                    derived.add(head)
-                    changed = True
-        return derived
 
+def holds(pos, neg, model):
+    return all(a in model for a in pos) and not any(a in model for a in neg)
+
+
+def within_bounds(atoms, lower, upper, model):
+    chosen = len(set(atoms) & model)
+    return (lower or 0) <= chosen and (upper is None or chosen <= upper)
+
+
+def brute_force_stable_models(rules, choices=(), constraints=()):
+    """Enumerate stable models of a ground program by definition.
+
+    ``rules`` are ``(head, pos, neg)``, ``choices`` are ``(atoms, pos, neg,
+    lower, upper)`` and ``constraints`` are ``(pos, neg)``.  The reduct of a
+    choice rule whose negative body the candidate does not block derives the
+    candidate's chosen atoms from the positive body; its bounds then
+    constrain the candidate wherever its body holds.
+    """
     models = []
-    for size in range(len(atoms) + 1):
-        for candidate in combinations(atoms, size):
-            candidate_set = set(candidate)
-            reduct = [
-                (head, pos)
-                for head, pos, neg in rules
-                if not any(n in candidate_set for n in neg)
-            ]
-            if least_model(reduct) == candidate_set:
-                models.append(candidate_set)
+    for size in range(len(ATOMS) + 1):
+        for candidate in combinations(ATOMS, size):
+            model = set(candidate)
+            reduct = [(head, pos) for head, pos, neg in rules if not set(neg) & model]
+            for atoms, pos, neg, _, _ in choices:
+                if not set(neg) & model:
+                    reduct += [(atom, pos) for atom in atoms if atom in model]
+            if least_model(reduct) != model:
+                continue
+            if any(
+                holds(pos, neg, model) and not within_bounds(atoms, lower, upper, model)
+                for atoms, pos, neg, lower, upper in choices
+            ):
+                continue
+            if any(holds(pos, neg, model) for pos, neg in constraints):
+                continue
+            models.append(model)
     return models
 
 
@@ -158,6 +183,179 @@ def test_cardinality_window(num_vars, lower, upper):
     if satisfiable:
         count = sum(solver.model_value(v) for v in variables)
         assert lower <= count <= upper
+
+
+# ---------------------------------------------------------------------------
+# The CDCL kernel, incrementally: clauses, weighted linear constraints and
+# assumption solves interleaved, against truth tables
+# ---------------------------------------------------------------------------
+
+KERNEL_VARS = 6
+
+kernel_literal = st.integers(min_value=1, max_value=KERNEL_VARS).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+kernel_step = st.one_of(
+    st.builds(lambda lits: ("clause", lits), st.lists(kernel_literal, min_size=1, max_size=4)),
+    st.builds(
+        lambda terms, bound: ("linear", terms, bound),
+        st.lists(
+            st.tuples(kernel_literal, st.integers(min_value=0, max_value=4)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(min_value=-1, max_value=9),
+    ),
+    st.builds(lambda lits: ("solve", lits), st.lists(kernel_literal, max_size=3)),
+)
+
+
+def satisfies(model, clauses, linears, units=()):
+    """``model[v]`` is variable ``v``'s value."""
+
+    def true(lit):
+        return model[abs(lit)] == (lit > 0)
+
+    return (
+        all(any(true(lit) for lit in clause) for clause in clauses)
+        and all(sum(c for lit, c in terms if true(lit)) >= bound for terms, bound in linears)
+        and all(true(lit) for lit in units)
+    )
+
+
+def brute_force_models(clauses, linears, units=()):
+    for bits in range(1 << KERNEL_VARS):
+        model = [False] + [(bits >> i) & 1 == 1 for i in range(KERNEL_VARS)]
+        if satisfies(model, clauses, linears, units):
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(kernel_step, min_size=1, max_size=12),
+    st.sampled_from(["vsids", "fixed"]),
+    st.sampled_from([1, 100]),
+)
+def test_incremental_kernel_agrees_with_truth_tables(steps, heuristic, restart_base):
+    """Every solve answers as brute force does on the constraints added so
+    far.  A model satisfies all of them and the assumptions; an UNSAT answer
+    under assumptions names a subset of them that is UNSAT on its own (none
+    when the constraints alone are).  Restarting after every conflict
+    exercises undoing the slack counters mid-search."""
+    solver = CDCLSolver(heuristic=heuristic, restart_base=restart_base)
+    for _ in range(KERNEL_VARS):
+        solver.new_var()
+    clauses, linears = [], []
+    for step in steps + [("solve", [])]:
+        if step[0] == "clause":
+            clauses.append(step[1])
+            solver.add_clause(step[1])
+        elif step[0] == "linear":
+            terms, bound = step[1], step[2]
+            linears.append((terms, bound))
+            solver.add_linear_geq([lit for lit, _ in terms], [c for _, c in terms], bound)
+        else:
+            assumptions = step[1]
+            result = solver.solve(assumptions)
+            assert result == brute_force_models(clauses, linears, assumptions)
+            if result:
+                assert satisfies(solver.model(), clauses, linears, assumptions)
+            else:
+                failed = solver.failed_assumptions
+                assert set(failed) <= set(assumptions)
+                assert not brute_force_models(clauses, linears, failed)
+
+
+# ---------------------------------------------------------------------------
+# Lexicographic optimization against brute-force stable models
+# ---------------------------------------------------------------------------
+
+choice_strategy = st.tuples(
+    st.lists(st.sampled_from(ATOMS), min_size=1, max_size=3, unique=True),  # atoms
+    st.lists(st.sampled_from(ATOMS), max_size=1, unique=True),  # positive body
+    st.lists(st.sampled_from(ATOMS), max_size=1, unique=True),  # negative body
+    st.one_of(st.none(), st.integers(min_value=0, max_value=2)),  # lower bound
+    st.one_of(st.none(), st.integers(min_value=1, max_value=3)),  # upper bound
+)
+constraint_strategy = st.tuples(
+    st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from(ATOMS), max_size=1, unique=True),
+)
+# one list of (weight, positive condition, negative condition) per level
+levels_strategy = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=3),
+            st.lists(st.sampled_from(ATOMS), max_size=2, unique=True),
+            st.lists(st.sampled_from(ATOMS), max_size=1, unique=True),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    min_size=2,
+    max_size=3,
+)
+
+
+def body_text(pos, neg):
+    return ", ".join(list(pos) + [f"not {atom}" for atom in neg])
+
+
+def optimization_text(rules, choices, constraints, levels):
+    lines = [program_text(rules)] if rules else []
+    for atoms, pos, neg, lower, upper in choices:
+        head = "{ " + "; ".join(atoms) + " }"
+        if lower is not None:
+            head = f"{lower} {head}"
+        if upper is not None:
+            head = f"{head} {upper}"
+        body = body_text(pos, neg)
+        lines.append(f"{head} :- {body}." if body else f"{head}.")
+    for pos, neg in constraints:
+        lines.append(f":- {body_text(pos, neg)}.")
+    element = 0
+    for priority, elements in enumerate(levels, start=1):
+        for weight, pos, neg in elements:
+            condition = body_text(pos, neg)
+            # a distinct term per element: no two elements share a tuple
+            text = f"{weight}@{priority},e{element}"
+            lines.append(f"#minimize {{ {text} : {condition} }}." if condition else f"#minimize {{ {text} }}.")
+            element += 1
+    return "\n".join(lines)
+
+
+def cost_vector(model, levels):
+    """Costs by descending priority (the lexicographic comparison order)."""
+    return tuple(
+        sum(weight for weight, pos, neg in elements if holds(pos, neg, model))
+        for elements in reversed(levels)
+    )
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(rule_strategy, max_size=4),
+    st.lists(choice_strategy, min_size=1, max_size=3),
+    st.lists(constraint_strategy, max_size=2),
+    levels_strategy,
+)
+def test_optimum_is_the_lexicographic_minimum_over_stable_models(
+    rules, choices, constraints, levels
+):
+    """``solve_program`` returns a stable model whose cost vector is the
+    lexicographic minimum over every stable model, level by level."""
+    expected = brute_force_stable_models(rules, choices, constraints)
+    result = solve_program(optimization_text(rules, choices, constraints, levels))
+    assert result.satisfiable == bool(expected)
+    if not result.satisfiable:
+        return
+    model = {atom[0] for atom in result.model.atoms()}
+    assert model in expected
+    best = min(cost_vector(candidate, levels) for candidate in expected)
+    assert cost_vector(model, levels) == best
+    reported = tuple(result.costs.get(priority, 0) for priority in range(len(levels), 0, -1))
+    assert reported == best
 
 
 # ---------------------------------------------------------------------------

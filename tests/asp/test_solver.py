@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from repro.asp import control
+from repro.asp.optimization import Optimizer
 from repro.asp.solver import CDCLSolver, _luby
 
 
@@ -202,3 +204,34 @@ class TestHeuristicsAndRestarts:
 class TestLuby:
     def test_luby_prefix(self):
         assert [_luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+class TestCounterContract:
+    """The benchmark's traced runs (``perfbench/tracing.py``) read these
+    solver attributes after ``repro.asp.control.complete`` and
+    ``Optimizer.optimize``; a kernel that stopped counting would silently
+    zero the ``complete.*`` and ``search.*`` rows of the per-layer table."""
+
+    PIGEONS = """
+    pigeon(1). pigeon(2). pigeon(3). pigeon(4).
+    hole(1). hole(2). hole(3). hole(4).
+    1 { in(P, H) : hole(H) } 1 :- pigeon(P).
+    :- in(P1, H), in(P2, H), P1 < P2.
+    #minimize { H@1,P : in(P, H) }.
+    """
+
+    def test_completion_and_search_counters_count(self):
+        ctl = control.Control()
+        ctl.load(self.PIGEONS)
+        completed = control.complete(ctl.ground())
+        solver = completed.solver
+        assert solver.num_vars > 0
+        assert len(solver.clauses) > 0
+
+        outcome = Optimizer(completed).optimize()
+        assert outcome.costs == {1: 10}
+        stats = solver.stats
+        assert stats.solve_calls >= 2  # a first model, then a failed bound
+        assert stats.propagations > 0
+        assert stats.conflicts > 0
+        assert stats.decisions > 0

@@ -23,10 +23,13 @@ The contract under test (ISSUE 6 tentpole):
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -112,7 +115,7 @@ def test_stream_batch_completion_order_and_summary(service):
 
 
 def test_parse_errors_are_bad_requests(service):
-    for bad in ["", "   ", "example+bzip+bzip", "example@1.0::2", None, 7]:
+    for bad in ["", "   ", "example+bzip+bzip", "example@1.0::2", "example ^example", None, 7]:
         with pytest.raises(BadRequestError):
             service.concretize_batch([bad])
     with pytest.raises(BadRequestError):
@@ -337,6 +340,26 @@ def test_http_healthz_and_stats(server):
     assert "default" in body["tenants"]
     # snapshot-attach vs cold-ground rollup is always present
     assert set(body["service"]["snapshot"]) == {"attaches", "writes", "cold_grounds"}
+
+
+def test_http_keep_alive_responses_do_not_wait_for_delayed_acks(server):
+    """Headers and body leave in two writes; with Nagle's algorithm on, the
+    body of every keep-alive response waits ~40 ms for the client's delayed
+    ACK of the headers."""
+    url = urllib.parse.urlsplit(server.url)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    latencies = []
+    try:
+        for _ in range(20):
+            start = time.perf_counter()
+            connection.request("GET", "/v1/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+            latencies.append(time.perf_counter() - start)
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020
 
 
 def test_http_concretize_and_errors(server):

@@ -59,6 +59,11 @@ class TestDependencies:
         with pytest.raises(SpecSyntaxError):
             parse_spec("^zlib")
 
+    @pytest.mark.parametrize("text", ["zlib ^zlib", "0@0^0", "hdf5 ^zlib ^hdf5@1.10"])
+    def test_dependency_on_the_root_itself_is_error(self, text):
+        with pytest.raises(SpecSyntaxError, match="cannot depend on itself"):
+            parse_spec(text)
+
     def test_sigils_after_dependency_bind_to_it(self):
         spec = parse_spec("example@1.0.0 ^zlib@1.2.11")
         assert spec.versions.concrete == Version("1.0.0")
