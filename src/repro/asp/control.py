@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.asp.completion import CompletedProgram, complete
+from repro.asp.completion import BaseCompletion, CompletedProgram, complete
 from repro.asp.configs import SolverConfig, SolverPreset
 from repro.asp.errors import SolveError
 from repro.asp.ground import GroundProgram
@@ -145,6 +145,8 @@ class Control:
         self.ground_program: Optional[GroundProgram] = None
         self.completed: Optional[CompletedProgram] = None
         self._optimizer: Optional[Optimizer] = None
+        #: the completion state of the base this control was forked from
+        self._base_completion: Optional[BaseCompletion] = None
 
     # -- program construction ------------------------------------------------
 
@@ -182,10 +184,14 @@ class Control:
             self.ground_program = grounder.ground()
         return self.ground_program
 
-    def adopt_ground(self, ground_program: GroundProgram) -> "Control":
+    def adopt_ground(
+        self, ground_program: GroundProgram, base: Optional[BaseCompletion] = None
+    ) -> "Control":
         """Adopt an externally produced ground program (see
-        :class:`PreparedProgram`); :meth:`solve` will use it directly."""
+        :class:`PreparedProgram`); :meth:`solve` will use it directly,
+        completing it from ``base``'s template when one is given."""
         self.ground_program = ground_program
+        self._base_completion = base
         return self
 
     # -- solving ---------------------------------------------------------------
@@ -204,9 +210,13 @@ class Control:
         with self.timer.phase("solve"):
             if stage is not None:
                 with stage("solve.complete"):
-                    self.completed = complete(self.ground_program, self._build_solver())
+                    self.completed = complete(
+                        self.ground_program, self._build_solver(), base=self._base_completion
+                    )
             else:
-                self.completed = complete(self.ground_program, self._build_solver())
+                self.completed = complete(
+                    self.ground_program, self._build_solver(), base=self._base_completion
+                )
             self._optimizer = Optimizer(
                 self.completed,
                 enforce_stability=self.config.enforce_stability,
@@ -217,6 +227,8 @@ class Control:
                     outcome: OptimizationResult = self._optimizer.optimize()
             else:
                 outcome = self._optimizer.optimize()
+        if self._base_completion is not None:
+            self._base_completion.count_skipped(self._optimizer.enforcer.skipped)
 
         statistics: Dict[str, object] = {
             "ground": self.ground_program.statistics(),
@@ -272,16 +284,21 @@ class PreparedProgram:
     documented on :class:`~repro.asp.grounder.Grounder` (fresh condition
     ids/keys only).
 
-    **Fork- and pickle-safety.**  Once ``__init__`` returns, a prepared
-    program is only ever *read*: :meth:`fork` clones the ground state and
-    mutates the clone, never the base (the ``forks`` counter is the sole,
-    benign exception).  Nothing here holds locks, file handles, threads, or
-    other process-local resources — just parsed syntax trees and interned
-    ground atoms.  Parallel concretization sessions rely on both
-    consequences: ``os.fork()``-based worker pools inherit prepared programs
-    through copy-on-write memory and fork them concurrently, and the
+    **Fork- and pickle-safety.**  Once ``__init__`` returns, the ground
+    state of a prepared program is only ever *read*: :meth:`fork` clones it
+    and mutates the clone, never the base.  The one thing that changes later
+    is the base's :class:`~repro.asp.completion.BaseCompletion`: the first
+    solve on a fork builds the base's completion template (under the
+    completion's own lock, so concurrent thread workers build it once) and
+    solves count what they skipped there; the ``forks`` counter is the
+    other, benign exception.  Parallel concretization sessions rely on
+    this: ``os.fork()``-based worker pools inherit prepared programs through
+    copy-on-write memory and fork them concurrently (each worker process
+    builds its own template, if the parent had none yet), and the
     persistent ground cache (:class:`repro.spack.store.PersistentGroundCache`)
-    pickles them to disk for later processes.
+    pickles them to disk for later processes.  Pickling keeps only the
+    parsed program and the ground state: templates and counters are
+    per-process and start afresh.
     """
 
     def __init__(
@@ -335,7 +352,21 @@ class PreparedProgram:
                         )
                 self._base = cls(self.program, atoms, possible_hints=hints)
             self._base.ground()
+        self._reset_solve_state()
+
+    def _reset_solve_state(self) -> None:
+        """Fresh per-process solve state: no forks yet, no template."""
         self.forks = 0
+        self._completion = BaseCompletion(self.base_ground_program)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_completion", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._reset_solve_state()
 
     @property
     def base_ground_program(self) -> GroundProgram:
@@ -370,7 +401,7 @@ class PreparedProgram:
             grounder = self._base.clone()
             grounder.ground_delta(atoms, possible_hints=hints)
         layered._base = grounder
-        layered.forks = 0
+        layered._reset_solve_state()
         return layered
 
     def statistics(self) -> Dict[str, object]:
@@ -379,6 +410,7 @@ class PreparedProgram:
             "forks": self.forks,
             "base_ground": self._base.ground_program.statistics(),
             "base_timings": self.timer.as_dict(),
+            **self._completion.statistics(),
         }
 
     def fork(
@@ -413,7 +445,7 @@ class PreparedProgram:
                 if fact_source is not None:
                     fact_source(lambda atom: atoms.append(ground_atom(*atom)))
                 grounder.ground_delta(atoms)
-        control.adopt_ground(grounder.ground_program)
+        control.adopt_ground(grounder.ground_program, base=self._completion)
         return control
 
 

@@ -75,11 +75,6 @@ class Optimizer:
     def _level_terms(self, priority: int) -> List[ObjectiveTerm]:
         return self.completed.objectives.get(priority, [])
 
-    def _level_value(self, priority: int, atoms: Set[int]) -> int:
-        # Recompute from the solver model captured in `costs` snapshots instead;
-        # kept for API completeness.
-        return self.completed.level_cost(priority)
-
     def _add_upper_bound(
         self, terms: Sequence[ObjectiveTerm], bound: int, guard: Optional[int] = None
     ) -> bool:

@@ -446,7 +446,7 @@ class GroundSnapshot:
             prepared._base = self._decode_grounder(
                 header, values, data, prepared.program, stats
             )
-        prepared.forks = 0
+        prepared._reset_solve_state()
         return prepared
 
     def _decode_grounder(

@@ -49,11 +49,19 @@ Extensible SAT-solver", SAT 2003):
 * **Backtracking to level 0**, which every optimization step does, copies a
   snapshot of the level-0 values and slack counters back instead of
   undoing trail entries one by one (see :meth:`backtrack`).
+* **Level-0 images.**  :meth:`CDCLSolver.image` freezes a propagated
+  level-0 state into flat int arrays (:class:`SolverImage`), and
+  :meth:`CDCLSolver.load_image` rebuilds it in a fresh solver with
+  C-level loops; completion uses the pair to load a grounded base once and
+  start every solve on it from the same state.
 """
 
 from __future__ import annotations
 
+import gc
+from array import array
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asp.errors import SolveError
@@ -98,6 +106,58 @@ class LinearConstraint:
         return f"LinearConstraint({terms} >= {self.bound})"
 
 
+class SolverImage:
+    """A solver's propagated level-0 state, as flat int arrays.
+
+    ``values`` and ``trail`` are the level-0 assignment; ``binary`` holds
+    the binary clauses' code pairs back to back and ``long_codes`` the
+    longer clauses' codes (clause ``i`` ends at ``long_ends[i]``).  Numbering
+    the binary clauses first and the longer ones after them,
+    ``watch_order`` lists every code's watch list in turn (the list of code
+    ``c`` ends at ``watch_ends[c]``).  The ``linear_*`` arrays hold every
+    linear constraint's terms, bound and slack counter.  Arrays hold no
+    Python objects, so an image is never traversed by the cyclic garbage
+    collector.
+    """
+
+    __slots__ = (
+        "num_vars",
+        "ok",
+        "values",
+        "trail",
+        "binary",
+        "long_codes",
+        "long_ends",
+        "watch_order",
+        "watch_ends",
+        "linear_codes",
+        "linear_coeffs",
+        "linear_ends",
+        "linear_bounds",
+        "linear_slacks",
+    )
+
+    def nbytes(self) -> int:
+        """Bytes held by the arrays."""
+        return sum(
+            len(part) * part.itemsize
+            for part in (
+                self.values,
+                self.trail,
+                self.binary,
+                self.long_codes,
+                self.long_ends,
+                self.watch_order,
+                self.watch_ends,
+                self.linear_codes,
+                self.linear_coeffs,
+                self.linear_ends,
+                self.linear_bounds,
+                self.linear_slacks,
+            )
+        )
+
+
 class SolverStatistics:
     """Counters exposed through :meth:`CDCLSolver.statistics`."""
 
@@ -120,6 +180,11 @@ class SolverStatistics:
             "max_decision_level": self.max_decision_level,
             "solve_calls": self.solve_calls,
         }
+
+
+def _ends(parts: Sequence[Sequence[int]]) -> array:
+    """Running end offsets of ``parts`` laid back to back."""
+    return array("i", accumulate(map(len, parts)))
 
 
 def _luby(i: int) -> int:
@@ -335,6 +400,106 @@ class CDCLSolver:
     def add_at_least(self, lits: Sequence[int], k: int) -> bool:
         """Add ``at least k of lits are true``."""
         return self.add_linear_geq(list(lits), [1] * len(lits), k)
+
+    # ------------------------------------------------------------------
+    # Level-0 images
+    # ------------------------------------------------------------------
+
+    def image(self) -> SolverImage:
+        """The level-0 state of a solver that has not searched yet.
+
+        Construction propagates every unit as it arrives, so the state is
+        already at its level-0 fixpoint.  Learnt clauses, activities and
+        phases are not part of an image: before the first :meth:`solve`
+        there are none.
+        """
+        if self.trail_lim or self.stats.solve_calls:
+            raise SolveError("only a solver that has not searched can be imaged")
+        image = SolverImage()
+        image.num_vars = self.num_vars
+        image.ok = self.ok
+        image.values = array("b", self.values)
+        image.trail = array("i", self.trail)
+        binary = [clause for clause in self.clauses if type(clause) is tuple]
+        long = [clause for clause in self.clauses if type(clause) is not tuple]
+        image.binary = array("i", chain.from_iterable(binary))
+        image.long_codes = array("i", chain.from_iterable(long))
+        image.long_ends = _ends(long)
+        number = dict(zip(map(id, chain(binary, long)), range(len(self.clauses))))
+        image.watch_order = array(
+            "i", map(number.__getitem__, map(id, chain.from_iterable(self.watches)))
+        )
+        image.watch_ends = _ends(self.watches)
+        linears = self.linears
+        image.linear_codes = array("i", chain.from_iterable(c.lits for c in linears))
+        image.linear_coeffs = array("q", chain.from_iterable(c.coeffs for c in linears))
+        image.linear_ends = _ends([c.lits for c in linears])
+        image.linear_bounds = array("q", [c.bound for c in linears])
+        image.linear_slacks = array("q", [c.slack for c in linears])
+        return image
+
+    def load_image(self, image: SolverImage) -> None:
+        """Rebuild ``image`` in this fresh solver: the imaged solver's state,
+        watch lists in their order included.  Every solver loaded from one
+        image therefore starts from the same state.
+
+        A load creates some 100k containers (clauses and watch lists) that
+        form no reference cycle, and frees none of them, so a cyclic
+        collection during it can find no garbage; each would only promote
+        part of the half-built solver towards the oldest generation and
+        bring the next full collection closer.  The collector is therefore
+        paused for the load, and resumed after it if it was running.
+        """
+        if self.num_vars or self.clauses or self.linears:
+            raise SolveError("an image can only be loaded into a fresh solver")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._load_image(image)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _load_image(self, image: SolverImage) -> None:
+        count = image.num_vars
+        self.num_vars = count
+        self.ok = image.ok
+        self.values = image.values.tolist()
+        self.phase = list(self._phase_pair) * (count + 1)
+        self.levels = [0] * (count + 1)
+        self.reasons = [None] * (count + 1)
+        self.activity = [0.0] * (count + 1)
+        self.trail = image.trail.tolist()
+        self.qhead = len(self.trail)
+
+        pairs = iter(image.binary.tolist())
+        codes = image.long_codes.tolist()
+        ends = image.long_ends
+        clauses = list(zip(pairs, pairs))
+        clauses += [codes[start:end] for start, end in zip(chain((0,), ends), ends)]
+        self.clauses = clauses
+        watched = list(map(clauses.__getitem__, image.watch_order))
+        ends = image.watch_ends
+        self.watches = [watched[start:end] for start, end in zip(chain((0,), ends), ends)]
+
+        occurs: List = [()] * (2 * count + 2)
+        self.linear_occurs = occurs
+        linear_codes = image.linear_codes
+        linear_coeffs = image.linear_coeffs
+        linear_ends = image.linear_ends
+        for index, (start, end) in enumerate(zip(chain((0,), linear_ends), linear_ends)):
+            constraint = LinearConstraint.__new__(LinearConstraint)
+            constraint.lits = linear_codes[start:end].tolist()
+            constraint.coeffs = coeffs = linear_coeffs[start:end].tolist()
+            constraint.bound = image.linear_bounds[index]
+            constraint.slack = image.linear_slacks[index]
+            constraint.max_coeff = max(coeffs)
+            self.linears.append(constraint)
+            for code, coeff in zip(constraint.lits, coeffs):
+                if occurs[code]:
+                    occurs[code].append((constraint, coeff))
+                else:
+                    occurs[code] = [(constraint, coeff)]
 
     # ------------------------------------------------------------------
     # Models

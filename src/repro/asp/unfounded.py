@@ -13,6 +13,11 @@ solver model but not derivable are *unfounded*; for each we add a loop nogood
 ("the atom implies one of its external supporting bodies") and ask the solver
 to continue.  This is sound, complete, and terminates because there are
 finitely many loop nogoods.
+
+A *tight* program, one whose positive dependency graph has no cycle, has no
+loops at all: each of its supported models is stable (Fages 1994), so the
+enforcer skips the check on programs completion found tight (see
+:attr:`~repro.asp.completion.CompletedProgram.tight`).
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ class StableModelEnforcer:
         self.completed = completed
         self.enabled = enabled
         self.checks = 0
+        #: models accepted without a check because the program is tight
+        self.skipped = 0
         self.rejected_models = 0
         self.loop_nogoods = 0
         #: true atoms of the model the last successful :meth:`solve` found
@@ -129,7 +136,9 @@ class StableModelEnforcer:
             if not satisfiable:
                 return False
             model_atoms = self.completed.true_atoms()
-            if self.enabled:
+            if self.enabled and self.completed.tight:
+                self.skipped += 1
+            elif self.enabled:
                 self.checks += 1
                 unfounded = find_unfounded_set(self.completed, model_atoms)
                 if unfounded:
@@ -142,6 +151,7 @@ class StableModelEnforcer:
     def statistics(self) -> Dict[str, int]:
         return {
             "stability_checks": self.checks,
+            "stability_checks_skipped": self.skipped,
             "rejected_supported_models": self.rejected_models,
             "loop_nogoods": self.loop_nogoods,
         }

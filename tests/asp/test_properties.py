@@ -3,17 +3,20 @@
 The key invariants: for small random programs, the CDCL-based engine agrees
 with a brute-force stable-model enumerator on satisfiability, any model it
 returns *is* a stable model, and under ``#minimize`` its cost vector is the
-lexicographic minimum over all stable models.  The CDCL kernel on its own is
-checked against truth tables, including weighted linear constraints added
-between solves and the assumption cores it reports.
+lexicographic minimum over all stable models.  Both oracles also solve on a
+second path: some of the program's facts ground into a shared base and the
+rest arrive as delta facts of two forks, the second of which is completed
+from the base's template.  The CDCL kernel on its own is checked against
+truth tables, including weighted linear constraints added between solves and
+the assumption cores it reports.
 """
 
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.asp.control import solve_program
+from repro.asp.control import PreparedProgram, solve_program
 from repro.asp.solver import CDCLSolver
 from repro.asp.syntax import compare_ground_values
 
@@ -31,6 +34,10 @@ rule_strategy = st.tuples(
 )
 
 program_strategy = st.lists(rule_strategy, min_size=1, max_size=8)
+
+#: atoms given as facts: True puts a fact in the delta of a prepared
+#: program's forks, False in its grounded base
+facts_strategy = st.dictionaries(st.sampled_from(ATOMS), st.booleans(), max_size=3)
 
 
 def program_text(rules):
@@ -65,6 +72,35 @@ def within_bounds(atoms, lower, upper, model):
     return (lower or 0) <= chosen and (upper is None or chosen <= upper)
 
 
+def fact_rules(facts):
+    """The facts as bodiless rules, for brute force."""
+    return [(atom, [], []) for atom in sorted(facts)]
+
+
+def solve_both_paths(text, facts):
+    """One-shot results, then two forks of one :class:`PreparedProgram`
+    grounded over the base facts; the second fork starts from the base's
+    completion template."""
+    base = [(atom,) for atom, in_delta in sorted(facts.items()) if not in_delta]
+    delta = [(atom,) for atom, in_delta in sorted(facts.items()) if in_delta]
+    prepared = PreparedProgram(text, base)
+    one_shot = solve_program(text, [(atom,) for atom in sorted(facts)])
+    return [one_shot] + [prepared.fork(delta).solve() for _ in range(2)]
+
+
+#: a base with the positive loop a <-> b; the delta fact d takes away a's
+#: external support c, and "b :- not a, not b" forces a, so the supported
+#: model {a, b, d} is the solver's first and no model is stable
+LOOP_RULES = [
+    ("a", ["b"], []),
+    ("b", ["a"], []),
+    ("a", ["c"], []),
+    ("c", [], ["d"]),
+    ("d", [], ["c"]),
+    ("b", [], ["a", "b"]),
+]
+
+
 def brute_force_stable_models(rules, choices=(), constraints=()):
     """Enumerate stable models of a ground program by definition.
 
@@ -96,15 +132,16 @@ def brute_force_stable_models(rules, choices=(), constraints=()):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(program_strategy)
-def test_solver_agrees_with_brute_force(rules):
+@given(program_strategy, facts_strategy)
+@example(LOOP_RULES, {"d": True})
+def test_solver_agrees_with_brute_force(rules, facts):
     text = program_text(rules)
-    expected = brute_force_stable_models(rules)
-    result = solve_program(text)
-    assert result.satisfiable == bool(expected)
-    if result.satisfiable:
-        model_atoms = {atom[0] for atom in result.model.atoms()}
-        assert model_atoms in expected
+    expected = brute_force_stable_models(rules + fact_rules(facts))
+    for result in solve_both_paths(text, facts):
+        assert result.satisfiable == bool(expected)
+        if result.satisfiable:
+            model_atoms = {atom[0] for atom in result.model.atoms()}
+            assert model_atoms in expected
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -339,23 +376,35 @@ def cost_vector(model, levels):
     st.lists(choice_strategy, min_size=1, max_size=3),
     st.lists(constraint_strategy, max_size=2),
     levels_strategy,
+    facts_strategy,
+)
+@example(
+    # a <-> b is a positive loop whose external support is the choice of c;
+    # the delta fact d forces a, and minimizing c at the top level first
+    # finds the supported, unstable model {a, b, d}
+    [("a", ["b"], []), ("b", ["a"], []), ("a", ["c"], [])],
+    [(["c"], [], [], None, None)],
+    [(["d"], ["a"])],
+    [[(1, ["b"], [])], [(1, ["c"], [])]],
+    {"d": True},
 )
 def test_optimum_is_the_lexicographic_minimum_over_stable_models(
-    rules, choices, constraints, levels
+    rules, choices, constraints, levels, facts
 ):
-    """``solve_program`` returns a stable model whose cost vector is the
+    """Every path returns a stable model whose cost vector is the
     lexicographic minimum over every stable model, level by level."""
-    expected = brute_force_stable_models(rules, choices, constraints)
-    result = solve_program(optimization_text(rules, choices, constraints, levels))
-    assert result.satisfiable == bool(expected)
-    if not result.satisfiable:
-        return
-    model = {atom[0] for atom in result.model.atoms()}
-    assert model in expected
-    best = min(cost_vector(candidate, levels) for candidate in expected)
-    assert cost_vector(model, levels) == best
-    reported = tuple(result.costs.get(priority, 0) for priority in range(len(levels), 0, -1))
-    assert reported == best
+    expected = brute_force_stable_models(rules + fact_rules(facts), choices, constraints)
+    text = optimization_text(rules, choices, constraints, levels)
+    for result in solve_both_paths(text, facts):
+        assert result.satisfiable == bool(expected)
+        if not result.satisfiable:
+            continue
+        model = {atom[0] for atom in result.model.atoms()}
+        assert model in expected
+        best = min(cost_vector(candidate, levels) for candidate in expected)
+        assert cost_vector(model, levels) == best
+        reported = tuple(result.costs.get(priority, 0) for priority in range(len(levels), 0, -1))
+        assert reported == best
 
 
 # ---------------------------------------------------------------------------

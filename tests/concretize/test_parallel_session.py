@@ -13,13 +13,18 @@ The contract under test (ISSUE 2 tentpole, act 1):
 
 from __future__ import annotations
 
+import itertools
+import os
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.spack.concretize import (
     ConcretizationSession,
     ParallelConcretizationSession,
+    SessionConfig,
 )
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.errors import UnsatisfiableSpecError
@@ -199,3 +204,47 @@ def test_concurrent_parallel_sessions_do_not_cross_wires(micro_repo):
         versions = [str(r.spec.versions) for r in outcomes[slot]]
         expected = "1.0.0" if slot == 0 else "1.1.0"
         assert versions == [expected] * len(batch)
+
+
+def test_thread_workers_race_for_one_completion_template(micro_repo):
+    """More worker threads than CPUs, switching threads every microsecond,
+    solve distinct specs over one grounded base: the first solve builds the
+    base's completion template while the others wait for it, every result
+    matches sequential solving, and the template is built exactly once."""
+    workers = min((os.cpu_count() or 1) + 2, 24)
+    specs = [
+        f"example@{version}{bzip} ^zlib@{zlib}{pic}"
+        for version, bzip, zlib, pic in itertools.product(
+            ("1.0.0", "1.1.0"), ("+bzip", "~bzip"), ("1.3", "1.2.11", "1.2.8"), ("+pic", "~pic")
+        )
+    ][:workers]
+    clear_shared_bases()
+    sequential = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
+    )
+    expected = [signature(r) for r in sequential.solve(specs)]
+
+    clear_shared_bases()
+    session = ConcretizationSession(
+        repo=micro_repo,
+        session_config=SessionConfig(
+            share_ground_cache=False, workers=workers, worker_backend="thread"
+        ),
+    )
+    outcome = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        runner = threading.Thread(
+            target=lambda: outcome.update(results=session.solve(specs)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=300)
+        elapsed = time.monotonic() - started
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), f"thread workers still running after {elapsed:.0f} s"
+    assert [signature(r) for r in outcome["results"]] == expected
+    assert session.stats.parallel_solves == len(specs)
+    assert session.statistics()["base"]["template_builds"] == 1

@@ -341,6 +341,16 @@ def test_http_healthz_and_stats(server):
     # snapshot-attach vs cold-ground rollup is always present
     assert set(body["service"]["snapshot"]) == {"attaches", "writes", "cold_grounds"}
 
+    # two solves over one base: its completion template is built once
+    for spec in ("example@1.0.0", "example@1.1.0"):
+        status, _, _ = http_json(f"{server.url}/v1/concretize", {"spec": spec})
+        assert status == 200
+    status, body, _ = http_json(f"{server.url}/v1/stats")
+    base = body["tenants"]["default"]["base"]
+    assert base["template_builds"] == 1
+    assert base["template_bytes"] > 0
+    assert base["stability_checks_skipped"] >= 0
+
 
 def test_http_keep_alive_responses_do_not_wait_for_delayed_acks(server):
     """Headers and body leave in two writes; with Nagle's algorithm on, the
