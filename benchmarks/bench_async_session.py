@@ -52,6 +52,7 @@ from benchmarks.workloads import (  # noqa: E402
 from repro.spack.concretize import (  # noqa: E402
     AsyncConcretizationSession,
     ConcretizationSession,
+    SessionConfig,
 )
 from repro.spack.concretize.session import clear_shared_bases  # noqa: E402
 
@@ -60,7 +61,10 @@ MAX_CONCURRENCY = 4
 
 def sequential_baseline():
     clear_shared_bases()
-    session = ConcretizationSession(repo=micro_repo(), share_ground_cache=False)
+    session = ConcretizationSession(
+        repo=micro_repo(),
+        session_config=SessionConfig(share_ground_cache=False),
+    )
     start = time.perf_counter()
     results = session.solve(list(WORKLOAD))
     elapsed = time.perf_counter() - start
@@ -71,8 +75,7 @@ async def streamed(backend: str):
     clear_shared_bases()
     async with AsyncConcretizationSession(
         repo=micro_repo(),
-        share_ground_cache=False,
-        worker_backend=backend,
+        session_config=SessionConfig(share_ground_cache=False, worker_backend=backend),
         max_concurrency=MAX_CONCURRENCY,
     ) as session:
         results = [None] * len(WORKLOAD)

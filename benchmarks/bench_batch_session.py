@@ -28,7 +28,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from benchmarks.reporting import record  # noqa: E402
 from benchmarks.workloads import micro_repo, signature  # noqa: E402
-from repro.spack.concretize import ConcretizationSession, Concretizer  # noqa: E402
+from repro.spack.concretize import (  # noqa: E402
+    ConcretizationSession,
+    Concretizer,
+    SessionConfig,
+)
 from repro.spack.concretize.session import clear_shared_bases  # noqa: E402
 
 #: 10 overlapping micro-repo specs from one spec family: what a build-cache
@@ -55,7 +59,10 @@ def run_once(repo):
     sequential = [Concretizer(repo=repo).solve([spec]) for spec in WORKLOAD]
     sequential_time = time.perf_counter() - start
 
-    session = ConcretizationSession(repo=repo, share_ground_cache=False)
+    session = ConcretizationSession(
+        repo=repo,
+        session_config=SessionConfig(share_ground_cache=False),
+    )
     start = time.perf_counter()
     batch = session.solve(list(WORKLOAD))
     session_time = time.perf_counter() - start

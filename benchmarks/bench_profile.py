@@ -5,7 +5,7 @@ Runs a profiling-enabled session (``profile="rules"``) over the family
 workload and records where the wall-clock actually goes: the coarse paper
 phases (setup / load / ground / solve) refined into the grounder's named
 stages (``ground.*`` for the shared base, ``delta.*`` per solve) plus the
-event counters (groundings run, portfolio races won, ...).  CI uploads the
+event counters (base and delta groundings run, ...).  CI uploads the
 resulting ``results/profile.*`` table as the per-stage timing artifact, so
 a grounding regression in a PR shows up as a stage delta, not just a fatter
 total.
@@ -36,7 +36,7 @@ from benchmarks.workloads import (  # noqa: E402
     micro_repo,
     solver_heavy_repo,
 )
-from repro.spack.concretize import ConcretizationSession  # noqa: E402
+from repro.spack.concretize import ConcretizationSession, SessionConfig  # noqa: E402
 from repro.spack.concretize.session import clear_shared_bases  # noqa: E402
 
 #: stages whose absence would mean the profiling hook is broken
@@ -44,18 +44,18 @@ REQUIRED_STAGE_PREFIXES = ("ground", "delta", "solve")
 
 
 def run_profiled(repo, workload):
-    """Concretize ``workload`` under ``profile="rules"``; return the stats."""
+    """Concretize ``workload`` under ``profile="rules"``; return the wall
+    time and the profile."""
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=repo, share_ground_cache=False, profile="rules"
+        repo=repo,
+        session_config=SessionConfig(share_ground_cache=False, profile="rules"),
     )
     start = time.perf_counter()
     results = session.solve(workload)
     wall = time.perf_counter() - start
     assert len(results) == len(workload)
-    stats = session.statistics()
-    asp = stats.get("asp") or {}
-    return wall, stats, asp
+    return wall, session.statistics().get("asp") or {}
 
 
 def stage_rows(asp, wall):
@@ -97,15 +97,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = []
-    wall, stats, asp = run_profiled(micro_repo(), list(FAMILY_WORKLOAD_16))
+    wall, asp = run_profiled(micro_repo(), list(FAMILY_WORKLOAD_16))
     failures += check_profile(asp, "micro")
     rows = [
         ("catalog / workload", f"micro / {len(FAMILY_WORKLOAD_16)} specs"),
-        ("join strategy", stats.get("join_strategy", "?")),
     ] + stage_rows(asp, wall)
 
     if not args.quick:
-        heavy_wall, heavy_stats, heavy_asp = run_profiled(
+        heavy_wall, heavy_asp = run_profiled(
             solver_heavy_repo(), list(SOLVER_HEAVY_WORKLOAD)
         )
         failures += check_profile(heavy_asp, "solver-heavy")
@@ -115,7 +114,6 @@ def main(argv=None) -> int:
                 "catalog / workload",
                 f"solver-heavy / {len(SOLVER_HEAVY_WORKLOAD)} specs",
             ),
-            ("join strategy", heavy_stats.get("join_strategy", "?")),
         ] + stage_rows(heavy_asp, heavy_wall)
 
     record(

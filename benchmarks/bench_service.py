@@ -46,6 +46,7 @@ sys.path.insert(0, REPO_ROOT)
 from benchmarks.reporting import record  # noqa: E402
 from benchmarks.workloads import FAMILY_WORKLOAD_16 as WORKLOAD  # noqa: E402
 from benchmarks.workloads import micro_repo  # noqa: E402
+from repro.spack.concretize import SessionConfig  # noqa: E402
 from repro.spack.concretize.session import clear_shared_bases  # noqa: E402
 from repro.spack.directives import depends_on, version  # noqa: E402
 from repro.spack.package import Package  # noqa: E402
@@ -140,6 +141,7 @@ def main(argv=None) -> int:
         max_concurrency=MAX_CONCURRENCY,
         queue_limit=QUEUE_LIMIT,
         default_deadline_s=60.0,
+        session_config=SessionConfig(),
     ) as service:
         specs_of = {}
         for tenant, (package_cls, private_spec) in TENANTS.items():

@@ -37,7 +37,11 @@ sys.path.insert(0, REPO_ROOT)
 from benchmarks.reporting import record  # noqa: E402
 from benchmarks.workloads import micro_repo, micro_sharded_repo, signature  # noqa: E402
 from repro.spack.builtin import build_repository, build_sharded_repository  # noqa: E402
-from repro.spack.concretize import ConcretizationSession, Concretizer  # noqa: E402
+from repro.spack.concretize import (  # noqa: E402
+    ConcretizationSession,
+    Concretizer,
+    SessionConfig,
+)
 from repro.spack.concretize.encoder import ProblemEncoder  # noqa: E402
 from repro.spack.concretize.session import clear_shared_bases  # noqa: E402
 from repro.spack.directives import depends_on, version  # noqa: E402
@@ -70,7 +74,8 @@ def last_included_shard(repo: ShardedRepository, workload) -> str:
 def timed_solve(repo, workload, cache_dir):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=repo, share_ground_cache=False, cache_dir=cache_dir
+        repo=repo,
+        session_config=SessionConfig(share_ground_cache=False, cache_dir=cache_dir),
     )
     start = time.perf_counter()
     results = session.solve(list(workload))

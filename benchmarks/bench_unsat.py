@@ -27,7 +27,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 
 from benchmarks.reporting import record  # noqa: E402
-from repro.spack.concretize import ConcretizationSession  # noqa: E402
+from repro.spack.concretize import ConcretizationSession, SessionConfig  # noqa: E402
 from repro.spack.concretize.session import clear_shared_bases  # noqa: E402
 from repro.spack.errors import UnsatisfiableSpecError  # noqa: E402
 from repro.spack.generator import SyntheticRepoBuilder  # noqa: E402
@@ -57,7 +57,10 @@ def run_size(num_packages: int, seed: int = 7):
     planted = builder.planted["synth-unsat-0000"]
 
     clear_shared_bases()
-    session = ConcretizationSession(repo=repo, share_ground_cache=False)
+    session = ConcretizationSession(
+        repo=repo,
+        session_config=SessionConfig(share_ground_cache=False),
+    )
 
     start = time.perf_counter()
     error = expect_unsat(lambda: session.concretize(planted.package))

@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.asp.completion import BaseCompletion, CompletedProgram, complete
-from repro.asp.configs import SolverConfig, SolverPreset
-from repro.asp.errors import SolveError
+from repro.asp.configs import SolverConfig
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
-from repro.asp.naive import NaiveGrounder
 from repro.asp.optimization import OptimizationResult, Optimizer
 from repro.asp.parser import parse_program
 from repro.asp.solver import CDCLSolver
@@ -38,23 +36,6 @@ from repro.asp.syntax import Program, ground_atom
 #: cached Program objects are treated as immutable by all consumers.
 _PARSE_CACHE: Dict[str, Program] = {}
 _PARSE_CACHE_LIMIT = 32
-
-#: selectable grounding implementations: the indexed/planned grounder is the
-#: default; the tuple-at-a-time reference stays available as an oracle and as
-#: an escape hatch (sessions accept ``join_strategy="naive"``)
-GROUNDER_CLASSES = {"indexed": Grounder, "naive": NaiveGrounder}
-
-
-def grounder_class(join_strategy: str):
-    """Resolve a join-strategy name to a grounder class (ValueError on typo)."""
-    try:
-        return GROUNDER_CLASSES[join_strategy]
-    except KeyError:
-        known = ", ".join(sorted(GROUNDER_CLASSES))
-        raise ValueError(
-            f"unknown join strategy {join_strategy!r} (known: {known})"
-        ) from None
-
 
 def parse_program_cached(text: str) -> Program:
     """Parse ASP source text with per-process memoization.
@@ -130,14 +111,9 @@ class Control:
     def __init__(
         self,
         config: Optional[SolverConfig] = None,
-        preset: Optional[SolverPreset] = None,
-        join_strategy: str = "indexed",
         stats: Optional[ASPStats] = None,
     ):
         self.config = config or SolverConfig.preset("tweety")
-        #: explicit CDCL knobs override the config's (portfolio racing)
-        self.preset = preset
-        self.join_strategy = join_strategy
         self.stats = stats
         self.timer = PhaseTimer()
         self.program = Program()
@@ -176,11 +152,7 @@ class Control:
     def ground(self) -> GroundProgram:
         """Ground the program against the accumulated facts ("ground" phase)."""
         with self.timer.phase("ground"):
-            grounder = grounder_class(self.join_strategy)(
-                self.program, self.extra_facts
-            )
-            if self.stats is not None and isinstance(grounder, Grounder):
-                grounder.stats = self.stats
+            grounder = Grounder(self.program, self.extra_facts, stats=self.stats)
             self.ground_program = grounder.ground()
         return self.ground_program
 
@@ -197,8 +169,7 @@ class Control:
     # -- solving ---------------------------------------------------------------
 
     def _build_solver(self) -> CDCLSolver:
-        preset = self.preset or SolverPreset.from_config(self.config)
-        return CDCLSolver(**preset.solver_kwargs())
+        return CDCLSolver(**self.config.solver_kwargs())
 
     def solve(self, on_model=None) -> SolveResult:
         """Complete, search, and optimize ("solve" phase)."""
@@ -307,7 +278,6 @@ class PreparedProgram:
         base_facts: Sequence[Tuple] = (),
         config: Optional[SolverConfig] = None,
         possible_hints: Sequence[Tuple] = (),
-        join_strategy: str = "indexed",
         stats: Optional[ASPStats] = None,
         fact_source=None,
     ):
@@ -318,7 +288,6 @@ class PreparedProgram:
         encoded).  It composes with, and is ordered after, ``base_facts``.
         """
         self.config = config or SolverConfig.preset("tweety")
-        self.join_strategy = join_strategy
         self.stats = stats
         self.timer = PhaseTimer()
         #: source text kept for flat snapshots (repro.asp.snapshot): an
@@ -329,28 +298,14 @@ class PreparedProgram:
             self.program = parse_program_cached(text)
         atoms = [ground_atom(*fact) for fact in base_facts]
         hints = [ground_atom(*hint) for hint in possible_hints]
-        cls = grounder_class(join_strategy)
         with self.timer.phase("ground"):
-            if cls is Grounder:
-                self._base = Grounder(
-                    self.program, atoms, possible_hints=hints, stats=stats
-                )
-                if fact_source is not None:
-                    streamed_hints = fact_source(self._base.fact_writer())
-                    if streamed_hints:
-                        self._base.add_possible_hints(
-                            ground_atom(*hint) for hint in streamed_hints
-                        )
-            else:
-                if fact_source is not None:
-                    streamed_hints = fact_source(
-                        lambda atom: atoms.append(ground_atom(*atom))
+            self._base = Grounder(self.program, atoms, possible_hints=hints, stats=stats)
+            if fact_source is not None:
+                streamed_hints = fact_source(self._base.fact_writer())
+                if streamed_hints:
+                    self._base.add_possible_hints(
+                        ground_atom(*hint) for hint in streamed_hints
                     )
-                    if streamed_hints:
-                        hints.extend(
-                            ground_atom(*hint) for hint in streamed_hints
-                        )
-                self._base = cls(self.program, atoms, possible_hints=hints)
             self._base.ground()
         self._reset_solve_state()
 
@@ -390,7 +345,6 @@ class PreparedProgram:
         """
         layered = PreparedProgram.__new__(PreparedProgram)
         layered.config = self.config
-        layered.join_strategy = self.join_strategy
         layered.stats = self.stats
         layered.timer = PhaseTimer()
         layered.text = self.text
@@ -417,7 +371,6 @@ class PreparedProgram:
         self,
         extra_facts: Sequence[Tuple] = (),
         config: Optional[SolverConfig] = None,
-        preset: Optional[SolverPreset] = None,
         fact_source=None,
     ) -> Control:
         """A :class:`Control` holding base + ``extra_facts``, ready to solve.
@@ -430,21 +383,11 @@ class PreparedProgram:
         ignored here — the delta layer derives possibility itself).
         """
         self.forks += 1
-        control = Control(
-            config=config or self.config,
-            preset=preset,
-            join_strategy=self.join_strategy,
-            stats=self.stats,
-        )
+        control = Control(config=config or self.config, stats=self.stats)
         with control.timer.phase("ground"):
             grounder = self._base.clone()
             atoms = [ground_atom(*fact) for fact in extra_facts]
-            if isinstance(grounder, Grounder):
-                grounder.ground_delta(atoms, fact_source=fact_source)
-            else:
-                if fact_source is not None:
-                    fact_source(lambda atom: atoms.append(ground_atom(*atom)))
-                grounder.ground_delta(atoms)
+            grounder.ground_delta(atoms, fact_source=fact_source)
         control.adopt_ground(grounder.ground_program, base=self._completion)
         return control
 

@@ -9,8 +9,9 @@ from facts), which is exactly how the paper's generalized condition handling
 (``condition_requirement`` / ``imposed_constraint``) uses them.
 
 This is the **fast** implementation of that contract (the reference
-tuple-at-a-time implementation lives in :mod:`repro.asp.naive`, and property
-tests assert both derive the same programs).  Three ideas make it fast:
+tuple-at-a-time implementation is the test oracle
+``tests/asp/naive_grounder.py``, and tests assert both derive the same
+programs).  Three ideas make it fast:
 
 * **interned symbols** — every ground value is interned once into a
   per-lineage :class:`~repro.asp.symbols.SymbolTable`, so relations, join

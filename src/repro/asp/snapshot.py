@@ -43,7 +43,7 @@ import struct
 import sys
 from array import array
 from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.asp.configs import SolverConfig
 from repro.asp.control import PreparedProgram, parse_program_cached
@@ -98,13 +98,9 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
     never be applied to the wrong catalog or cache format version.
 
     Raises :class:`SnapshotError` when the program is not snapshot-capable:
-    only the indexed :class:`~repro.asp.grounder.Grounder` is supported (the
-    naive oracle pickles fine and is not a production path), and the source
-    text must be available for the attaching process to reparse.
+    the source text must be available for the attaching process to reparse.
     """
-    grounder = getattr(prepared, "_base", None)
-    if type(grounder) is not Grounder:
-        raise SnapshotError("only indexed-grounder programs are snapshottable")
+    grounder = prepared._base
     text = getattr(prepared, "text", None)
     if not isinstance(text, str):
         raise SnapshotError("prepared program has no source text")
@@ -266,7 +262,6 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
             "byteorder": sys.byteorder,
             "program": text,
             "config": asdict(prepared.config),
-            "join_strategy": prepared.join_strategy,
             "base_groundings": grounder.base_groundings,
             "delta_groundings": grounder.delta_groundings,
             "symbols": {"encoding": sym_encoding, "bytes": len(sym_blob)},
@@ -436,7 +431,6 @@ class GroundSnapshot:
 
         prepared = PreparedProgram.__new__(PreparedProgram)
         prepared.config = SolverConfig(**header["config"])
-        prepared.join_strategy = header["join_strategy"]
         prepared.stats = stats
         prepared.timer = PhaseTimer()
         prepared.text = header["program"]

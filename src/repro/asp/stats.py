@@ -99,7 +99,7 @@ class ASPStats:
     Where :class:`PhaseTimer` mirrors the paper's four coarse phases, an
     ``ASPStats`` breaks the *ground* and *solve* phases down further: named
     stages (``ground.rules``, ``delta.facts``, ``solve.search`` ...), event
-    counters (groundings run, portfolio races won ...), and — when
+    counters (base and delta groundings run ...), and — when
     ``per_rule=True`` — per-rule wall-clock attribution so a grounding
     regression can be pinned to the rule that caused it.
 

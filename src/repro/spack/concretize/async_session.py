@@ -53,7 +53,6 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import AsyncIterator, List, Optional, Sequence, Tuple, Union
 
-from repro.asp.configs import SolverPreset
 from repro.spack.concretize.concretizer import ConcretizationResult, UnsatOutcome
 from repro.spack.concretize.session import (
     _WORKER_BATCHES,
@@ -74,8 +73,8 @@ class AsyncConcretizationSession:
     session=sync_session)``) or with the same arguments as
     :class:`ConcretizationSession` (they are forwarded verbatim — including
     ``session_config=``, a
-    :class:`~repro.spack.concretize.config.SessionConfig`, and the
-    deprecated per-knob keywords it replaces).  Additional knobs:
+    :class:`~repro.spack.concretize.config.SessionConfig`).  Additional
+    knobs:
 
     * ``max_concurrency`` — the semaphore bound on simultaneously leased
       workers across *all* concurrent calls on this session.  Defaults to
@@ -170,15 +169,13 @@ class AsyncConcretizationSession:
     # Public solve API
     # ------------------------------------------------------------------
 
-    async def concretize(
-        self, spec: Union[str, Spec], preset=None
-    ) -> ConcretizationResult:
+    async def concretize(self, spec: Union[str, Spec]) -> ConcretizationResult:
         """Concretize one abstract spec through the session caches."""
-        results = await self.concretize_batch([spec], preset=preset)
+        results = await self.concretize_batch([spec])
         return results[0]
 
     async def concretize_batch(
-        self, specs: Sequence[Union[str, Spec]], preset=None
+        self, specs: Sequence[Union[str, Spec]]
     ) -> List[ConcretizationResult]:
         """Concretize every spec; results in *input* order.
 
@@ -194,7 +191,7 @@ class AsyncConcretizationSession:
         abandoned generator.
         """
         results: List[Optional[ConcretizationResult]] = [None] * len(specs)
-        stream = self.as_completed(specs, preset=preset)
+        stream = self.as_completed(specs)
         try:
             async for index, result in stream:
                 results[index] = result
@@ -203,7 +200,7 @@ class AsyncConcretizationSession:
         return results
 
     async def as_completed(
-        self, specs: Sequence[Union[str, Spec]], preset=None
+        self, specs: Sequence[Union[str, Spec]]
     ) -> AsyncIterator[Tuple[int, ConcretizationResult]]:
         """Stream ``(input index, result)`` pairs in *completion* order.
 
@@ -217,14 +214,8 @@ class AsyncConcretizationSession:
         Cancelling the consuming task (or closing the generator early)
         cancels pending pool futures and returns the leased workers; a solver
         error propagates to the consumer after the same cleanup.
-
-        ``preset`` pins every solve in the batch to one validated
-        :class:`~repro.asp.configs.SolverPreset` (same contract as
-        ``ConcretizationSession.solve``); it bypasses the portfolio race.
         """
         session = self.session
-        if preset is not None:
-            preset = SolverPreset.from_value(preset)
         semaphore, ground_lock = self._primitives()
         loop = asyncio.get_running_loop()
         abstract = session._as_specs(specs)
@@ -297,19 +288,9 @@ class AsyncConcretizationSession:
                 # statistics (a concurrent call may be doing the same)
                 async with semaphore:
                     try:
-                        # race=True: off-thread state isolation is what
-                        # worker=True is for here; a portfolio race is still
-                        # welcome on the fallback thread (no pool to nest in).
-                        # Extra kwargs only when those features are active
-                        # (tests wrap _solve_uncached with the base signature)
-                        kwargs = {"worker": True}
-                        if preset is not None:
-                            kwargs["preset"] = preset
-                        elif session.portfolio is not None:
-                            kwargs["race"] = True
                         concretization = await loop.run_in_executor(
                             self._fallback_pool(),
-                            lambda: session._solve_uncached(unique[0], **kwargs),
+                            lambda: session._solve_uncached(unique[0], worker=True),
                         )
                     except UnsatisfiableSpecError as error:
                         session.stats.delta_groundings += 1
@@ -326,14 +307,12 @@ class AsyncConcretizationSession:
             # -- fan out: one executor per call, workers leased under the
             #    session-wide semaphore
             batch_token = next(_WORKER_BATCH_IDS)
-            _WORKER_BATCHES[batch_token] = (session, list(unique), preset)
+            _WORKER_BATCHES[batch_token] = (session, list(unique))
             backend = session._resolve_backend()
             executor = self._make_executor(backend, len(unique))
             tasks = [
                 asyncio.ensure_future(
-                    self._solve_on_pool(
-                        executor, backend, batch_token, i, unique[i], preset
-                    )
+                    self._solve_on_pool(executor, backend, batch_token, i, unique[i])
                 )
                 for i in range(len(unique))
             ]
@@ -390,7 +369,6 @@ class AsyncConcretizationSession:
         batch_token: int,
         index: int,
         spec: Spec,
-        preset=None,
     ) -> Tuple[int, Union[ConcretizationResult, UnsatisfiableSpecError]]:
         """Solve one cache-missing spec under the concurrency semaphore.
 
@@ -431,12 +409,9 @@ class AsyncConcretizationSession:
             # threads at once, and only the worker path is guaranteed not to
             # mutate shared session state (base LRU, statistics)
             try:
-                kwargs = {"worker": True}
-                if preset is not None:
-                    kwargs["preset"] = preset
                 result = await loop.run_in_executor(
                     self._fallback_pool(),
-                    lambda: self.session._solve_uncached(spec, **kwargs),
+                    lambda: self.session._solve_uncached(spec, worker=True),
                 )
             except UnsatisfiableSpecError as error:
                 return index, error

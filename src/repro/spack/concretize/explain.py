@@ -98,13 +98,7 @@ def explain_unsat(
     if not retractable:
         return []
 
-    solver = CDCLSolver(
-        heuristic=config.heuristic,
-        default_phase=config.default_phase,
-        restart_strategy=config.restart_strategy,
-        restart_base=config.restart_base,
-        var_decay=config.var_decay,
-    )
+    solver = CDCLSolver(**config.solver_kwargs())
     completed = complete(program, solver, retractable=retractable)
     enforcer = StableModelEnforcer(completed, enabled=config.enforce_stability)
     selectors = completed.selectors  # group index -> selector variable

@@ -30,7 +30,7 @@ Two orthogonal extensions scale sessions beyond one process (see
 ``docs/ARCHITECTURE.md`` for the full data-flow picture and
 ``docs/CACHING.md`` for the on-disk contracts):
 
-* **parallel solving** — ``ConcretizationSession(workers=N)`` (or the
+* **parallel solving** — ``SessionConfig(workers=N)`` (or the
   :class:`ParallelConcretizationSession` convenience wrapper) grounds the
   shared base once in the parent, then fans the independent per-spec
   delta-ground + solve work out to a pool of workers behind one executor
@@ -52,11 +52,10 @@ Two orthogonal extensions scale sessions beyond one process (see
   exactly like memory ones.
 
 Every execution knob (workers, backends, cache directories and budgets,
-join strategy, profiling, portfolio, snapshots) lives on one frozen
+profiling, snapshots) lives on one frozen
 :class:`~repro.spack.concretize.config.SessionConfig` accepted by all
-front-ends via ``session_config=``; the historical per-knob keyword
-arguments still work and emit a :class:`DeprecationWarning` naming their
-replacement.
+front-ends via ``session_config=``; the solver's search knobs live on the
+session's :class:`~repro.asp.configs.SolverConfig` (``config=``).
 
 For *serving* concretizations instead of batching them, the
 :class:`~repro.spack.concretize.async_session.AsyncConcretizationSession`
@@ -77,9 +76,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.asp.configs import SolverConfig, SolverPreset
-from repro.asp.control import PreparedProgram, grounder_class
-from repro.asp.portfolio import PortfolioSolver, resolve_presets
+from repro.asp.configs import SolverConfig
+from repro.asp.control import PreparedProgram
 from repro.asp.snapshot import SnapshotError
 from repro.asp.stats import ASPStats, Timer
 from repro.spack.architecture import Platform, default_platform
@@ -89,7 +87,7 @@ from repro.spack.concretize.concretizer import (
     UnsatOutcome,
     result_from_solve,
 )
-from repro.spack.concretize.config import SessionConfig, resolve_session_config
+from repro.spack.concretize.config import SessionConfig
 from repro.spack.concretize.explain import explain_unsat
 from repro.spack.concretize.criteria import (
     BUILD_PRIORITY_OFFSET,
@@ -290,7 +288,6 @@ class _GroundedBase:
         self.prepared = PreparedProgram(
             logic_program(),
             config=session.config,
-            join_strategy=session.join_strategy,
             stats=session.asp_stats,
             fact_source=stream_base,
         )
@@ -326,7 +323,6 @@ class _GroundedBase:
                     layer.facts,
                     config=session.config,
                     possible_hints=layer.hints,
-                    join_strategy=session.join_strategy,
                     stats=session.asp_stats,
                 )
             else:
@@ -430,11 +426,7 @@ def _worker_solve(batch: int, index: int) -> "ConcretizationResult":
     the session (the grounded base is forked per solve, never mutated), so
     the same function is safe on thread and on forked process workers.
     """
-    entry = _WORKER_BATCHES[batch]
-    session, specs = entry[0], entry[1]
-    preset = entry[2] if len(entry) > 2 else None
-    if preset is not None:
-        return session._solve_uncached(specs[index], worker=True, preset=preset)
+    session, specs = _WORKER_BATCHES[batch]
     return session._solve_uncached(specs[index], worker=True)
 
 
@@ -512,14 +504,10 @@ class ConcretizationSession:
     Execution knobs live on one frozen
     :class:`~repro.spack.concretize.config.SessionConfig` passed as
     ``session_config=`` — parallelism (``workers``, ``worker_backend``),
-    persistence (``cache_dir``, ``persist_ground``, ``snapshots``,
-    ``cache_max_entries`` / ``cache_max_bytes``, ``share_ground_cache``),
-    and solver behaviour (``join_strategy``, ``profile``, ``portfolio``);
-    see :class:`SessionConfig` for per-knob semantics.  The historical
-    per-knob keyword arguments are still accepted (each maps 1:1 onto a
-    config field, overrides it, and emits a :class:`DeprecationWarning`).
-    Problem inputs stay explicit parameters, mirroring
-    :class:`Concretizer`, plus:
+    persistence (``cache_dir``, ``snapshots``, ``cache_max_entries`` /
+    ``cache_max_bytes``, ``share_ground_cache``), and ``profile``; see
+    :class:`SessionConfig` for per-knob semantics.  Problem inputs stay
+    explicit parameters, mirroring :class:`Concretizer`, plus:
 
     * ``solve_cache`` — a :class:`repro.spack.store.SolveCache` to share
       across sessions (defaults to a private one, or to a
@@ -527,8 +515,8 @@ class ConcretizationSession:
       ``session_config.cache_dir`` is given).
 
     With a ``cache_dir``, solved results are written through as versioned
-    JSON, grounded bases as versioned pickles, and (for the indexed
-    grounder) additionally as flat mmap-able ground snapshots
+    JSON, grounded bases as versioned pickles, and additionally as flat
+    mmap-able ground snapshots
     (:class:`repro.spack.store.SnapshotStore`) that later *processes*
     attach near-zero-copy instead of unpickling; see ``docs/CACHING.md``.
     """
@@ -543,11 +531,12 @@ class ConcretizationSession:
         config: Optional[SolverConfig] = None,
         solve_cache: Optional[SolveCache] = None,
         session_config: Optional[SessionConfig] = None,
-        **legacy,
     ):
-        cfg = resolve_session_config(
-            session_config, legacy, "ConcretizationSession"
-        )
+        cfg = session_config if session_config is not None else SessionConfig()
+        if not isinstance(cfg, SessionConfig):
+            raise TypeError(
+                f"session_config must be a SessionConfig, got {type(cfg).__name__}"
+            )
         self.session_config = cfg
         self.repo = repo or builtin_repository()
         self.platform = platform or default_platform()
@@ -567,7 +556,7 @@ class ConcretizationSession:
             )
         else:
             self.solve_cache = SolveCache()
-        persist = cache_dir is not None and cfg.persist_ground
+        persist = cache_dir is not None
         self.ground_cache: Optional[PersistentGroundCache] = (
             PersistentGroundCache(
                 cache_dir,
@@ -591,15 +580,9 @@ class ConcretizationSession:
             default_worker_count() if cfg.workers == "auto" else int(cfg.workers)
         )
         self.worker_backend = cfg.worker_backend
-        grounder_class(cfg.join_strategy)  # validate eagerly (raises ValueError)
-        self.join_strategy = cfg.join_strategy
         self.profile = cfg.profile
         self.asp_stats: Optional[ASPStats] = (
             ASPStats(per_rule=(cfg.profile == "rules")) if cfg.profile else None
-        )
-        presets = resolve_presets(cfg.portfolio)
-        self.portfolio: Optional[PortfolioSolver] = (
-            PortfolioSolver(presets, stats=self.asp_stats) if presets else None
         )
         self.stats = SessionStatistics()
         self._content_hash: Optional[str] = None
@@ -675,7 +658,6 @@ class ConcretizationSession:
         prefix = (
             "shard-layer",
             self.context_token(),
-            self.join_strategy,
             self._store_token(),
             repo.providers_digest(),
             frozenset(encoder.possible_packages),
@@ -783,11 +765,6 @@ class ConcretizationSession:
             result["snapshot_store"] = self.snapshot_store.statistics()
         if self._last_base is not None:
             result["base"] = self._last_base.statistics()
-        result["join_strategy"] = self.join_strategy
-        if self.portfolio is not None:
-            result["portfolio"] = [
-                preset.to_dict() for preset in self.portfolio.presets
-            ]
         if self.asp_stats is not None:
             result["asp"] = self.asp_stats.as_dict()
         return result
@@ -909,7 +886,6 @@ class ConcretizationSession:
     def _base_key(self, abstract: Sequence[Spec]) -> Tuple:
         return (
             self.content_hash(),
-            self.join_strategy,
             self._store_token(),
             self._possible_packages(abstract),
         )
@@ -932,11 +908,7 @@ class ConcretizationSession:
 
     # ------------------------------------------------------------------
 
-    def solve(
-        self,
-        specs: Sequence[Union[str, Spec]],
-        preset=None,
-    ) -> List[ConcretizationResult]:
+    def solve(self, specs: Sequence[Union[str, Spec]]) -> List[ConcretizationResult]:
         """Concretize every spec (one independent solve each), sharing the
         grounded base across the batch and replaying cached solves.
 
@@ -945,36 +917,19 @@ class ConcretizationSession:
         batch is solved on a worker pool (see :meth:`_solve_parallel`), which
         is element-wise identical to — just faster than — the sequential
         path.
-
-        ``preset`` pins this batch's CDCL heuristics to one validated
-        :class:`~repro.asp.configs.SolverPreset` (a preset instance, name,
-        or dict; see :meth:`SolverPreset.from_value`).  Extracted results
-        are preset-invariant (the optimization criteria pin a unique
-        optimum — property-tested), so the solve cache is shared across
-        presets and an explicit preset also bypasses the portfolio race.
         """
-        if preset is not None:
-            preset = SolverPreset.from_value(preset)
         abstract = self._as_specs(specs)
         if self.workers > 1 and len(abstract) > 1:
-            return self._solve_parallel(abstract, preset=preset)
-        return [self._solve_one(spec, preset=preset) for spec in abstract]
+            return self._solve_parallel(abstract)
+        return [self._solve_one(spec) for spec in abstract]
 
-    def concretize(
-        self, spec: Union[str, Spec], preset=None
-    ) -> ConcretizationResult:
+    def concretize(self, spec: Union[str, Spec]) -> ConcretizationResult:
         """Concretize a single abstract spec through the session caches."""
-        return self.solve([spec], preset=preset)[0]
+        return self.solve([spec])[0]
 
     # ------------------------------------------------------------------
 
-    def _solve_uncached(
-        self,
-        spec: Spec,
-        worker: bool = False,
-        preset: Optional[SolverPreset] = None,
-        race: Optional[bool] = None,
-    ) -> ConcretizationResult:
+    def _solve_uncached(self, spec: Spec, worker: bool = False) -> ConcretizationResult:
         """One full solve, bypassing the solve cache (shared base + delta).
 
         This is the unit of work a pool worker executes (``worker=True``):
@@ -1003,20 +958,9 @@ class ConcretizationSession:
             with setup_timer:
                 delta_facts.extend(encoder.encode_delta([spec], sink=write))
 
-        control = base.prepared.fork(
-            config=self.config, preset=preset, fact_source=stream_delta
-        )
+        control = base.prepared.fork(config=self.config, fact_source=stream_delta)
         control.timer.add("setup", setup_timer.elapsed)
-
-        # Race the portfolio unless an explicit preset pins the heuristics
-        # or this is a pool worker (never nest a race inside a pool; the
-        # async fallback-thread path opts back in via ``race=True``).
-        if race is None:
-            race = not worker
-        if self.portfolio is not None and race and preset is None:
-            result = self.portfolio.solve(control)
-        else:
-            result = control.solve()
+        result = control.solve()
         statistics: Dict[str, object] = {
             "encoding": encoder.stats.as_dict(),
             **result.statistics,
@@ -1039,9 +983,7 @@ class ConcretizationSession:
 
         return result_from_solve([spec], result, statistics, explainer=explainer)
 
-    def _solve_one(
-        self, spec: Spec, preset: Optional[SolverPreset] = None
-    ) -> ConcretizationResult:
+    def _solve_one(self, spec: Spec) -> ConcretizationResult:
         self.stats.specs_solved += 1
         key = self._solve_key(spec)
         cached = self.solve_cache.get(key)
@@ -1055,7 +997,7 @@ class ConcretizationSession:
         self.stats.solve_cache_misses += 1
 
         try:
-            concretization = self._solve_uncached(spec, preset=preset)
+            concretization = self._solve_uncached(spec)
         except UnsatisfiableSpecError as error:
             # unsat outcomes (message + minimal core) are cached under the
             # same content-hash key, so warm replays raise identically
@@ -1071,9 +1013,7 @@ class ConcretizationSession:
     # Parallel fan-out
     # ------------------------------------------------------------------
 
-    def _solve_parallel(
-        self, abstract: List[Spec], preset: Optional[SolverPreset] = None
-    ) -> List[ConcretizationResult]:
+    def _solve_parallel(self, abstract: List[Spec]) -> List[ConcretizationResult]:
         """Fan the batch out to a worker pool, preserving sequential semantics.
 
         The cache pass runs first, in the parent: hits (including duplicate
@@ -1121,12 +1061,12 @@ class ConcretizationSession:
                 # a single miss gains nothing from a pool; solve it inline
                 try:
                     solved: List[Union[ConcretizationResult, UnsatisfiableSpecError]] = [
-                        self._solve_uncached(unique[0], preset=preset)
+                        self._solve_uncached(unique[0])
                     ]
                 except UnsatisfiableSpecError as error:
                     solved = [error]
             else:
-                solved = self._fan_out(unique, preset=preset)
+                solved = self._fan_out(unique)
             for (key, indices), outcome in zip(pending.items(), solved):
                 self.stats.delta_groundings += 1
                 if isinstance(outcome, UnsatisfiableSpecError):
@@ -1143,9 +1083,7 @@ class ConcretizationSession:
             raise failures[0][1]
         return results
 
-    def _fan_out(
-        self, unique: List[Spec], preset: Optional[SolverPreset] = None
-    ) -> List[ConcretizationResult]:
+    def _fan_out(self, unique: List[Spec]) -> List[ConcretizationResult]:
         """Pre-ground the needed bases, then run ``unique`` on the pool.
 
         Grounding happens in the parent, before workers fork, so every
@@ -1163,7 +1101,7 @@ class ConcretizationSession:
         try:
             for spec in unique:
                 self._base_for([spec])
-            return self._run_workers(unique, preset=preset)
+            return self._run_workers(unique)
         finally:
             self._base_demands.pop(token, None)
 
@@ -1175,7 +1113,7 @@ class ConcretizationSession:
         return "thread"
 
     def _run_workers(
-        self, specs: List[Spec], preset: Optional[SolverPreset] = None
+        self, specs: List[Spec]
     ) -> List[Union[ConcretizationResult, UnsatisfiableSpecError]]:
         """Solve ``specs`` (all cache misses, bases pre-grounded) on a pool.
 
@@ -1198,7 +1136,7 @@ class ConcretizationSession:
             outcomes: List[Union[ConcretizationResult, UnsatisfiableSpecError]] = []
             for spec in specs:
                 try:
-                    outcomes.append(self._solve_uncached(spec, preset=preset))
+                    outcomes.append(self._solve_uncached(spec))
                 except UnsatisfiableSpecError as error:
                     outcomes.append(error)
             return outcomes
@@ -1206,7 +1144,7 @@ class ConcretizationSession:
         workers = min(self.workers, len(specs))
         backend = self._resolve_backend()
         batch = next(_WORKER_BATCH_IDS)
-        _WORKER_BATCHES[batch] = (self, list(specs), preset)
+        _WORKER_BATCHES[batch] = (self, list(specs))
         executor = None
         try:
             try:
@@ -1299,8 +1237,8 @@ class ParallelConcretizationSession(ConcretizationSession):
     — the shared base is still grounded exactly once (in the parent), the
     solve cache still answers repeats, and results are still element-wise
     identical to a sequential session in input order.  Pass ``workers=N``
-    explicitly to pin the pool size (this class's own parameter, not a
-    deprecated one; it overrides ``session_config.workers``), or a
+    explicitly to pin the pool size (this class's own parameter; it
+    overrides ``session_config.workers``), or a
     ``session_config`` with ``worker_backend="thread"`` on platforms
     without ``fork``.
     """

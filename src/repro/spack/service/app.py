@@ -38,14 +38,12 @@ from __future__ import annotations
 import asyncio
 import queue
 import threading
-import warnings
 from contextlib import aclosing
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
-from repro.asp.configs import SolverPreset
 from repro.spack.concretize.async_session import AsyncConcretizationSession
 from repro.spack.concretize.concretizer import ConcretizationResult
-from repro.spack.concretize.config import LEGACY_SESSION_KWARGS, SessionConfig
+from repro.spack.concretize.config import SessionConfig
 from repro.spack.concretize.session import ConcretizationSession
 from repro.spack.errors import (
     SpackError,
@@ -202,13 +200,10 @@ class TenantState:
         *,
         max_concurrency: int,
         session_config: SessionConfig,
-        session_kwargs: Optional[Dict] = None,
     ):
         self.name = name
         self.repo = repo
-        self.session = ConcretizationSession(
-            repo=repo, session_config=session_config, **(session_kwargs or {})
-        )
+        self.session = ConcretizationSession(repo=repo, session_config=session_config)
         self.async_session = AsyncConcretizationSession(
             session=self.session, max_concurrency=max_concurrency
         )
@@ -245,16 +240,12 @@ class ConcretizationService:
     * ``retry_after_s`` — the hint returned with 429 responses;
     * ``session_config`` — a :class:`~repro.spack.concretize.SessionConfig`
       applied to every tenant session (``cache_dir`` for warm restarts and
-      shared snapshots, ``join_strategy``, cache bounds, ...).  The service
+      shared snapshots, cache bounds, ...).  The service
       resolves a ``worker_backend`` of ``"auto"`` to ``"thread"``: the
       service process runs many transport threads, and forking a process
       pool out of a threaded server is a foot-gun;
     * ``worker_backend`` — explicit backend override for the underlying
-      sessions (wins over ``session_config.worker_backend``);
-    * ``session_kwargs`` — *deprecated*: extra
-      :class:`ConcretizationSession` keyword arguments applied to every
-      tenant session.  Configuration keys (``cache_dir``, ...) fold into
-      ``session_config``; pass :class:`SessionConfig` directly instead.
+      sessions (wins over ``session_config.worker_backend``).
 
     Use as a context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -269,24 +260,8 @@ class ConcretizationService:
         retry_after_s: float = 1.0,
         worker_backend: Optional[str] = None,
         session_config: Optional[SessionConfig] = None,
-        session_kwargs: Optional[Dict] = None,
     ):
         config = session_config if session_config is not None else SessionConfig()
-        extra = dict(session_kwargs or {})
-        if extra:
-            warnings.warn(
-                "ConcretizationService(session_kwargs=...) is deprecated; pass "
-                "session_config=SessionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides = {
-                LEGACY_SESSION_KWARGS[key]: extra.pop(key)
-                for key in list(extra)
-                if key in LEGACY_SESSION_KWARGS
-            }
-            if overrides:
-                config = config.replace(**overrides)
         if worker_backend is None:
             worker_backend = (
                 "thread"
@@ -309,7 +284,6 @@ class ConcretizationService:
         self.retry_after_s = float(retry_after_s)
         self.worker_backend = worker_backend
         self.session_config = config
-        self.session_kwargs = extra  # non-config leftovers (repo wiring, ...)
 
         self._admission = threading.Semaphore(self.max_concurrency + self.queue_limit)
         self._lock = threading.Lock()
@@ -420,7 +394,6 @@ class ConcretizationService:
             repo,
             max_concurrency=self.max_concurrency,
             session_config=self.session_config,
-            session_kwargs=self.session_kwargs,
         )
         state.overlay = overlay if isinstance(overlay, ShardedRepository) else None
         self._tenants[name] = state
@@ -458,20 +431,6 @@ class ConcretizationService:
                 self._count("parse_errors")
                 raise BadRequestError(f"invalid spec {text!r}: {exc}") from exc
         return specs
-
-    @staticmethod
-    def _parse_preset(preset):
-        """Validate a per-request solver preset (name, dict, or instance).
-
-        Invalid values are a *request* problem, not a solver one: they map
-        to 400 with the validator's message intact.
-        """
-        if preset is None:
-            return None
-        try:
-            return SolverPreset.from_value(preset)
-        except (ValueError, TypeError) as exc:
-            raise BadRequestError(f"invalid solver preset: {exc}") from exc
 
     def _deadline(self, deadline_s: Optional[float]) -> float:
         if deadline_s is None:
@@ -547,11 +506,10 @@ class ConcretizationService:
         state: TenantState,
         specs: List[Spec],
         deadline_s: float,
-        preset=None,
     ) -> List[ConcretizationResult]:
         try:
             return await asyncio.wait_for(
-                state.async_session.concretize_batch(specs, preset=preset),
+                state.async_session.concretize_batch(specs),
                 timeout=deadline_s,
             )
         except asyncio.TimeoutError:
@@ -577,12 +535,10 @@ class ConcretizationService:
         *,
         tenant: Optional[str] = None,
         deadline_s: Optional[float] = None,
-        preset=None,
     ) -> Dict[str, object]:
         """Concretize one spec; the ``POST /v1/concretize`` core."""
-        return self.concretize_batch(
-            [spec], tenant=tenant, deadline_s=deadline_s, preset=preset
-        )["results"][0]
+        batch = self.concretize_batch([spec], tenant=tenant, deadline_s=deadline_s)
+        return batch["results"][0]
 
     def concretize_batch(
         self,
@@ -590,27 +546,18 @@ class ConcretizationService:
         *,
         tenant: Optional[str] = None,
         deadline_s: Optional[float] = None,
-        preset=None,
     ) -> Dict[str, object]:
-        """Concretize a batch (input order); ``POST /v1/concretize_batch``.
-
-        ``preset`` pins the batch's CDCL heuristics to a validated
-        :class:`~repro.asp.configs.SolverPreset` (results are
-        preset-invariant; only wall time changes).
-        """
+        """Concretize a batch (input order); ``POST /v1/concretize_batch``."""
         self._check_running()
         self._count("requests")
         state = self._tenant(tenant)
-        preset = self._parse_preset(preset)
         parsed = self._parse_specs(list(specs))
         deadline = self._deadline(deadline_s)
         self._admit()
         try:
             state.requests += 1
             try:
-                results = self._submit(
-                    self._run_batch(state, parsed, deadline, preset=preset)
-                )
+                results = self._submit(self._run_batch(state, parsed, deadline))
             except DeadlineExceededError:
                 self._count("deadline_exceeded")
                 raise
@@ -640,7 +587,6 @@ class ConcretizationService:
         specs: List[Spec],
         deadline_s: float,
         out: "queue.Queue",
-        preset=None,
     ) -> None:
         """Drive ``as_completed`` on the loop, feeding a thread-safe queue.
 
@@ -651,9 +597,7 @@ class ConcretizationService:
         """
         try:
             async def consume():
-                async with aclosing(
-                    state.async_session.as_completed(specs, preset=preset)
-                ) as stream:
+                async with aclosing(state.async_session.as_completed(specs)) as stream:
                     async for index, result in stream:
                         self._count("specs_concretized")
                         out.put(
@@ -685,7 +629,6 @@ class ConcretizationService:
         *,
         tenant: Optional[str] = None,
         deadline_s: Optional[float] = None,
-        preset=None,
     ) -> Iterator[Dict[str, object]]:
         """Yield per-result records in *completion* order, then a summary.
 
@@ -699,7 +642,6 @@ class ConcretizationService:
         self._check_running()
         self._count("requests")
         state = self._tenant(tenant)
-        preset = self._parse_preset(preset)
         texts = [str(text) for text in specs]
         parsed = self._parse_specs(texts)
         deadline = self._deadline(deadline_s)
@@ -709,7 +651,7 @@ class ConcretizationService:
             out: "queue.Queue" = queue.Queue()
             state.requests += 1
             future = asyncio.run_coroutine_threadsafe(
-                self._pump(state, texts, parsed, deadline, out, preset=preset),
+                self._pump(state, texts, parsed, deadline, out),
                 self._loop,
             )
             try:

@@ -5,15 +5,11 @@ handler thread per connection, no third-party dependencies — that maps the
 service core onto four endpoints:
 
 ``POST /v1/concretize``
-    Body ``{"spec": "zlib@1.2.8", "tenant": ..., "deadline_s": ...,
-    "preset": ...}`` (``preset`` optionally pins the CDCL heuristics to a
-    named/validated :class:`~repro.asp.configs.SolverPreset`; invalid
-    presets are 400s);
+    Body ``{"spec": "zlib@1.2.8", "tenant": ..., "deadline_s": ...}``;
     responds with the concretized result payload.
 
 ``POST /v1/concretize_batch``
-    Body ``{"specs": [...], "tenant": ..., "deadline_s": ..., "stream": bool,
-    "preset": ...}``.
+    Body ``{"specs": [...], "tenant": ..., "deadline_s": ..., "stream": bool}``.
     Without ``stream``, responds with ``{"results": [...]}`` in input order.
     With ``"stream": true``, responds ``200 application/x-ndjson`` with one
     JSON record per line in *completion* order (chunked transfer encoding),
@@ -31,7 +27,8 @@ service core's: 400 malformed request or spec, 404 unknown tenant/route,
 exceeded, 500 anything unexpected.  Every error body — including streamed
 terminal records — is the :func:`~repro.spack.service.app.error_body`
 envelope ``{"status": ..., "error": {"code", "message", "detail"}}``
-documented in ``docs/SERVICE.md``.
+documented in ``docs/SERVICE.md``.  Unknown body keys are ignored: the
+solver configuration is the server's, never the request's.
 """
 
 from __future__ import annotations
@@ -174,9 +171,7 @@ class ConcretizationRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(spec, str):
             raise BadRequestError("body must carry a string 'spec' field")
         tenant, deadline = self._request_options(body)
-        result = self.service.concretize(
-            spec, tenant=tenant, deadline_s=deadline, preset=body.get("preset")
-        )
+        result = self.service.concretize(spec, tenant=tenant, deadline_s=deadline)
         self._send_json(200, {"tenant": tenant or "default", "result": result})
 
     def _concretize_batch(self):
@@ -185,16 +180,11 @@ class ConcretizationRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(specs, list):
             raise BadRequestError("body must carry a list 'specs' field")
         tenant, deadline = self._request_options(body)
-        preset = body.get("preset")
         if body.get("stream"):
-            records = self.service.stream_batch(
-                specs, tenant=tenant, deadline_s=deadline, preset=preset
-            )
+            records = self.service.stream_batch(specs, tenant=tenant, deadline_s=deadline)
             self._stream_ndjson(records)
             return
-        payload = self.service.concretize_batch(
-            specs, tenant=tenant, deadline_s=deadline, preset=preset
-        )
+        payload = self.service.concretize_batch(specs, tenant=tenant, deadline_s=deadline)
         self._send_json(200, payload)
 
 

@@ -848,7 +848,7 @@ class SnapshotStore:
         try:
             payload = snapshot_bytes(prepared, key=token)
         except SnapshotError:
-            # not snapshot-capable (naive grounder, exotic state): not an
+            # not snapshot-capable (no source text, exotic state): not an
             # I/O failure, so it does not count against write_errors
             return False
         try:

@@ -103,6 +103,29 @@ class TestSolverConfig:
         assert config.restart_base == 7
         assert SolverConfig.preset("tweety").restart_base != 7
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SolverConfig(heuristic="astrology"),
+            lambda: SolverConfig(restart_base=0),
+            lambda: SolverConfig(restart_base=42.5),
+            lambda: SolverConfig.preset("tweety").with_overrides(restart_strategy="astrology"),
+            lambda: SolverConfig.preset("tweety").with_overrides(unknown_knob=1),
+            lambda: SolverConfig.preset("tweety").with_overrides(var_decay=2.0),
+        ],
+        ids=[
+            "heuristic",
+            "restart-base-zero",
+            "restart-base-float",
+            "restart-strategy",
+            "unknown-knob",
+            "var-decay",
+        ],
+    )
+    def test_invalid_knobs_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_presets_differ(self):
         tweety = SolverConfig.preset("tweety")
         handy = SolverConfig.preset("handy")

@@ -28,6 +28,7 @@ import pytest
 from repro.spack.concretize import (
     AsyncConcretizationSession,
     ConcretizationSession,
+    SessionConfig,
 )
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.errors import UnsatisfiableSpecError
@@ -69,16 +70,17 @@ def run(coro, timeout=120.0):
 @pytest.fixture()
 def sequential_results(micro_repo):
     clear_shared_bases()
-    session = ConcretizationSession(repo=micro_repo, share_ground_cache=False)
+    session = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
+    )
     return [signature(r) for r in session.solve(BATCH)]
 
 
-def make_async(micro_repo, **kwargs):
+def make_async(micro_repo, worker_backend="thread", max_concurrency=4):
     clear_shared_bases()
-    kwargs.setdefault("worker_backend", "thread")
-    kwargs.setdefault("max_concurrency", 4)
+    config = SessionConfig(share_ground_cache=False, worker_backend=worker_backend)
     return AsyncConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, **kwargs
+        repo=micro_repo, session_config=config, max_concurrency=max_concurrency
     )
 
 
@@ -364,7 +366,9 @@ def test_invalid_construction_is_rejected(micro_repo):
 
 def test_wraps_an_existing_session(micro_repo):
     clear_shared_bases()
-    sync_session = ConcretizationSession(repo=micro_repo, share_ground_cache=False)
+    sync_session = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
+    )
     sync_results = [signature(r) for r in sync_session.solve(["example"])]
 
     async def go():

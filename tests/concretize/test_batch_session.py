@@ -15,13 +15,16 @@ from __future__ import annotations
 import pytest
 
 from repro.asp.configs import SolverConfig
-from repro.spack.concretize import ConcretizationSession, Concretizer
+from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.directives import depends_on, provides, variant, version
 from repro.spack.errors import UnsatisfiableSpecError
 from repro.spack.package import Package
 from repro.spack.repo import Repository
 from repro.spack.store import Database, SolveCache
+
+#: sessions that keep their grounded bases to themselves
+UNSHARED = SessionConfig(share_ground_cache=False)
 
 #: an overlapping batch: three distinct solves, two repeats, two spec families
 BATCH = ["example", "example+bzip", "minitool", "example", "example+bzip"]
@@ -46,7 +49,7 @@ def signature(result):
 
 @pytest.fixture()
 def session(micro_repo):
-    return ConcretizationSession(repo=micro_repo, share_ground_cache=False)
+    return ConcretizationSession(repo=micro_repo, session_config=UNSHARED)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +87,7 @@ def test_reuse_mode_matches_sequential(micro_repo):
     store = Database()
     store.install(Concretizer(repo=micro_repo).concretize("example~bzip").spec)
     session = ConcretizationSession(
-        repo=micro_repo, store=store, reuse=True, share_ground_cache=False
+        repo=micro_repo, store=store, reuse=True, session_config=UNSHARED
     )
     for spec in ("example~bzip", "minitool"):
         result = session.concretize(spec)
@@ -95,7 +98,7 @@ def test_reuse_mode_matches_sequential(micro_repo):
 def test_store_growth_mid_session_is_picked_up(micro_repo):
     store = Database()
     session = ConcretizationSession(
-        repo=micro_repo, store=store, reuse=True, share_ground_cache=False
+        repo=micro_repo, store=store, reuse=True, session_config=UNSHARED
     )
     before = session.concretize("example")
     assert before.number_reused == 0
@@ -158,11 +161,11 @@ def test_replayed_results_are_independent_copies(micro_repo, session):
 def test_solve_cache_can_be_shared_across_sessions(micro_repo):
     cache = SolveCache()
     one = ConcretizationSession(
-        repo=micro_repo, solve_cache=cache, share_ground_cache=False
+        repo=micro_repo, solve_cache=cache, session_config=UNSHARED
     )
     one.solve(["example"])
     two = ConcretizationSession(
-        repo=micro_repo, solve_cache=cache, share_ground_cache=False
+        repo=micro_repo, solve_cache=cache, session_config=UNSHARED
     )
     result = two.concretize("example")
     assert two.stats.solve_cache_hits == 1
@@ -206,15 +209,15 @@ def _micro_like_repo(extra_zlib_version=None):
 
 
 def test_content_hash_is_stable_for_equal_inputs():
-    one = ConcretizationSession(repo=_micro_like_repo(), share_ground_cache=False)
-    two = ConcretizationSession(repo=_micro_like_repo(), share_ground_cache=False)
+    one = ConcretizationSession(repo=_micro_like_repo(), session_config=UNSHARED)
+    two = ConcretizationSession(repo=_micro_like_repo(), session_config=UNSHARED)
     assert one.content_hash() == two.content_hash()
 
 
 def test_new_package_version_changes_content_hash():
-    old = ConcretizationSession(repo=_micro_like_repo(), share_ground_cache=False)
+    old = ConcretizationSession(repo=_micro_like_repo(), session_config=UNSHARED)
     new = ConcretizationSession(
-        repo=_micro_like_repo(extra_zlib_version="1.4"), share_ground_cache=False
+        repo=_micro_like_repo(extra_zlib_version="1.4"), session_config=UNSHARED
     )
     assert old.content_hash() != new.content_hash()
 
@@ -222,7 +225,7 @@ def test_new_package_version_changes_content_hash():
 def test_repo_mutation_bypasses_stale_solve_cache():
     cache = SolveCache()
     old = ConcretizationSession(
-        repo=_micro_like_repo(), solve_cache=cache, share_ground_cache=False
+        repo=_micro_like_repo(), solve_cache=cache, session_config=UNSHARED
     )
     stale = old.concretize("leaftool")
     assert str(stale.specs["zlib"].versions) == "1.3"
@@ -230,7 +233,7 @@ def test_repo_mutation_bypasses_stale_solve_cache():
     new = ConcretizationSession(
         repo=_micro_like_repo(extra_zlib_version="1.4"),
         solve_cache=cache,
-        share_ground_cache=False,
+        session_config=UNSHARED,
     )
     fresh = new.concretize("leaftool")
     # the shared cache must not replay the stale 1.3 answer
@@ -245,13 +248,13 @@ def test_switching_presets_changes_content_hash_and_bypasses_cache(micro_repo):
         repo=micro_repo,
         config=SolverConfig.preset("tweety"),
         solve_cache=cache,
-        share_ground_cache=False,
+        session_config=UNSHARED,
     )
     frumpy = ConcretizationSession(
         repo=micro_repo,
         config=SolverConfig.preset("frumpy"),
         solve_cache=cache,
-        share_ground_cache=False,
+        session_config=UNSHARED,
     )
     assert tweety.content_hash() != frumpy.content_hash()
 
@@ -265,7 +268,7 @@ def test_switching_presets_changes_content_hash_and_bypasses_cache(micro_repo):
 def test_store_contents_change_solve_keys(micro_repo):
     store = Database()
     session = ConcretizationSession(
-        repo=micro_repo, store=store, reuse=True, share_ground_cache=False
+        repo=micro_repo, store=store, reuse=True, session_config=UNSHARED
     )
     spec = session._as_specs(["example"])[0]
     key_before = session._solve_key(spec)

@@ -1,33 +1,41 @@
 """Indexed joins vs the naive grounder: an exact-equivalence oracle.
 
-The indexed grounder (ISSUE 8 tentpole) reimplements grounding on interned
-symbols, per-predicate argument indexes, and compiled join plans.  Its only
-license to exist is being *faster while byte-identical*: for any program the
-naive tuple-at-a-time grounder accepts, both engines must derive the same
-certain facts, the same possible-atom universe, the same rule/choice/
-constraint counts — and therefore the same concretization results.
+The indexed grounder (:class:`repro.asp.grounder.Grounder`) reimplements
+grounding on interned symbols, per-predicate argument indexes, and compiled
+join plans.  Its only license to exist is being *faster while
+byte-identical*: for any program the naive tuple-at-a-time grounder
+(``tests/asp/naive_grounder.py``, a test-only oracle) accepts, both engines
+must derive the same certain facts, the same possible-atom universe, the same
+rule/choice/constraint counts — and therefore the same stable models.
 
-Three layers of oracle:
+Two layers of oracle, both calling the grounders directly:
 
 * raw ASP programs chosen to stress join-planner corner cases (negation,
   comparisons binding late, arithmetic, conditionals, recursion through
-  choices);
-* full concretization sessions (monolithic and sharded catalogs), compared
-  element-wise cold and warm;
-* persistent-cache round-trips, where the two strategies must never share a
-  cached base (a naive session replaying an indexed pickle or vice versa
-  would be a silent lie).
+  choices), one-shot and with a delta layer;
+* the concretizer's own program (the logic program plus the one-shot
+  encoding of each spec) over the monolithic and the sharded micro catalog,
+  whose naive-grounded answer must also match what a session returns.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.asp.control import PreparedProgram, grounder_class
-from repro.spack.concretize import ConcretizationSession
+from repro.asp.control import Control, parse_program_cached
+from repro.asp.grounder import Grounder
+from repro.asp.syntax import ground_atom
+from repro.spack.concretize import ConcretizationSession, SessionConfig
+from repro.spack.concretize.concretizer import result_from_solve
+from repro.spack.concretize.encoder import ProblemEncoder
+from repro.spack.concretize.logic import logic_program
 from repro.spack.concretize.session import clear_shared_bases
+from repro.spack.spec_parser import parse_spec
 
-from tests.concretize.test_sharded_repo import micro_flat, micro_sharded
+from tests.asp.naive_grounder import NaiveGrounder
+from tests.concretize.test_sharded_repo import micro_flat, micro_sharded, signature
+
+GROUNDERS = (Grounder, NaiveGrounder)
 
 BATCH = [
     "example",
@@ -82,11 +90,9 @@ TRICKY_PROGRAMS = (
 )
 
 
-def ground_signature(text: str, strategy: str):
-    """Everything observable about a grounding, as strategy-independent
+def ground_signature(program):
+    """Everything observable about a grounding, as grounder-independent
     strings."""
-    prepared = PreparedProgram(text, join_strategy=strategy)
-    program = prepared._base.ground()
     return {
         "certain": sorted(program.format_atom(atom) for atom in program.facts),
         "possible": sorted(
@@ -99,25 +105,20 @@ def ground_signature(text: str, strategy: str):
     }
 
 
-def solve_signature(text: str, strategy: str):
-    result = PreparedProgram(text, join_strategy=strategy).fork().solve()
+def solve_ground(program):
+    """The optimal model of a ground program (``None`` when unsatisfiable)."""
+    return Control().adopt_ground(program).solve()
+
+
+def model_atoms(result):
     if result.model is None:
         return None
     return sorted(map(str, result.model.atoms()))
 
 
-def session_signatures(repo, batch, **kwargs):
-    clear_shared_bases()
-    session = ConcretizationSession(repo=repo, share_ground_cache=False, **kwargs)
-    results = session.solve(batch)
-    return [
-        (
-            str(r.spec),
-            sorted(str(s) for s in r.specs.values()),
-            {level: cost for level, cost in r.costs.items() if cost},
-        )
-        for r in results
-    ]
+def ground_with(grounder_class, text, facts=()):
+    program = parse_program_cached(text)
+    return grounder_class(program, [ground_atom(*fact) for fact in facts]).ground()
 
 
 # ---------------------------------------------------------------------------
@@ -127,97 +128,61 @@ def session_signatures(repo, batch, **kwargs):
 
 @pytest.mark.parametrize("index", range(len(TRICKY_PROGRAMS)))
 def test_grounding_identical_on_tricky_programs(index):
-    text = TRICKY_PROGRAMS[index]
-    assert ground_signature(text, "indexed") == ground_signature(text, "naive")
+    indexed, naive = (
+        ground_signature(ground_with(cls, TRICKY_PROGRAMS[index])) for cls in GROUNDERS
+    )
+    assert indexed == naive
 
 
 @pytest.mark.parametrize("index", range(len(TRICKY_PROGRAMS)))
 def test_solving_identical_on_tricky_programs(index):
-    text = TRICKY_PROGRAMS[index]
-    assert solve_signature(text, "indexed") == solve_signature(text, "naive")
+    indexed, naive = (
+        model_atoms(solve_ground(ground_with(cls, TRICKY_PROGRAMS[index])))
+        for cls in GROUNDERS
+    )
+    assert indexed == naive
 
 
 def test_delta_grounding_identical():
-    base = "p(1). p(2). r(X) :- p(X), extra(X)."
-    signatures = {}
-    for strategy in ("indexed", "naive"):
-        prepared = PreparedProgram(base, join_strategy=strategy)
-        control = prepared.fork(extra_facts=[("extra", 2)])
-        result = control.solve()
-        signatures[strategy] = sorted(map(str, result.model.atoms()))
-    assert signatures["indexed"] == signatures["naive"]
-    assert "('r', 2)" in signatures["indexed"]
-
-
-def test_unknown_strategy_rejected_eagerly():
-    with pytest.raises(ValueError, match="join strategy"):
-        grounder_class("columnar")
-    with pytest.raises(ValueError, match="join strategy"):
-        ConcretizationSession(repo=micro_flat(), join_strategy="columnar")
+    base = parse_program_cached("p(1). p(2). r(X) :- p(X), extra(X).")
+    models = []
+    for cls in GROUNDERS:
+        grounder = cls(base)
+        grounder.ground()
+        layered = grounder.clone()
+        layered.ground_delta([ground_atom("extra", 2)])
+        models.append(model_atoms(solve_ground(layered.ground_program)))
+    assert models[0] == models[1]
+    assert "('r', 2)" in models[0]
 
 
 # ---------------------------------------------------------------------------
-# Session-level oracle: monolithic and sharded, cold and warm
+# The concretizer's own program, monolithic and sharded
 # ---------------------------------------------------------------------------
+
+
+def assert_concretizer_program_identical(make_repo):
+    """For every spec: both grounders derive the same ground program and
+    the same optimal model, and the naive-grounded answer is the one an
+    (indexed) session returns."""
+    clear_shared_bases()
+    session = ConcretizationSession(
+        repo=make_repo(), session_config=SessionConfig(share_ground_cache=False)
+    )
+    for text in BATCH:
+        spec = parse_spec(text)
+        facts = ProblemEncoder(make_repo()).encode([spec])
+        indexed, naive = (ground_with(cls, logic_program(), facts) for cls in GROUNDERS)
+        assert ground_signature(indexed) == ground_signature(naive), text
+        naive_result = solve_ground(naive)
+        assert model_atoms(solve_ground(indexed)) == model_atoms(naive_result), text
+        one_shot = result_from_solve([spec], naive_result, {})
+        assert signature(session.concretize(text)) == signature(one_shot), text
 
 
 def test_sessions_identical_monolithic():
-    repo = micro_flat()
-    indexed = session_signatures(repo, BATCH, join_strategy="indexed")
-    naive = session_signatures(micro_flat(), BATCH, join_strategy="naive")
-    assert indexed == naive
+    assert_concretizer_program_identical(micro_flat)
 
 
 def test_sessions_identical_sharded():
-    indexed = session_signatures(micro_sharded(), BATCH, join_strategy="indexed")
-    naive = session_signatures(micro_sharded(), BATCH, join_strategy="naive")
-    assert indexed == naive
-    # and sharded == monolithic under the indexed grounder
-    assert indexed == session_signatures(micro_flat(), BATCH, join_strategy="indexed")
-
-
-def test_warm_replay_identical_across_strategies(tmp_path):
-    """Cold solve, then a fresh session over the warm disk cache, for both
-    strategies: all four runs element-wise identical."""
-    runs = {}
-    for strategy in ("indexed", "naive"):
-        cache_dir = tmp_path / strategy
-        cold = session_signatures(
-            micro_flat(), BATCH, join_strategy=strategy, cache_dir=str(cache_dir)
-        )
-        warm = session_signatures(
-            micro_flat(), BATCH, join_strategy=strategy, cache_dir=str(cache_dir)
-        )
-        runs[strategy] = (cold, warm)
-        assert cold == warm
-    assert runs["indexed"][0] == runs["naive"][0]
-
-
-def test_strategies_never_share_a_cached_base(tmp_path):
-    """A naive session over a ground cache warmed by an indexed session must
-    not replay the indexed grounder's pickled base (the cache key embeds the
-    strategy), while a second indexed session does replay it from disk.
-    Specs differ per run so the strategy-independent *solve* cache (shared
-    by design — results are identical) cannot short-circuit grounding."""
-    cache_dir = str(tmp_path / "shared")
-
-    def run(strategy, specs):
-        clear_shared_bases()
-        session = ConcretizationSession(
-            repo=micro_flat(),
-            share_ground_cache=False,
-            cache_dir=cache_dir,
-            join_strategy=strategy,
-        )
-        session.solve(specs)
-        return session.statistics()
-
-    cold = run("indexed", BATCH[:1])
-    assert (cold["base_groundings"], cold["base_disk_hits"]) == (1, 0)
-
-    replay = run("indexed", BATCH[1:2])
-    assert (replay["base_groundings"], replay["base_disk_hits"]) == (0, 1)
-
-    crossed = run("naive", BATCH[2:3])
-    assert crossed["join_strategy"] == "naive"
-    assert (crossed["base_groundings"], crossed["base_disk_hits"]) == (1, 0)
+    assert_concretizer_program_identical(micro_sharded)

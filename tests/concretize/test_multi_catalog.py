@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.spack.concretize import ConcretizationSession, Concretizer
+from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.directives import depends_on, version
 from repro.spack.errors import PackageError
@@ -81,9 +81,10 @@ def signature(result):
     )
 
 
-def fresh_session(repo, **kwargs):
+def fresh_session(repo, cache_dir=None):
     clear_shared_bases()
-    return ConcretizationSession(repo=repo, share_ground_cache=False, **kwargs)
+    config = SessionConfig(share_ground_cache=False, cache_dir=cache_dir)
+    return ConcretizationSession(repo=repo, session_config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The contract under test (ISSUE 2 tentpole, act 1):
 
-* ``ConcretizationSession(workers=N).solve(specs)`` is element-wise identical
-  to the sequential session (and therefore to per-spec :class:`Concretizer`
-  runs), in input order, on both worker backends;
+* a session with ``SessionConfig(workers=N)`` solves element-wise
+  identically to the sequential session (and therefore to per-spec
+  :class:`Concretizer` runs), in input order, on both worker backends;
 * the shared base is grounded exactly once, in the parent, before workers
   fork;
 * cache hits and in-batch duplicates never reach a worker;
@@ -28,6 +28,9 @@ from repro.spack.concretize import (
 )
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.errors import UnsatisfiableSpecError
+
+#: sessions that keep their grounded bases to themselves
+UNSHARED = SessionConfig(share_ground_cache=False)
 
 #: overlapping single-family batch: six distinct solves, two exact repeats
 BATCH = [
@@ -55,7 +58,7 @@ def signature(result):
 @pytest.fixture()
 def sequential_results(micro_repo):
     clear_shared_bases()
-    session = ConcretizationSession(repo=micro_repo, share_ground_cache=False)
+    session = ConcretizationSession(repo=micro_repo, session_config=UNSHARED)
     return [signature(r) for r in session.solve(BATCH)]
 
 
@@ -68,7 +71,8 @@ def sequential_results(micro_repo):
 def test_parallel_identical_to_sequential(micro_repo, sequential_results, backend):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, workers=4, worker_backend=backend
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=4, worker_backend=backend),
     )
     results = session.solve(BATCH)
     assert [signature(r) for r in results] == sequential_results
@@ -77,7 +81,8 @@ def test_parallel_identical_to_sequential(micro_repo, sequential_results, backen
 def test_parallel_results_keep_input_order(micro_repo):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, workers=2
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=2),
     )
     results = session.solve(["example@1.0.0", "example@1.1.0", "example@1.0.0"])
     assert [str(r.spec.versions) for r in results] == ["1.0.0", "1.1.0", "1.0.0"]
@@ -85,9 +90,7 @@ def test_parallel_results_keep_input_order(micro_repo):
 
 def test_parallel_session_convenience_class(micro_repo, sequential_results):
     clear_shared_bases()
-    session = ParallelConcretizationSession(
-        repo=micro_repo, share_ground_cache=False
-    )
+    session = ParallelConcretizationSession(repo=micro_repo, session_config=UNSHARED)
     assert session.workers >= 1
     results = session.solve(BATCH)
     assert [signature(r) for r in results] == sequential_results
@@ -101,7 +104,8 @@ def test_parallel_session_convenience_class(micro_repo, sequential_results):
 def test_parallel_grounds_base_once_in_parent(micro_repo):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, workers=4
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=4),
     )
     session.solve(BATCH)
     stats = session.stats
@@ -116,7 +120,8 @@ def test_parallel_grounds_base_once_in_parent(micro_repo):
 def test_parallel_second_pass_is_all_cache_hits(micro_repo):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, workers=4
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=4),
     )
     first = [signature(r) for r in session.solve(BATCH)]
     solves_after_first = session.stats.parallel_solves
@@ -129,7 +134,8 @@ def test_parallel_second_pass_is_all_cache_hits(micro_repo):
 def test_parallel_marks_results_with_backend(micro_repo):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, workers=2, worker_backend="thread"
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=2, worker_backend="thread"),
     )
     results = session.solve(["example", "example+bzip"])
     for result in results:
@@ -147,7 +153,8 @@ def test_parallel_marks_results_with_backend(micro_repo):
 def test_unsatisfiable_spec_raises_in_parallel_batches(micro_repo):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, workers=2
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=2),
     )
     with pytest.raises(UnsatisfiableSpecError):
         session.solve(["example", "example %intel"])
@@ -155,22 +162,23 @@ def test_unsatisfiable_spec_raises_in_parallel_batches(micro_repo):
 
 def test_workers_one_is_plain_sequential(micro_repo):
     clear_shared_bases()
-    session = ConcretizationSession(repo=micro_repo, share_ground_cache=False)
+    session = ConcretizationSession(repo=micro_repo, session_config=UNSHARED)
     session.solve(BATCH)
     assert session.stats.parallel_solves == 0
 
 
 def test_invalid_worker_settings_are_rejected():
     with pytest.raises(ValueError):
-        ConcretizationSession(workers=0)
+        SessionConfig(workers=0)
     with pytest.raises(ValueError):
-        ConcretizationSession(worker_backend="carrier-pigeon")
+        SessionConfig(worker_backend="carrier-pigeon")
 
 
 def test_single_cache_miss_skips_the_pool(micro_repo):
     clear_shared_bases()
     session = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, workers=4
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=4),
     )
     session.solve(["example", "example", "example"])  # one distinct spec
     assert session.stats.parallel_solves == 0  # solved inline, no pool
@@ -190,8 +198,8 @@ def test_concurrent_parallel_sessions_do_not_cross_wires(micro_repo):
 
     def run(slot):
         session = ConcretizationSession(
-            repo=micro_repo, share_ground_cache=False,
-            workers=2, worker_backend="thread",
+            repo=micro_repo,
+            session_config=UNSHARED.replace(workers=2, worker_backend="thread"),
         )
         outcomes[slot] = session.solve(batches[slot])
 

@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.spack.concretize import ConcretizationSession
+from repro.spack.concretize import ConcretizationSession, SessionConfig
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.store import (
     CACHE_FORMAT_VERSION,
@@ -45,12 +45,15 @@ def signature(result):
     )
 
 
-def fresh_session(micro_repo, cache_dir, **kwargs):
+def fresh_session(micro_repo, cache_dir, cache_max_entries=None, **kwargs):
     """A session with cold in-memory caches over a (possibly warm) disk dir."""
     clear_shared_bases()
-    return ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, cache_dir=str(cache_dir), **kwargs
+    config = SessionConfig(
+        share_ground_cache=False,
+        cache_dir=str(cache_dir),
+        cache_max_entries=cache_max_entries,
     )
+    return ConcretizationSession(repo=micro_repo, session_config=config, **kwargs)
 
 
 def solve_files(cache_dir):
@@ -94,13 +97,13 @@ def test_second_process_replays_with_zero_solver_calls(micro_repo, tmp_path):
         "sys.path.insert(0, sys.argv[3])\n"
         "from tests.conftest import MICRO_PACKAGES\n"
         "from repro.spack.repo import Repository\n"
-        "from repro.spack.concretize import ConcretizationSession\n"
+        "from repro.spack.concretize import ConcretizationSession, SessionConfig\n"
         "repo = Repository(name='micro', packages=MICRO_PACKAGES)\n"
         "repo.set_provider_preference('mpi', ['mpich', 'openmpi'])\n"
         "repo.set_provider_preference('blas', ['miniblas', 'reflapack'])\n"
         "repo.set_provider_preference('lapack', ['miniblas', 'reflapack'])\n"
-        "session = ConcretizationSession(repo=repo, share_ground_cache=False,\n"
-        "                                cache_dir=sys.argv[1])\n"
+        "config = SessionConfig(share_ground_cache=False, cache_dir=sys.argv[1])\n"
+        "session = ConcretizationSession(repo=repo, session_config=config)\n"
         "results = session.solve(json.loads(sys.argv[2]))\n"
         "print(json.dumps({'stats': session.stats.as_dict(),\n"
         "                  'roots': [str(r.spec) for r in results]}))\n"
@@ -142,7 +145,9 @@ def test_memo_hit_bases_are_still_written_to_disk(micro_repo, tmp_path):
     warmup = ConcretizationSession(repo=micro_repo)  # no cache_dir, shared memo
     warmup.solve(["example"])
 
-    session = ConcretizationSession(repo=micro_repo, cache_dir=str(tmp_path))
+    session = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(cache_dir=str(tmp_path))
+    )
     session.solve(["example~bzip"])
     assert session.stats.base_groundings == 0  # reused the memoized base
     assert len(ground_files(tmp_path)) == 1  # ...but persisted it anyway
@@ -334,7 +339,8 @@ def test_preset_change_bypasses_disk_entries(micro_repo, tmp_path):
 def test_two_sessions_share_one_cache_dir(micro_repo, tmp_path):
     one = fresh_session(micro_repo, tmp_path)
     two = ConcretizationSession(
-        repo=micro_repo, share_ground_cache=False, cache_dir=str(tmp_path)
+        repo=micro_repo,
+        session_config=SessionConfig(share_ground_cache=False, cache_dir=str(tmp_path)),
     )
     a = one.solve(["example"])[0]
     # session two sees session one's write immediately (through disk)
@@ -381,12 +387,7 @@ def test_concurrent_writers_to_one_key_never_corrupt(micro_repo, tmp_path):
     assert leftovers == []
 
 
-def test_persistence_can_be_disabled(micro_repo, tmp_path):
-    session = fresh_session(micro_repo, tmp_path, persist_ground=False)
-    session.solve(["example"])
-    assert ground_files(tmp_path) == []  # no base pickles
-    assert len(solve_files(tmp_path)) == 1  # results still persist
-
+def test_persistence_can_be_disabled(tmp_path):
     cache = PersistentSolveCache(str(tmp_path / "off"), persist=False)
     cache.put(("k",), object())
     assert not (tmp_path / "off").exists()

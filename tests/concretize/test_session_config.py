@@ -1,15 +1,15 @@
 """SessionConfig: one frozen config object instead of constructor sprawl.
 
-The contract under test (ISSUE 9 satellite):
+The contract under test:
 
 * every tuning knob the sessions accept lives in one frozen, validated
   :class:`~repro.spack.concretize.config.SessionConfig`;
-* the legacy loose kwargs (``workers=``, ``cache_dir=``, ...) keep working
-  through a documented mapping — each emits a :class:`DeprecationWarning`
-  and overrides the corresponding config field;
-* unknown kwargs still fail fast with a normal ``TypeError`` shape;
+* the surfaces removed in 2.0.0 — the per-knob constructor kwargs, the
+  service's ``session_kwargs``, per-request solver presets, and the
+  ``portfolio`` / ``join_strategy`` / ``persist_ground`` fields — fail with a
+  plain ``TypeError`` instead of being silently accepted;
 * :class:`ParallelConcretizationSession` keeps ``workers`` as a
-  first-class (non-deprecated) parameter, applied via ``replace()``;
+  first-class parameter, applied via ``replace()``;
 * the async session and the HTTP service accept the same object.
 """
 
@@ -22,12 +22,12 @@ import pytest
 
 from repro.spack.concretize import SessionConfig
 from repro.spack.concretize.async_session import AsyncConcretizationSession
-from repro.spack.concretize.config import LEGACY_SESSION_KWARGS
 from repro.spack.concretize.session import (
     ConcretizationSession,
     ParallelConcretizationSession,
     clear_shared_bases,
 )
+from repro.spack.service.app import ConcretizationService
 
 
 def make_session(repo, **kwargs):
@@ -61,41 +61,49 @@ def test_replace_returns_a_new_validated_config():
         base.replace(workers=-1)
 
 
-def test_legacy_mapping_covers_every_field():
-    field_names = {f.name for f in dataclasses.fields(SessionConfig)}
-    assert set(LEGACY_SESSION_KWARGS.values()) == field_names
-
-
 # ---------------------------------------------------------------------------
-# Sessions accept the config (and the legacy kwargs, with warnings)
+# Sessions accept the config; the removed surfaces fail loudly
 # ---------------------------------------------------------------------------
 
 
 def test_session_accepts_session_config(micro_repo):
     session = make_session(
         micro_repo,
-        session_config=SessionConfig(workers=2, join_strategy="naive", profile=True),
+        session_config=SessionConfig(workers=2, worker_backend="thread", profile=True),
     )
     assert session.workers == 2
-    assert session.join_strategy == "naive"
+    assert session.worker_backend == "thread"
     assert session.session_config.profile is True
+    assert session.asp_stats is not None
 
 
-def test_legacy_kwargs_warn_and_apply(micro_repo):
-    with pytest.warns(DeprecationWarning, match="workers"):
-        session = make_session(micro_repo, workers=2)
-    assert session.workers == 2
-    assert session.session_config.workers == 2
+REMOVED_SURFACES = {
+    "config-portfolio": lambda repo, tmp: SessionConfig(portfolio=True),
+    "config-join-strategy": lambda repo, tmp: SessionConfig(join_strategy="naive"),
+    "config-persist-ground": lambda repo, tmp: SessionConfig(persist_ground=False),
+    "session-kwarg": lambda repo, tmp: ConcretizationSession(repo=repo, workers=2),
+    "async-session-kwarg": lambda repo, tmp: AsyncConcretizationSession(
+        repo=repo, cache_dir=str(tmp)
+    ),
+    "service-session-kwargs": lambda repo, tmp: ConcretizationService(
+        base_repo=repo, session_kwargs={"share_ground_cache": False}
+    ),
+    "request-preset": lambda repo, tmp: make_session(repo).solve(
+        ["example"], preset="tweety"
+    ),
+}
 
 
-def test_legacy_kwargs_override_session_config(micro_repo):
-    with pytest.warns(DeprecationWarning, match="join_strategy"):
-        session = make_session(
-            micro_repo,
-            session_config=SessionConfig(join_strategy="indexed"),
-            join_strategy="naive",
-        )
-    assert session.join_strategy == "naive"
+@pytest.mark.parametrize("surface", sorted(REMOVED_SURFACES))
+def test_removed_surfaces_raise_type_error(micro_repo, tmp_path, surface):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        REMOVED_SURFACES[surface](micro_repo, tmp_path)
+    assert not list(tmp_path.iterdir())  # nothing was configured, nothing written
+
+
+def test_session_config_must_be_a_session_config(micro_repo):
+    with pytest.raises(TypeError, match="must be a SessionConfig"):
+        make_session(micro_repo, session_config={"workers": 2})
 
 
 def test_unknown_kwarg_raises_type_error(micro_repo):
@@ -121,10 +129,10 @@ def test_parallel_session_workers_is_first_class(micro_repo):
     session = ParallelConcretizationSession(
         repo=micro_repo,
         workers=3,
-        session_config=SessionConfig(join_strategy="naive"),
+        session_config=SessionConfig(worker_backend="thread"),
     )
     assert session.workers == 3
-    assert session.join_strategy == "naive"
+    assert session.worker_backend == "thread"
 
 
 def test_async_session_inherits_config_max_concurrency(micro_repo):

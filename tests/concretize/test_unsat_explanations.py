@@ -26,7 +26,7 @@ import pickle
 
 import pytest
 
-from repro.spack.concretize import ConcretizationSession, Concretizer
+from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
 from repro.spack.concretize.async_session import AsyncConcretizationSession
 from repro.spack.errors import ConstraintProvenance, UnsatisfiableSpecError
 from repro.spack.generator import SyntheticRepoBuilder
@@ -91,6 +91,9 @@ def test_provenance_roundtrips_through_dict_and_pickle(micro_repo):
 # Path parity (sequential / parallel / async / warm caches)
 # ---------------------------------------------------------------------------
 
+#: parallel sessions: two pool workers
+TWO_WORKERS = SessionConfig(workers=2)
+
 #: one satisfiable spec on each side of the unsat one, so the parity checks
 #: also prove a failed spec does not poison its batch neighbours
 MIXED_BATCH = ["zlib", "example %intel", "minitool"]
@@ -101,11 +104,13 @@ def test_parallel_and_async_sessions_match_sequential(micro_repo):
         lambda: ConcretizationSession(repo=micro_repo).solve(MIXED_BATCH)
     )
     parallel = unsat_error(
-        lambda: ConcretizationSession(repo=micro_repo, workers=2).solve(MIXED_BATCH)
+        lambda: ConcretizationSession(repo=micro_repo, session_config=TWO_WORKERS).solve(MIXED_BATCH)
     )
 
     async def solve_async():
-        async with AsyncConcretizationSession(repo=micro_repo, workers=2) as session:
+        async with AsyncConcretizationSession(
+            repo=micro_repo, session_config=TWO_WORKERS
+        ) as session:
             await session.concretize_batch(MIXED_BATCH)
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
@@ -129,11 +134,13 @@ def test_earliest_input_index_failure_wins(micro_repo):
     sequential = unsat_error(lambda: ConcretizationSession(repo=micro_repo).solve(batch))
     assert sequential.specs == ["zlib @99.99"]
     parallel = unsat_error(
-        lambda: ConcretizationSession(repo=micro_repo, workers=2).solve(batch)
+        lambda: ConcretizationSession(repo=micro_repo, session_config=TWO_WORKERS).solve(batch)
     )
 
     async def solve_async():
-        async with AsyncConcretizationSession(repo=micro_repo, workers=2) as session:
+        async with AsyncConcretizationSession(
+            repo=micro_repo, session_config=TWO_WORKERS
+        ) as session:
             await session.concretize_batch(batch)
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
@@ -155,9 +162,13 @@ def test_warm_in_memory_cache_replays_the_same_explanation(micro_repo):
 
 def test_persistent_cache_replays_across_sessions(micro_repo, tmp_path):
     cache_dir = str(tmp_path / "solve-cache")
-    first = ConcretizationSession(repo=micro_repo, cache_dir=cache_dir)
+    first = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(cache_dir=cache_dir)
+    )
     cold = unsat_error(lambda: first.concretize("example %intel"))
-    second = ConcretizationSession(repo=micro_repo, cache_dir=cache_dir)
+    second = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(cache_dir=cache_dir)
+    )
     warm = unsat_error(lambda: second.concretize("example %intel"))
     assert second.stats.delta_groundings == 0  # no solve, no MUS extraction
     assert warm.explanation == cold.explanation
@@ -165,7 +176,7 @@ def test_persistent_cache_replays_across_sessions(micro_repo, tmp_path):
 
 
 def test_unsat_does_not_poison_satisfiable_neighbours(micro_repo):
-    session = ConcretizationSession(repo=micro_repo, workers=2)
+    session = ConcretizationSession(repo=micro_repo, session_config=TWO_WORKERS)
     unsat_error(lambda: session.solve(MIXED_BATCH))
     results = session.solve(["zlib", "minitool"])
     assert [r.spec.name for r in results] == ["zlib", "minitool"]
@@ -232,11 +243,13 @@ def test_scenario_explanations_agree_across_paths():
     one_shot = unsat_error(lambda: Concretizer(repo=repo).concretize(spec))
     sequential = unsat_error(lambda: ConcretizationSession(repo=repo).concretize(spec))
     parallel = unsat_error(
-        lambda: ConcretizationSession(repo=repo, workers=2).solve(["synth-0000", spec])
+        lambda: ConcretizationSession(repo=repo, session_config=TWO_WORKERS).solve(
+            ["synth-0000", spec]
+        )
     )
 
     async def solve_async():
-        async with AsyncConcretizationSession(repo=repo, workers=2) as session:
+        async with AsyncConcretizationSession(repo=repo, session_config=TWO_WORKERS) as session:
             await session.concretize_batch(["synth-0000", spec])
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
@@ -277,10 +290,11 @@ def test_scenario_sweep_warm_cache_parity():
         repo = builder.build()
         spec = builder.planted["synth-unsat-0000"].package
         with tempfile.TemporaryDirectory() as cache_dir:
+            config = SessionConfig(cache_dir=cache_dir)
             cold = unsat_error(
-                lambda: ConcretizationSession(repo=repo, cache_dir=cache_dir).concretize(spec)
+                lambda: ConcretizationSession(repo=repo, session_config=config).concretize(spec)
             )
-            warm_session = ConcretizationSession(repo=repo, cache_dir=cache_dir)
+            warm_session = ConcretizationSession(repo=repo, session_config=config)
             warm = unsat_error(lambda: warm_session.concretize(spec))
             assert warm_session.stats.delta_groundings == 0
             assert warm.explanation == cold.explanation

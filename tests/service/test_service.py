@@ -520,6 +520,9 @@ def test_server_start_stop_is_clean(micro_repo):
     service = ConcretizationService(
         base_repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
     )
+    # the service resolves the config's "auto" backend to threads: forking
+    # a process pool out of a threaded server is a foot-gun
+    assert service.session_config.worker_backend == "thread"
     with service, ConcretizationServer(service, port=0) as server:
         status, body, _ = http_json(f"{server.url}/v1/healthz")
         assert status == 200
@@ -527,18 +530,3 @@ def test_server_start_stop_is_clean(micro_repo):
     assert service.healthz()["status"] == "stopped"
     with pytest.raises(RuntimeError):
         service.concretize("example")
-
-
-def test_session_kwargs_is_deprecated_but_folds_into_config(micro_repo):
-    """The legacy ``session_kwargs`` dict still works — with a warning —
-    and its config keys land in the service's ``SessionConfig``."""
-    clear_shared_bases()
-    with pytest.warns(DeprecationWarning, match="session_kwargs"):
-        service = ConcretizationService(
-            base_repo=micro_repo, session_kwargs={"share_ground_cache": False}
-        )
-    assert service.session_config.share_ground_cache is False
-    # the service resolves the config's "auto" backend to threads: forking
-    # a process pool out of a threaded server is a foot-gun
-    assert service.session_config.worker_backend == "thread"
-    service.close()

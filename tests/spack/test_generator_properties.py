@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.spack.concretize import ConcretizationSession, Concretizer
+from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.generator import SyntheticRepoBuilder, generate_repository
 from repro.spack.repo import RepositoryShard, ShardedRepository
@@ -196,7 +196,9 @@ def test_sharded_partition_matches_monolithic(seed, shard_count):
     # the top-layer packages exercise the deepest dependency closures
     probes = [n for n in names if n.startswith("synth-0")][-3:]
     clear_shared_bases()
-    session = ConcretizationSession(repo=sharded, share_ground_cache=False)
+    session = ConcretizationSession(
+        repo=sharded, session_config=SessionConfig(share_ground_cache=False)
+    )
     for spec, result in zip(probes, session.solve(probes)):
         sequential = Concretizer(repo=flat).solve([spec])
         assert result_signature(result) == result_signature(sequential), spec
