@@ -218,7 +218,8 @@ class CompletionTemplate:
 
 class BaseCompletion:
     """The completion side of one grounded base: its template, built by the
-    first solve that asks for it, and what solves on the base counted.
+    first solve that asks for it (or by :meth:`template`, ahead of any
+    solve), and what solves on the base counted.
 
     Thread workers share one instance: the first caller builds the template
     under a lock, later ones wait for it and read it.  The template is
@@ -232,6 +233,22 @@ class BaseCompletion:
         self.template_builds = 0
         self.skipped_checks = 0
 
+    def template(self) -> CompletionTemplate:
+        """The base's template, built now unless it already exists.
+
+        Sessions call this before forking pool workers, so that every
+        worker inherits the template instead of building its own.
+        """
+        template = self._template
+        if template is None:
+            with self._lock:
+                template = self._template
+                if template is None:
+                    template = CompletionBuilder(self.base_program).build_template()
+                    self._template = template
+                    self.template_builds += 1
+        return template
+
     def template_for(self, ground_program: GroundProgram) -> Optional[CompletionTemplate]:
         """The template, if it can serve ``ground_program`` (a fork of the
         base plus a delta), else None."""
@@ -239,14 +256,7 @@ class BaseCompletion:
         # the grounder upgrades a choice instance by replacing it in place
         if not all(map(is_, base.choices, ground_program.choices)):
             return None
-        template = self._template
-        if template is None:
-            with self._lock:
-                template = self._template
-                if template is None:
-                    template = CompletionBuilder(base).build_template()
-                    self._template = template
-                    self.template_builds += 1
+        template = self.template()
         added = ground_program.minimize_literals[len(base.minimize_literals) :]
         if added:
             keys = {literal.key for literal in base.minimize_literals}

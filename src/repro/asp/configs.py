@@ -7,11 +7,14 @@ as Spack's default (Figure 7d).
 
 Our CDCL solver exposes the analogous knobs — decision heuristic, default
 phase, restart policy, and whether the optimizer tries the "all objective
-literals false" fast path first.  The presets below give distinct performance
-profiles so the Figure 7d experiment (CDF of solve times per preset) can be
-reproduced in shape, even though the underlying engine differs from clasp.
-Like Spack, a session solves with one configuration (tweety by default); the
-presets are compared offline (``benchmarks/bench_fig7d_presets.py``).
+literals false" fast path first.  Every preset decides the objective
+variables first, and false, before its heuristic and default phase act
+(objective-first decisions, :mod:`repro.asp.optimization`), so on the
+concretizer's programs the presets search much alike and the Figure 7d
+curves (``benchmarks/bench_fig7d_presets.py``) lie close together; the
+measurements are in ``docs/PERFORMANCE.md``.  Like Spack, a session solves
+with one configuration (tweety by default); the presets are compared
+offline.
 """
 
 from __future__ import annotations

@@ -259,15 +259,17 @@ class PreparedProgram:
     state of a prepared program is only ever *read*: :meth:`fork` clones it
     and mutates the clone, never the base.  The one thing that changes later
     is the base's :class:`~repro.asp.completion.BaseCompletion`: the first
-    solve on a fork builds the base's completion template (under the
-    completion's own lock, so concurrent thread workers build it once) and
-    solves count what they skipped there; the ``forks`` counter is the
-    other, benign exception.  Parallel concretization sessions rely on
-    this: ``os.fork()``-based worker pools inherit prepared programs through
-    copy-on-write memory and fork them concurrently (each worker process
-    builds its own template, if the parent had none yet), and the
-    persistent ground cache (:class:`repro.spack.store.PersistentGroundCache`)
-    pickles them to disk for later processes.  Pickling keeps only the
+    solve on a fork, or :meth:`build_template`, builds the base's
+    completion template (under the completion's own lock, so concurrent
+    thread workers build it once) and solves count what they skipped there;
+    the ``forks`` counter is the other, benign exception.  Parallel
+    concretization sessions rely on this: they call :meth:`build_template`
+    in the parent, then ``os.fork()``-based worker pools inherit prepared
+    programs, templates included, through copy-on-write memory and fork
+    them concurrently (a worker would build its own template only if the
+    parent had none), and the persistent ground cache
+    (:class:`repro.spack.store.PersistentGroundCache`) pickles them to disk
+    for later processes.  Pickling keeps only the
     parsed program and the ground state: templates and counters are
     per-process and start afresh.
     """
@@ -357,6 +359,11 @@ class PreparedProgram:
         layered._base = grounder
         layered._reset_solve_state()
         return layered
+
+    def build_template(self) -> None:
+        """Build the base's completion template now, unless a solve already
+        did (see :meth:`repro.asp.completion.BaseCompletion.template`)."""
+        self._completion.template()
 
     def statistics(self) -> Dict[str, object]:
         return {

@@ -7,6 +7,13 @@ plus a "number of builds" level between them (Figure 5).
 
 This module provides the equivalent machinery on top of our CDCL solver:
 
+* **objective-first decisions:** before the first solve, every objective
+  variable joins the solver's preferred prefix
+  (:meth:`~repro.asp.solver.CDCLSolver.prefer_false`), by descending
+  priority and then term order, so each descent decides them first, and
+  false, before any other variable.  The first stable model is thus built
+  greedily level by level, much like clasp's optimization-specific sign
+  heuristic (``--opt-heuristic``) or a clingo ``#heuristic`` directive;
 * priorities are optimized from highest to lowest;
 * within one priority level the driver performs model-guided branch-and-bound
   (find a model, then demand a strictly better objective value via a guarded
@@ -18,8 +25,12 @@ This module provides the equivalent machinery on top of our CDCL solver:
 * every accepted model is checked for stability by the
   :class:`repro.asp.unfounded.StableModelEnforcer`.
 
-The result is guaranteed optimal: each level is fixed to its minimal
-achievable value (given all higher levels) before the next level is explored.
+A greedy first model is not guaranteed optimal: a variable decided false
+early can force costlier ones true later.  Optimality comes from the bound
+proofs alone: each level is fixed to its minimal achievable value (given
+all higher levels) before the next level is explored.  When the first model
+is already optimal, each nonzero level costs one UNSAT proof (two with the
+zero-first path) instead of a chain of re-descents.
 """
 
 from __future__ import annotations
@@ -98,6 +109,12 @@ class Optimizer:
 
     def optimize(self) -> OptimizationResult:
         solver = self.completed.solver
+        objectives = self.completed.objectives
+        solver.prefer_false(
+            term.variable
+            for priority in sorted(objectives, reverse=True)
+            for term in objectives[priority]
+        )
 
         if not self.enforcer.solve():
             return OptimizationResult(satisfiable=False)

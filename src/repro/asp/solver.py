@@ -42,10 +42,16 @@ Extensible SAT-solver", SAT 2003):
   at every moment.  Propagation scans a constraint's terms only when its
   slack falls below its largest coefficient: only then can a term be forced
   (coefficient above slack) or the constraint be violated (slack below 0).
-* **Decision order.**  Unbumped variables all have activity 0 and are
-  ordered by index, so a cursor walks them; only bumped variables enter the
-  ``(-activity, var)`` heap, on backtrack.  The pick is the unassigned
-  variable of highest activity, ties to the lowest index.
+* **Decision order.**  Assumptions come first, one level each.  Next comes
+  the *preferred prefix* (:meth:`CDCLSolver.prefer_false`): its first
+  unassigned variable is decided false, whatever the phase, the heuristic
+  or the variable's activity say; a scan position skips the assigned ones
+  and returns to the start on every backtrack.  The optimizer puts every
+  objective variable there.  Past the prefix, unbumped variables all have
+  activity 0 and are ordered by index, so a cursor walks them; only bumped
+  variables enter the ``(-activity, var)`` heap, on backtrack.  The pick is
+  the unassigned variable of highest activity, ties to the lowest index,
+  in its saved phase.
 * **Backtracking to level 0**, which every optimization step does, copies a
   snapshot of the level-0 values and slack counters back instead of
   undoing trail entries one by one (see :meth:`backtrack`).
@@ -256,6 +262,10 @@ class CDCLSolver:
         self._bumped: List[int] = []
         # every unassigned variable of activity 0 is at or above the cursor
         self._cursor = 1
+        # variables decided false before any other (see prefer_false); every
+        # one before the scan position is assigned
+        self._preferred: List[int] = []
+        self._preferred_pos = 0
         # the level-0 state as of the last solve() call, which backtrack(0)
         # copies back while the level-0 trail still has this length
         self._root_trail = -1
@@ -400,6 +410,15 @@ class CDCLSolver:
     def add_at_least(self, lits: Sequence[int], k: int) -> bool:
         """Add ``at least k of lits are true``."""
         return self.add_linear_geq(list(lits), [1] * len(lits), k)
+
+    def prefer_false(self, variables: Iterable[int]) -> None:
+        """Append ``variables`` to the preferred prefix: from the next
+        decision on, every decision after the assumptions takes the first
+        unassigned variable of the prefix and makes it false, before the
+        heuristic picks any other variable.  A preferred variable that
+        propagation makes true stays true."""
+        self._preferred.extend(variables)
+        self._preferred_pos = 0
 
     # ------------------------------------------------------------------
     # Level-0 images
@@ -712,7 +731,8 @@ class CDCLSolver:
 
     def backtrack(self, level: int):
         """Unassign every level above ``level``: save phases, restore the
-        slack counters, and return the variables to the decision order.
+        slack counters, and return the variables to the decision order
+        (the preferred prefix is scanned from its start again).
 
         Backtracking to level 0 while the level-0 trail is as long as when
         :meth:`solve` last started copies that root state back instead of
@@ -769,9 +789,21 @@ class CDCLSolver:
                     cursor = var
             self._cursor = cursor
         self._phase_saved = False
+        self._preferred_pos = 0
         del trail[limit:]
         del trail_lim[level:]
         self.qhead = limit
+
+    def _pick_preferred(self) -> Optional[int]:
+        """The first unassigned variable of the preferred prefix, or None."""
+        values = self.values
+        preferred = self._preferred
+        position = self._preferred_pos
+        count = len(preferred)
+        while position < count and values[preferred[position] << 1] != _UNASSIGNED:
+            position += 1
+        self._preferred_pos = position
+        return preferred[position] if position < count else None
 
     def _pick_branch_var(self) -> Optional[int]:
         values = self.values
@@ -879,6 +911,13 @@ class CDCLSolver:
                 stats.decisions += 1
                 trail_lim.append(len(trail))
                 self._enqueue(assumption, None)
+                continue
+
+            var = self._pick_preferred()
+            if var is not None:
+                stats.decisions += 1
+                trail_lim.append(len(trail))
+                self._enqueue((var << 1) | 1, None)
                 continue
 
             var = self._pick_branch_var()

@@ -22,7 +22,8 @@ session, layer by layer:
   yield immediately and never lease a worker;
 * the shared grounded base is built once per spec family in a helper thread
   (serialized, so concurrent calls cannot race the session's base memo)
-  *before* any worker starts — forked process workers inherit it for free;
+  *before* any worker starts, and so is its completion template when the
+  call fans out — forked process workers inherit both for free;
 * every cache-missing spec is solved by
   :func:`~repro.spack.concretize.session._worker_solve` on a per-call
   executor (fork-based processes where available, threads otherwise), with a
@@ -265,9 +266,17 @@ class AsyncConcretizationSession:
         try:
             async with ground_lock:
                 for spec in unique:
-                    await loop.run_in_executor(
+                    base = await loop.run_in_executor(
                         self._fallback_pool(), session._base_for, [spec]
                     )
+                    if len(unique) > 1:
+                        # a fan-out completes the base first too, so forked
+                        # workers inherit the template instead of each
+                        # building their own; a single miss builds it in its
+                        # solve, under the base's lock
+                        await loop.run_in_executor(
+                            self._fallback_pool(), base.prepared.build_template
+                        )
 
             async def finish(unique_index: int, concretization: ConcretizationResult):
                 """Cache bookkeeping for one solved spec (event-loop thread)."""

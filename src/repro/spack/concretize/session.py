@@ -1086,8 +1086,9 @@ class ConcretizationSession:
     def _fan_out(self, unique: List[Spec]) -> List[ConcretizationResult]:
         """Pre-ground the needed bases, then run ``unique`` on the pool.
 
-        Grounding happens in the parent, before workers fork, so every
-        worker finds its base ready-made.  The batch's family count is
+        Grounding and each base's completion template happen in the parent,
+        before workers fork, so every worker finds its base ready-made and
+        none builds the template again.  The batch's family count is
         registered in ``_base_demands`` for the duration, widening the local
         base memo, so a batch spanning more families than the steady-state
         LRU limit cannot evict a pre-grounded base before the worker that
@@ -1100,7 +1101,7 @@ class ConcretizationSession:
         self._base_demands[token] = len(families)
         try:
             for spec in unique:
-                self._base_for([spec])
+                self._base_for([spec]).prepared.build_template()
             return self._run_workers(unique)
         finally:
             self._base_demands.pop(token, None)

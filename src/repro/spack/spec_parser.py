@@ -108,7 +108,7 @@ def parse_specs(text: str) -> List[Spec]:
             lexer.pos += 1
             node = ensure_node()
             constraint = lexer.take(_VERSION_RE, "a version constraint")
-            node.versions = node.versions.constrain(_parse_versions(constraint, text))
+            node.versions = _constrain_versions(node.versions, constraint, text)
             continue
 
         if char == "%":
@@ -121,8 +121,8 @@ def parse_specs(text: str) -> List[Spec]:
             if lexer.peek() == "@":
                 lexer.pos += 1
                 constraint = lexer.take(_VERSION_RE, "a compiler version")
-                node.compiler_versions = node.compiler_versions.constrain(
-                    _parse_versions(constraint, text)
+                node.compiler_versions = _constrain_versions(
+                    node.compiler_versions, constraint, text
                 )
             continue
 
@@ -160,12 +160,13 @@ def parse_specs(text: str) -> List[Spec]:
     return roots
 
 
-def _parse_versions(constraint: str, text: str):
-    """Parse one ``@...`` constraint, surfacing malformed input as a parse
-    error (the version layer's :class:`VersionError` is an internal detail a
-    caller feeding raw user strings should never see)."""
+def _constrain_versions(versions, constraint: str, text: str):
+    """``versions`` narrowed by one ``@...`` constraint, surfacing malformed
+    or contradictory input (``@0@1``) as a parse error (the version layer's
+    :class:`VersionError` is an internal detail a caller feeding raw user
+    strings should never see)."""
     try:
-        return parse_version_constraint(constraint)
+        return versions.constrain(parse_version_constraint(constraint))
     except VersionError as exc:
         raise SpecSyntaxError(
             f"bad version constraint {constraint!r} in {text!r}: {exc}"

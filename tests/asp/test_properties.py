@@ -273,16 +273,20 @@ def brute_force_models(clauses, linears, units=()):
     st.lists(kernel_step, min_size=1, max_size=12),
     st.sampled_from(["vsids", "fixed"]),
     st.sampled_from([1, 100]),
+    st.lists(st.integers(min_value=1, max_value=KERNEL_VARS), unique=True),
 )
-def test_incremental_kernel_agrees_with_truth_tables(steps, heuristic, restart_base):
+def test_incremental_kernel_agrees_with_truth_tables(steps, heuristic, restart_base, preferred):
     """Every solve answers as brute force does on the constraints added so
     far.  A model satisfies all of them and the assumptions; an UNSAT answer
     under assumptions names a subset of them that is UNSAT on its own (none
     when the constraints alone are).  Restarting after every conflict
-    exercises undoing the slack counters mid-search."""
+    exercises undoing the slack counters mid-search, and a drawn prefix of
+    variables decided false first changes the search order, never the
+    answer."""
     solver = CDCLSolver(heuristic=heuristic, restart_base=restart_base)
     for _ in range(KERNEL_VARS):
         solver.new_var()
+    solver.prefer_false(preferred)
     clauses, linears = [], []
     for step in steps + [("solve", [])]:
         if step[0] == "clause":

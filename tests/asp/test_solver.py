@@ -6,7 +6,7 @@ import pytest
 
 from repro.asp import control
 from repro.asp.optimization import Optimizer
-from repro.asp.solver import CDCLSolver, _luby
+from repro.asp.solver import CDCLSolver, _literal, _luby
 
 
 def make_solver(n, **kwargs):
@@ -199,6 +199,102 @@ class TestHeuristicsAndRestarts:
         b = solver.new_var()
         solver.add_clause([a, b])
         assert solver.solve() is True
+
+
+def decisions(solver):
+    """The literal decided at each level of the current assignment (every
+    level must hold at least one entry)."""
+    return [_literal(solver.trail[start]) for start in solver.trail_lim]
+
+
+def satisfied(solver, clauses):
+    model = solver.model()
+    return all(any(model[abs(lit)] == (lit > 0) for lit in clause) for clause in clauses)
+
+
+def pigeonhole(pigeons, holes, first, guard=None):
+    """Clauses putting each pigeon in a hole and no two in one, over
+    variables ``first ..``; each clause carries ``-guard`` when given."""
+    var = {(p, h): first + p * holes + h for p in range(pigeons) for h in range(holes)}
+    clauses = [[var[p, h] for h in range(holes)] for p in range(pigeons)]
+    clauses += [
+        [-var[p, h], -var[q, h]]
+        for h in range(holes)
+        for p in range(pigeons)
+        for q in range(p + 1, pigeons)
+    ]
+    return [clause + [-guard] for clause in clauses] if guard else clauses
+
+
+@pytest.mark.parametrize("default_phase", [False, True])
+@pytest.mark.parametrize("heuristic", ["vsids", "fixed"])
+class TestPreferredPrefix:
+    """``prefer_false``: the objective-first decision order."""
+
+    def test_preferred_are_decided_first_and_false(self, heuristic, default_phase):
+        solver, variables = make_solver(12, heuristic=heuristic, default_phase=default_phase)
+        guard, preferred = variables[0], variables[-3:]
+        # conflicts bump the pigeonhole variables (the VSIDS heap's top),
+        # and a model under assumptions saves true phases for the prefix
+        for clause in pigeonhole(3, 2, first=variables[1], guard=guard):
+            solver.add_clause(clause)
+        assert solver.solve([guard]) is False
+        assert solver.stats.conflicts > 0
+        assert solver.solve(preferred) is True
+        solver.add_clause([-guard])
+
+        solver.prefer_false(reversed(preferred))
+        assert solver.solve() is True
+        assert decisions(solver)[:3] == [-var for var in reversed(preferred)]
+        assert not any(solver.model_value(var) for var in preferred)
+
+    def test_assumptions_come_before_the_prefix(self, heuristic, default_phase):
+        solver, (a, b, p, q, r) = make_solver(5, heuristic=heuristic, default_phase=default_phase)
+        solver.prefer_false([p, q, r])
+        assert solver.solve([a, -b, q]) is True
+        assert decisions(solver)[:5] == [a, -b, q, -p, -r]
+        assert solver.model_value(q) is True
+
+    def test_forced_preferred_stays_true(self, heuristic, default_phase):
+        solver, (p, q, r, s) = make_solver(4, heuristic=heuristic, default_phase=default_phase)
+        clauses = [[p, q], [s], [-r, -s, q]]
+        for clause in clauses:
+            solver.add_clause(clause)
+        solver.prefer_false([p, q, s, r])
+        assert solver.solve() is True
+        assert satisfied(solver, clauses)
+        assert decisions(solver) == [-p, -r]
+        assert [solver.model_value(v) for v in (p, q, r, s)] == [False, True, False, True]
+
+    def test_prefix_survives_restarts_and_added_clauses(self, heuristic, default_phase):
+        solver, variables = make_solver(
+            17,
+            heuristic=heuristic,
+            default_phase=default_phase,
+            restart_strategy="luby",
+            restart_base=1,
+        )
+        # whatever the phase, the first decision past the prefix switches on
+        # an unsatisfiable pigeonhole block, whose conflicts each restart
+        # the search
+        low, high = variables[0], variables[7]
+        p, q, r = variables[-3:]
+        clauses = pigeonhole(3, 2, first=variables[1], guard=-low)
+        clauses += pigeonhole(3, 2, first=variables[8], guard=high)
+        for clause in clauses:
+            solver.add_clause(clause)
+        solver.prefer_false([p, q, r])
+        assert solver.solve() is True
+        assert solver.stats.restarts > 0
+        assert decisions(solver)[:3] == [-p, -q, -r]
+        assert satisfied(solver, clauses)
+
+        clauses.append([p, q])
+        solver.add_clause([p, q])
+        assert solver.solve() is True
+        assert decisions(solver)[:2] == [-p, -r]
+        assert solver.model_value(q) is True
+        assert satisfied(solver, clauses)
 
 
 class TestLuby:

@@ -102,6 +102,21 @@ def test_batch_identical_to_sequential(micro_repo, sequential_results, backend):
     assert [signature(r) for r in results] == sequential_results
 
 
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork-based process workers")
+def test_process_workers_inherit_the_parent_template(micro_repo):
+    """A fan-out completes the base before forking, so no worker builds the
+    completion template again."""
+
+    async def go():
+        async with make_async(micro_repo, worker_backend="process") as session:
+            await session.concretize_batch(BATCH)
+            return session
+
+    session = run(go())
+    assert session.stats.parallel_solves == 6
+    assert session.statistics()["base"]["template_builds"] == 1
+
+
 def test_single_concretize_roundtrip(micro_repo):
     async def go():
         async with make_async(micro_repo) as session:

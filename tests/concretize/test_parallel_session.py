@@ -13,6 +13,7 @@ The contract under test (ISSUE 2 tentpole, act 1):
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import os
 import sys
@@ -22,6 +23,7 @@ import time
 import pytest
 
 from repro.spack.concretize import (
+    AsyncConcretizationSession,
     ConcretizationSession,
     ParallelConcretizationSession,
     SessionConfig,
@@ -115,6 +117,30 @@ def test_parallel_grounds_base_once_in_parent(micro_repo):
     assert stats.solve_cache_misses == 6
     assert stats.parallel_solves == 6
     assert stats.specs_solved == len(BATCH)
+
+
+def test_process_workers_inherit_the_parent_template(micro_repo):
+    """The parent completes the base before forking, so no worker builds
+    the completion template again."""
+    clear_shared_bases()
+    session = ConcretizationSession(
+        repo=micro_repo,
+        session_config=UNSHARED.replace(workers=4, worker_backend="process"),
+    )
+    session.solve(BATCH)
+    assert session.stats.parallel_solves == 6
+    assert session.statistics()["base"]["template_builds"] == 1
+
+
+def test_every_batch_spec_takes_one_model(micro_repo):
+    """Objective-first decisions make each spec's first stable model its
+    optimum, so the optimizer only proves bounds after it (a regression
+    to several improving models per spec shows here, without a clock)."""
+    clear_shared_bases()
+    session = ConcretizationSession(repo=micro_repo, session_config=UNSHARED)
+    for spec in dict.fromkeys(BATCH):
+        result = session.solve([spec])[0]
+        assert result.statistics["optimization"]["models_found"] == 1, spec
 
 
 def test_parallel_second_pass_is_all_cache_hits(micro_repo):
@@ -215,10 +241,13 @@ def test_concurrent_parallel_sessions_do_not_cross_wires(micro_repo):
 
 
 def test_thread_workers_race_for_one_completion_template(micro_repo):
-    """More worker threads than CPUs, switching threads every microsecond,
-    solve distinct specs over one grounded base: the first solve builds the
-    base's completion template while the others wait for it, every result
-    matches sequential solving, and the template is built exactly once."""
+    """More concurrent single-spec requests than CPUs, switching threads
+    every microsecond, solve distinct specs over one grounded base on an
+    async session's executor threads.  This is the service's path, where
+    nothing builds the completion template ahead of the solves: the first
+    solve builds it while the others wait for it under the base's lock,
+    every result matches sequential solving, and the template is built
+    exactly once."""
     workers = min((os.cpu_count() or 1) + 2, 24)
     specs = [
         f"example@{version}{bzip} ^zlib@{zlib}{pic}"
@@ -233,26 +262,31 @@ def test_thread_workers_race_for_one_completion_template(micro_repo):
     expected = [signature(r) for r in sequential.solve(specs)]
 
     clear_shared_bases()
-    session = ConcretizationSession(
+    session = AsyncConcretizationSession(
         repo=micro_repo,
-        session_config=SessionConfig(
-            share_ground_cache=False, workers=workers, worker_backend="thread"
-        ),
+        session_config=SessionConfig(share_ground_cache=False, worker_backend="thread"),
+        max_concurrency=workers,
     )
+
+    async def solve_concurrently():
+        async with session:
+            return await asyncio.gather(*(session.concretize(spec) for spec in specs))
+
     outcome = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         started = time.monotonic()
         runner = threading.Thread(
-            target=lambda: outcome.update(results=session.solve(specs)), daemon=True
+            target=lambda: outcome.update(results=asyncio.run(solve_concurrently())),
+            daemon=True,
         )
         runner.start()
         runner.join(timeout=300)
         elapsed = time.monotonic() - started
     finally:
         sys.setswitchinterval(interval)
-    assert not runner.is_alive(), f"thread workers still running after {elapsed:.0f} s"
+    assert not runner.is_alive(), f"solver threads still running after {elapsed:.0f} s"
     assert [signature(r) for r in outcome["results"]] == expected
-    assert session.stats.parallel_solves == len(specs)
+    assert session.stats.delta_groundings == len(specs)
     assert session.statistics()["base"]["template_builds"] == 1

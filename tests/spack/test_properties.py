@@ -139,6 +139,7 @@ spec_soup = st.text(
 @settings(max_examples=300, deadline=None)
 @given(spec_soup)
 @example("0@0^0")  # a spec depending on itself
+@example("@0@1")  # contradictory version constraints
 def test_parse_spec_returns_a_spec_or_raises_spec_syntax_error(text):
     """The property HTTP 400 mapping rests on: any string either parses into
     a Spec or raises SpecSyntaxError — no other exception type ever escapes
