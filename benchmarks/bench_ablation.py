@@ -1,10 +1,8 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmark for a design choice called out in DESIGN.md.
 
-1. Stable-model enforcement (lazy unfounded-set checking) on vs. off: with
-   circular *possible* dependencies in the repository the completion alone can
-   admit unfounded dependency cycles; the check guarantees correct DAGs.
-2. The optimizer's "zero-first" fast path (the usc-like strategy of the
-   tweety preset) vs. pure branch-and-bound.
+Stable-model enforcement (lazy unfounded-set checking) on vs. off: with
+circular *possible* dependencies in the repository the completion alone can
+admit unfounded dependency cycles; the check guarantees correct DAGs.
 """
 
 import pytest
@@ -20,8 +18,7 @@ PACKAGE = "sz"
 def ablation_rows(repo):
     rows = []
     configurations = {
-        "default (stability + zero-first)": SolverConfig.preset("tweety"),
-        "no zero-first fast path": SolverConfig.preset("tweety").with_overrides(zero_first=False),
+        "default (stable-model check)": SolverConfig.preset("tweety"),
         "no stable-model check": SolverConfig.preset("tweety").with_overrides(
             enforce_stability=False
         ),
@@ -58,19 +55,6 @@ def test_ablation_all_configurations_agree_on_the_answer(ablation_rows, benchmar
 
 def test_ablation_stability_check_is_exercised(ablation_rows, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    default = ablation_rows["default (stability + zero-first)"]
+    default = ablation_rows["default (stable-model check)"]
     assert default.statistics["optimization"]["stability_checks"] >= 1
 
-
-def test_ablation_zero_first_does_not_change_costs(ablation_rows, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    default = ablation_rows["default (stability + zero-first)"]
-    no_fast_path = ablation_rows["no zero-first fast path"]
-    assert default.costs == no_fast_path.costs
-
-
-def test_ablation_benchmark_no_zero_first(repo, benchmark):
-    concretizer = Concretizer(
-        repo=repo, config=SolverConfig.preset("tweety").with_overrides(zero_first=False)
-    )
-    benchmark.pedantic(lambda: concretizer.concretize(PACKAGE), rounds=1, iterations=1)

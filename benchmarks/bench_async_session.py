@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark: async concretization sessions — streaming first-result latency.
 
-The ISSUE-4 acceptance scenario over the 16-spec overlapping workload
-(``FAMILY_WORKLOAD_16``, the same batch the parallel benchmark uses):
+The acceptance scenario over the 16-spec overlapping workload
+(``FAMILY_WORKLOAD_16``, the same batch the warm-start benchmark uses):
 
 1. **Sequential baseline** — one ``ConcretizationSession.solve`` over the
    whole batch; its wall time is what a caller waits before seeing *any*
@@ -20,10 +20,9 @@ Assertions (both modes):
   which is the point of the streaming API: a service can start answering
   while the rest of the batch is still solving.
 
-``--quick`` (the CI smoke) runs the thread backend only; the full run also
-exercises the fork-process backend.  No absolute wall-clock floors are
-asserted (shared CI runners are too noisy); the first-vs-total comparison is
-scale-free.
+No absolute wall-clock floors are asserted (shared CI runners are too
+noisy); the first-vs-total comparison is scale-free, so ``--quick`` (the CI
+smoke) and the full run measure the same thing.
 
 Run standalone::
 
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import multiprocessing
 import os
 import sys
 import time
@@ -71,11 +69,11 @@ def sequential_baseline():
     return [signature(r) for r in results], elapsed
 
 
-async def streamed(backend: str):
+async def streamed():
     clear_shared_bases()
     async with AsyncConcretizationSession(
         repo=micro_repo(),
-        session_config=SessionConfig(share_ground_cache=False, worker_backend=backend),
+        session_config=SessionConfig(share_ground_cache=False),
         max_concurrency=MAX_CONCURRENCY,
     ) as session:
         results = [None] * len(WORKLOAD)
@@ -93,40 +91,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="thread backend only (CI smoke test)",
+        help="CI smoke test (the same measurement)",
     )
-    args = parser.parse_args(argv)
-
-    backends = ["thread"]
-    if not args.quick and "fork" in multiprocessing.get_all_start_methods():
-        backends.append("process")
+    parser.parse_args(argv)
 
     reference, sequential_time = sequential_baseline()
-
-    rows = [("sequential solve(16) [s]", f"{sequential_time:.3f}")]
+    results, first_latency, total = asyncio.run(streamed())
+    rows = [
+        ("sequential solve(16) [s]", f"{sequential_time:.3f}"),
+        ("async first result [s]", f"{first_latency:.3f}"),
+        ("async full batch [s]", f"{total:.3f}"),
+    ]
     failures = []
-    for backend in backends:
-        results, first_latency, total = asyncio.run(streamed(backend))
-        rows.extend(
-            [
-                (f"async[{backend}] first result [s]", f"{first_latency:.3f}"),
-                (f"async[{backend}] full batch [s]", f"{total:.3f}"),
-            ]
+    if results != reference:
+        failures.append("async streamed results diverge from sequential")
+    if not first_latency < total:
+        failures.append(
+            f"async first result ({first_latency:.3f}s) did not beat its own "
+            f"batch wall time ({total:.3f}s)"
         )
-        if results != reference:
-            failures.append(
-                f"async[{backend}] streamed results diverge from sequential"
-            )
-        if not first_latency < total:
-            failures.append(
-                f"async[{backend}] first result ({first_latency:.3f}s) did not "
-                f"beat its own batch wall time ({total:.3f}s)"
-            )
-        if not first_latency < sequential_time:
-            failures.append(
-                f"async[{backend}] first result ({first_latency:.3f}s) did not "
-                f"beat the sequential batch wall time ({sequential_time:.3f}s)"
-            )
+    if not first_latency < sequential_time:
+        failures.append(
+            f"async first result ({first_latency:.3f}s) did not beat the "
+            f"sequential batch wall time ({sequential_time:.3f}s)"
+        )
 
     record(
         "async_session",

@@ -4,8 +4,9 @@ The paper compares clingo's tweety / trendy / handy presets and picks tweety
 as the default.  Our presets tune the analogous knobs of the CDCL engine; the
 experiment verifies every preset solves the same sample (with identical
 optima) and reports the per-preset time distribution.  Every preset decides
-the objective variables first (see ``repro.asp.configs``), so the curves
-converge: the presets differ mainly in the zero-first fast path.
+the objective variables first (see ``repro.asp.configs``), so each spec's
+first model is its optimum under every preset and the curves converge: the
+presets differ only in how they search the rest of the program.
 """
 
 import statistics

@@ -43,7 +43,7 @@ RESULTS_DIR = os.path.join(BENCHMARKS_DIR, "results")
 #: :func:`record` so the trend file can pick them up.
 QUICK_BENCHMARKS = (
     "bench_batch_session.py",
-    "bench_parallel_session.py",
+    "bench_warm_start.py",
     "bench_sharded_repo.py",
     "bench_async_session.py",
     "bench_service.py",

@@ -8,7 +8,7 @@ Everything the benchmarks agree on lives here, in one place:
 * the builtin-catalog package samples (``PACKAGE_SAMPLE`` /
   ``SMALL_SAMPLE``) the paper-figure benchmarks sweep over;
 * the 16-spec overlapping spec family (``FAMILY_WORKLOAD_16``) the
-  parallel- and async-session benchmarks batch.
+  warm-start and async-session benchmarks batch.
 """
 
 from __future__ import annotations
@@ -114,8 +114,7 @@ def signature(result):
 #: Builder knobs of the solver-heavy synthetic catalog.  320 packages across
 #: 6 layers with a fan-out of up to 6 dependencies makes the deepest roots
 #: reach ~70-package closures — big enough that grounding and solving (not
-#: session bookkeeping) dominate wall time, which is exactly where the
-#: micro-catalog workload's ~1.04x parallel "speedup" was lying to us.
+#: session bookkeeping) dominate wall time.
 SOLVER_HEAVY_PACKAGES = 320
 SOLVER_HEAVY_SEED = 7
 

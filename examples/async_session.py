@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Async concretization sessions and multi-catalog composition, step by step.
 
-This walks the two ISSUE-4 additions together (see ``docs/ARCHITECTURE.md``):
+This walks the two features together (see ``docs/ARCHITECTURE.md``):
 
 1. an **async session** (:class:`repro.spack.concretize.async_session.AsyncConcretizationSession`)
-   wraps the worker-pool fan-out in ``asyncio``: ``await
-   session.concretize(spec)`` for single requests, and ``as_completed()``
-   to *stream* a batch — each result is yielded the moment its solve
-   finishes, so the first answer arrives long before the slowest one,
-   with a semaphore bounding how many workers are leased at once;
+   wraps a session in ``asyncio``: ``await session.concretize(spec)`` for
+   single requests, and ``as_completed()`` to *stream* a batch — each
+   result is yielded the moment its solve finishes on the session's solver
+   threads, so the first answer arrives long before the slowest one, with
+   a semaphore bounding how many solves run at once;
 2. a **composed catalog** (``ShardedRepository.compose(user_repo,
    builtin_repo)``) stacks a user repository's shards *after* the builtin
    ones, so one session serves both catalogs and editing a user package
@@ -38,7 +38,7 @@ class Mytool(Package):
 
 
 #: Overlapping requests, the service shape: builtin roots and the user's own
-#: package, with one exact repeat that never leases a worker.
+#: package, with one exact repeat that is never solved twice.
 REQUESTS = [
     "mytool",
     "zlib",
@@ -63,7 +63,7 @@ async def main():
     # ------------------------------------------------------------------
     # Act 2: stream a batch.  as_completed() yields (input index, result)
     # pairs in *completion* order: cache hits first, then each solve the
-    # moment its worker finishes.
+    # moment it finishes.
     # ------------------------------------------------------------------
     async with AsyncConcretizationSession(repo=composed, max_concurrency=4) as session:
         start = time.perf_counter()

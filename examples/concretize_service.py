@@ -19,7 +19,7 @@ clients against it.
 3. **Deadlines**: each request carries ``deadline_s`` (or an
    ``X-Deadline-Seconds`` header); a request that cannot finish in time is
    answered **504** and its solve is *cancelled* through the async session
-   — the leased workers come back immediately.
+   — its semaphore permits come back immediately.
 4. **Backpressure**: at most ``max_concurrency + queue_limit`` requests are
    in flight; the next one is shed with **429** and a ``Retry-After`` hint
    instead of queueing without bound.

@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
-"""Parallel solve workers + a persistent on-disk cache, step by step.
+"""A persistent on-disk cache, step by step.
 
-This mirrors :mod:`examples.batch_session`, scaled up along the two axes
-ISSUE 2 added (see ``docs/ARCHITECTURE.md`` and ``docs/CACHING.md``):
+This mirrors :mod:`examples.batch_session` with a ``cache_dir`` (see
+``docs/ARCHITECTURE.md`` and ``docs/CACHING.md``):
 
-1. a **parallel session** (``SessionConfig(workers=N)``) grounds the
-   shared spec-independent base once, then fans each spec's delta-ground +
-   solve out to a pool of forked workers — results come back in input
-   order, element-wise identical to a sequential session;
-2. a **persistent cache** (``SessionConfig(cache_dir=...)``) writes every
-   solved result (and the grounded base, as both a pickle and an
-   mmap-able snapshot) to disk, so a *second session* — even in a new
-   process, hours later — replays the whole batch without a single
-   grounding or solver call.
+1. a **cold session** (``SessionConfig(cache_dir=...)``) grounds the shared
+   spec-independent base once, solves each spec in input order, and writes
+   every solved result (and the grounded base, as both a pickle and an
+   mmap-able snapshot) to disk;
+2. a **warm session** — in a new process, hours later, or right away as
+   here — pointed at the same directory replays the whole batch without a
+   single grounding or solver call.
+
+To solve on several CPUs, serve from several processes that share one
+cache directory: ``python -m repro.spack.service --workers N --cache-dir
+DIR``.
 
 Run with::
 
-    PYTHONPATH=src python examples/parallel_session.py
+    PYTHONPATH=src python examples/persistent_cache.py
 """
 
 import tempfile
@@ -32,19 +34,18 @@ REQUESTS = [
     "zlib@1.2.11",
     "bzip2",
     "bzip2~shared",
-    "zlib+pic",  # exact repeat: answered from the solve cache, never a worker
+    "zlib+pic",  # exact repeat: answered from the solve cache, never solved
 ]
 
 
 def main():
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
         # ------------------------------------------------------------------
-        # Act 1: a parallel session. workers=2 solves cache-missing specs on
-        # two forked processes; the shared base is grounded once, up front,
-        # in the parent, so workers inherit it and only delta-ground.
+        # Act 1: a cold session. The shared base is grounded once, then each
+        # cache-missing spec only delta-grounds and solves; every result and
+        # the base are written through to cache_dir.
         # ------------------------------------------------------------------
-        config = SessionConfig(workers=2, cache_dir=cache_dir)
-        session = ConcretizationSession(session_config=config)
+        session = ConcretizationSession(session_config=SessionConfig(cache_dir=cache_dir))
         print(f"content hash: {session.content_hash()}")
         print(f"cache dir:    {cache_dir}\n")
 
@@ -55,7 +56,7 @@ def main():
             for line in result.spec.tree().splitlines():
                 print(f"    {line}")
 
-        print("\nparallel session statistics:")
+        print("\ncold session statistics:")
         for key, value in session.stats.as_dict().items():
             print(f"    {key:20s} {value}")
 

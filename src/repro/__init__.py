@@ -26,7 +26,7 @@ from repro.spack.concretize import (
 )
 from repro.spack.store import Database, SolveCache
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AsyncConcretizationSession",

@@ -218,12 +218,11 @@ class CompletionTemplate:
 
 class BaseCompletion:
     """The completion side of one grounded base: its template, built by the
-    first solve that asks for it (or by :meth:`template`, ahead of any
-    solve), and what solves on the base counted.
+    first solve that asks for it, and what solves on the base counted.
 
-    Thread workers share one instance: the first caller builds the template
-    under a lock, later ones wait for it and read it.  The template is
-    process-local state, rebuilt rather than persisted.
+    Solves on several threads share one instance: the first caller builds
+    the template under a lock, later ones wait for it and read it.  The
+    template is process-local state, rebuilt rather than persisted.
     """
 
     def __init__(self, base_program: GroundProgram):
@@ -234,11 +233,7 @@ class BaseCompletion:
         self.skipped_checks = 0
 
     def template(self) -> CompletionTemplate:
-        """The base's template, built now unless it already exists.
-
-        Sessions call this before forking pool workers, so that every
-        worker inherits the template instead of building its own.
-        """
+        """The base's template, built now unless it already exists."""
         template = self._template
         if template is None:
             with self._lock:

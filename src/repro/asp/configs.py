@@ -6,8 +6,7 @@ crafty, handy); the paper benchmarks *tweety* (typical ASP programs),
 as Spack's default (Figure 7d).
 
 Our CDCL solver exposes the analogous knobs — decision heuristic, default
-phase, restart policy, and whether the optimizer tries the "all objective
-literals false" fast path first.  Every preset decides the objective
+phase and restart policy.  Every preset decides the objective
 variables first, and false, before its heuristic and default phase act
 (objective-first decisions, :mod:`repro.asp.optimization`), so on the
 concretizer's programs the presets search much alike and the Figure 7d
@@ -38,7 +37,6 @@ class SolverConfig:
     restart_strategy: str = "luby"  # "luby", "geometric", or "none"
     restart_base: int = 100
     var_decay: float = 0.95
-    zero_first: bool = True  # optimizer fast path (usc-like behaviour)
     enforce_stability: bool = True
     description: str = ""
 
@@ -102,7 +100,6 @@ _PRESETS: Dict[str, SolverConfig] = {
         restart_strategy="luby",
         restart_base=100,
         var_decay=0.95,
-        zero_first=True,
         description="Geared towards typical ASP programs (the paper's default).",
     ),
     "trendy": SolverConfig(
@@ -112,8 +109,7 @@ _PRESETS: Dict[str, SolverConfig] = {
         restart_strategy="geometric",
         restart_base=256,
         var_decay=0.99,
-        zero_first=False,
-        description="Geared towards industrial problems (slower restarts, no fast path).",
+        description="Geared towards industrial problems (slower restarts).",
     ),
     "handy": SolverConfig(
         name="handy",
@@ -122,7 +118,6 @@ _PRESETS: Dict[str, SolverConfig] = {
         restart_strategy="luby",
         restart_base=500,
         var_decay=0.99,
-        zero_first=False,
         description="Geared towards large problems (conservative restarts).",
     ),
     "frumpy": SolverConfig(
@@ -132,7 +127,6 @@ _PRESETS: Dict[str, SolverConfig] = {
         restart_strategy="geometric",
         restart_base=100,
         var_decay=0.95,
-        zero_first=True,
         description="Conservative defaults reminiscent of older solvers.",
     ),
     "jumpy": SolverConfig(
@@ -142,7 +136,6 @@ _PRESETS: Dict[str, SolverConfig] = {
         restart_strategy="luby",
         restart_base=50,
         var_decay=0.90,
-        zero_first=True,
         description="Aggressive restarts.",
     ),
     "crafty": SolverConfig(
@@ -152,7 +145,6 @@ _PRESETS: Dict[str, SolverConfig] = {
         restart_strategy="geometric",
         restart_base=128,
         var_decay=0.97,
-        zero_first=True,
         description="Geared towards crafted (combinatorial) problems.",
     ),
 }

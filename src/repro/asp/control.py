@@ -189,9 +189,7 @@ class Control:
                     self.ground_program, self._build_solver(), base=self._base_completion
                 )
             self._optimizer = Optimizer(
-                self.completed,
-                enforce_stability=self.config.enforce_stability,
-                zero_first=self.config.zero_first,
+                self.completed, enforce_stability=self.config.enforce_stability
             )
             if stage is not None:
                 with stage("solve.search"):
@@ -255,23 +253,19 @@ class PreparedProgram:
     documented on :class:`~repro.asp.grounder.Grounder` (fresh condition
     ids/keys only).
 
-    **Fork- and pickle-safety.**  Once ``__init__`` returns, the ground
+    **Thread- and pickle-safety.**  Once ``__init__`` returns, the ground
     state of a prepared program is only ever *read*: :meth:`fork` clones it
     and mutates the clone, never the base.  The one thing that changes later
     is the base's :class:`~repro.asp.completion.BaseCompletion`: the first
-    solve on a fork, or :meth:`build_template`, builds the base's
-    completion template (under the completion's own lock, so concurrent
-    thread workers build it once) and solves count what they skipped there;
-    the ``forks`` counter is the other, benign exception.  Parallel
-    concretization sessions rely on this: they call :meth:`build_template`
-    in the parent, then ``os.fork()``-based worker pools inherit prepared
-    programs, templates included, through copy-on-write memory and fork
-    them concurrently (a worker would build its own template only if the
-    parent had none), and the persistent ground cache
-    (:class:`repro.spack.store.PersistentGroundCache`) pickles them to disk
-    for later processes.  Pickling keeps only the
-    parsed program and the ground state: templates and counters are
-    per-process and start afresh.
+    solve on a fork builds the base's completion template, under the
+    completion's own lock, so solves forking one base concurrently on
+    threads (the async session's solver threads) build it once; solves
+    count what they skipped there, and the ``forks`` counter is the other,
+    benign exception.  The persistent ground cache
+    (:class:`repro.spack.store.PersistentGroundCache`) pickles prepared
+    programs to disk for later processes.  Pickling keeps only the parsed
+    program and the ground state: templates and counters are per-process and
+    start afresh.
     """
 
     def __init__(
@@ -359,11 +353,6 @@ class PreparedProgram:
         layered._base = grounder
         layered._reset_solve_state()
         return layered
-
-    def build_template(self) -> None:
-        """Build the base's completion template now, unless a solve already
-        did (see :meth:`repro.asp.completion.BaseCompletion.template`)."""
-        self._completion.template()
 
     def statistics(self) -> Dict[str, object]:
         return {

@@ -18,10 +18,6 @@ This module provides the equivalent machinery on top of our CDCL solver:
 * within one priority level the driver performs model-guided branch-and-bound
   (find a model, then demand a strictly better objective value via a guarded
   linear constraint, repeat until UNSAT);
-* a "zero-first" fast path (used by some solver presets, analogous to
-  clingo's unsatisfiable-core-guided ``usc`` strategy reaching optimum 0
-  immediately) assumes all objective literals false before falling back to
-  branch-and-bound;
 * every accepted model is checked for stability by the
   :class:`repro.asp.unfounded.StableModelEnforcer`.
 
@@ -29,8 +25,8 @@ A greedy first model is not guaranteed optimal: a variable decided false
 early can force costlier ones true later.  Optimality comes from the bound
 proofs alone: each level is fixed to its minimal achievable value (given
 all higher levels) before the next level is explored.  When the first model
-is already optimal, each nonzero level costs one UNSAT proof (two with the
-zero-first path) instead of a chain of re-descents.
+is already optimal, each nonzero level costs one UNSAT proof instead of a
+chain of re-descents.
 """
 
 from __future__ import annotations
@@ -64,12 +60,10 @@ class Optimizer:
         self,
         completed: CompletedProgram,
         enforce_stability: bool = True,
-        zero_first: bool = True,
         on_model=None,
     ):
         self.completed = completed
         self.enforcer = StableModelEnforcer(completed, enabled=enforce_stability)
-        self.zero_first = zero_first
         self.on_model = on_model
         self.models_found = 0
 
@@ -133,13 +127,6 @@ class Optimizer:
                 continue
 
             best_value = best_costs.get(priority, base)
-
-            # Fast path: can every objective literal at this level be false?
-            if self.zero_first and best_value > base:
-                assumptions = [-term.variable for term in terms]
-                if self.enforcer.solve(assumptions):
-                    best_atoms, best_costs = self._snapshot()
-                    best_value = best_costs[priority]
 
             # Branch and bound: demand strictly better values until UNSAT.
             while best_value > base:

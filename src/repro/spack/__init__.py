@@ -29,7 +29,6 @@ from repro.spack.concretize import (
     AsyncConcretizationSession,
     ConcretizationResult,
     ConcretizationSession,
-    ParallelConcretizationSession,
     SessionConfig,
     explain_unsat,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "AsyncConcretizationSession",
     "ConcretizationResult",
     "ConcretizationSession",
-    "ParallelConcretizationSession",
     "SessionConfig",
     "SpackError",
     "Spec",

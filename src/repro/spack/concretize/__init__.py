@@ -11,11 +11,9 @@ original greedy baseline.
   usability comparisons of Section VI-B.
 * :class:`repro.spack.concretize.session.ConcretizationSession` — batch
   concretization: many root specs against one shared, incrementally layered
-  grounding, with content-hash-keyed ground and solve caches.  All tuning
-  rides in one frozen :class:`repro.spack.concretize.config.SessionConfig`:
-  ``SessionConfig(workers=N)`` (or
-  :class:`repro.spack.concretize.session.ParallelConcretizationSession`)
-  fans per-spec solves out to a worker pool over the shared base, and
+  grounding, with content-hash-keyed ground and solve caches, solved in
+  input order.  All tuning rides in one frozen
+  :class:`repro.spack.concretize.config.SessionConfig`:
   ``SessionConfig(cache_dir=...)`` persists the ground/solve caches — plus
   mmap-able ground *snapshots* that a second process attaches near
   zero-copy — on disk across processes (see ``docs/ARCHITECTURE.md`` and
@@ -23,14 +21,18 @@ original greedy baseline.
 * :class:`repro.spack.concretize.async_session.AsyncConcretizationSession` —
   the ``asyncio`` front-end over the same machinery: ``await
   session.concretize(spec)``, ``concretize_batch()``, and an
-  ``as_completed()`` streaming API that yields results in completion order
-  with bounded concurrency and clean cancellation.
+  ``as_completed()`` streaming API that yields results in completion order,
+  solving cache misses on one set of solver threads with bounded
+  concurrency and clean cancellation.
 * :func:`repro.spack.concretize.explain.explain_unsat` — the minimal
   conflict core behind every
   :class:`~repro.spack.errors.UnsatisfiableSpecError`.
 """
 
-from repro.spack.concretize.async_session import AsyncConcretizationSession
+from repro.spack.concretize.async_session import (
+    AsyncConcretizationSession,
+    default_worker_count,
+)
 from repro.spack.concretize.concretizer import ConcretizationResult, Concretizer
 from repro.spack.concretize.config import SessionConfig
 from repro.spack.concretize.criteria import CRITERIA, Criterion, describe_costs
@@ -38,10 +40,8 @@ from repro.spack.concretize.explain import ConstraintProvenance, explain_unsat
 from repro.spack.concretize.original import OriginalConcretizer
 from repro.spack.concretize.session import (
     ConcretizationSession,
-    ParallelConcretizationSession,
     SessionStatistics,
     compute_content_hash,
-    default_worker_count,
 )
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "ConstraintProvenance",
     "Criterion",
     "OriginalConcretizer",
-    "ParallelConcretizationSession",
     "SessionConfig",
     "SessionStatistics",
     "compute_content_hash",

@@ -1,4 +1,4 @@
-"""Async concretization sessions: ``await``-able solves over the worker pool.
+"""Async concretization sessions: ``await``-able solves on solver threads.
 
 A batch :class:`~repro.spack.concretize.session.ConcretizationSession` is a
 *blocking* API: ``solve(specs)`` returns when the whole batch is done.  A
@@ -15,29 +15,27 @@ front-end:
   back in *completion* order, each tagged with its input index, so the first
   answer is available long before the slowest solve finishes.
 
-The execution model reuses the worker-pool fan-out underneath the sync
-session, layer by layer:
+The execution model:
 
 * the cache pass runs on the event loop: hits (and in-batch duplicates)
-  yield immediately and never lease a worker;
-* the shared grounded base is built once per spec family in a helper thread
-  (serialized, so concurrent calls cannot race the session's base memo)
-  *before* any worker starts, and so is its completion template when the
-  call fans out — forked process workers inherit both for free;
-* every cache-missing spec is solved by
-  :func:`~repro.spack.concretize.session._worker_solve` on a per-call
-  executor (fork-based processes where available, threads otherwise), with a
-  session-wide :class:`asyncio.Semaphore` bounding in-flight solves across
-  *all* concurrent calls (``max_concurrency``);
+  yield immediately and never take a permit;
+* every distinct cache miss becomes one task.  The task finds or grounds its
+  spec family's shared base under a session-wide ground lock (so concurrent
+  calls cannot race the session's base memo), then takes a permit of a
+  session-wide :class:`asyncio.Semaphore` (``max_concurrency``) and runs
+  :meth:`~repro.spack.concretize.session.ConcretizationSession._solve_uncached`
+  on the session's one :class:`~concurrent.futures.ThreadPoolExecutor`.  The
+  first solve on a base builds its completion template under the base's
+  lock; the others wait for it;
 * cancelling an ``as_completed`` consumer (or a ``concretize_batch`` task)
-  cancels the not-yet-started pool futures, returns the leased workers, and
-  shuts the executor down — the event loop never hangs on abandoned work;
-* a worker process that dies mid-solve (:class:`BrokenProcessPool`) degrades
-  that call to sequential solving on a fallback thread instead of failing the
-  batch, mirroring the sync session's degradation contract.  Solver errors
-  (e.g. an unsatisfiable spec) are *not* degradation: they propagate to the
-  awaiter exactly like the sequential path raises them.
+  cancels the tasks, which returns their permits and drops the solves that
+  have not started — the event loop never hangs on abandoned work.  Solver
+  errors (e.g. an unsatisfiable spec) propagate to the awaiter exactly like
+  the sequential path raises them.
 
+Solver threads share one interpreter lock, so they give a caller
+streaming, cancellation and a responsive event loop rather than CPU
+parallelism; for process parallelism run the service with ``--workers N``.
 Results, statistics, and caches are those of the wrapped sync session — an
 async session over the same inputs is element-wise identical to
 ``ConcretizationSession.solve``, and mixing sync and async use of one
@@ -48,23 +46,23 @@ lock-protected).
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import os
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import AsyncIterator, List, Optional, Sequence, Tuple, Union
 
 from repro.spack.concretize.concretizer import ConcretizationResult, UnsatOutcome
-from repro.spack.concretize.session import (
-    _WORKER_BATCHES,
-    _WORKER_BATCH_IDS,
-    ConcretizationSession,
-    SessionStatistics,
-    _worker_solve,
-    default_worker_count,
-)
+from repro.spack.concretize.session import ConcretizationSession, SessionStatistics
 from repro.spack.errors import UnsatisfiableSpecError
 from repro.spack.spec import Spec
+
+
+def default_worker_count() -> int:
+    """The scheduler-visible CPU count (the default ``max_concurrency``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 class AsyncConcretizationSession:
@@ -77,14 +75,14 @@ class AsyncConcretizationSession:
     :class:`~repro.spack.concretize.config.SessionConfig`).  Additional
     knobs:
 
-    * ``max_concurrency`` — the semaphore bound on simultaneously leased
-      workers across *all* concurrent calls on this session.  Defaults to
-      ``session_config.max_concurrency`` when set, else the wrapped
-      session's ``workers`` when that is > 1, else the scheduler-visible
-      CPU count (:func:`default_worker_count`).
+    * ``max_concurrency`` — the semaphore bound on simultaneous solves
+      across *all* concurrent calls on this session, and the size of its
+      solver thread pool.  Defaults to ``session_config.max_concurrency``
+      when set, else the scheduler-visible CPU count
+      (:func:`default_worker_count`).
 
     Use it as an async context manager (``async with``) or call
-    :meth:`aclose` when done to release the fallback thread pool.
+    :meth:`aclose` when done to release the solver threads.
     """
 
     def __init__(
@@ -103,11 +101,7 @@ class AsyncConcretizationSession:
         if max_concurrency is None:
             max_concurrency = self.session.session_config.max_concurrency
         if max_concurrency is None:
-            max_concurrency = (
-                self.session.workers
-                if self.session.workers > 1
-                else default_worker_count()
-            )
+            max_concurrency = default_worker_count()
         if int(max_concurrency) < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency!r}")
         self.max_concurrency = int(max_concurrency)
@@ -116,7 +110,7 @@ class AsyncConcretizationSession:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._ground_lock: Optional[asyncio.Lock] = None
-        self._fallback: Optional[ThreadPoolExecutor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
     # Delegation
@@ -144,11 +138,10 @@ class AsyncConcretizationSession:
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Release the fallback thread pool (leased pool workers are per-call
-        and already returned by then)."""
-        if self._fallback is not None:
-            self._fallback.shutdown(wait=False, cancel_futures=True)
-            self._fallback = None
+        """Release the solver threads (solves not yet started are dropped)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     def _primitives(self) -> Tuple[asyncio.Semaphore, asyncio.Lock]:
         loop = asyncio.get_running_loop()
@@ -158,13 +151,13 @@ class AsyncConcretizationSession:
             self._ground_lock = asyncio.Lock()
         return self._semaphore, self._ground_lock
 
-    def _fallback_pool(self) -> ThreadPoolExecutor:
-        """The helper thread pool (base grounding, degraded solves)."""
-        if self._fallback is None:
-            self._fallback = ThreadPoolExecutor(
-                max_workers=self.max_concurrency, thread_name_prefix="repro-async"
+    def _solver_pool(self) -> ThreadPoolExecutor:
+        """The session's solver threads (base grounding and solves)."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                self.max_concurrency, thread_name_prefix="repro-async"
             )
-        return self._fallback
+        return self._pool
 
     # ------------------------------------------------------------------
     # Public solve API
@@ -186,10 +179,9 @@ class AsyncConcretizationSession:
 
         The underlying :meth:`as_completed` stream is explicitly closed on
         *every* exit — including cancellation of the awaiting task (e.g. a
-        service deadline firing via ``asyncio.wait_for``) — so leased
-        semaphore permits and in-flight executor futures are released
-        deterministically, not whenever the garbage collector notices the
-        abandoned generator.
+        service deadline firing via ``asyncio.wait_for``) — so semaphore
+        permits and queued solves are released deterministically, not
+        whenever the garbage collector notices the abandoned generator.
         """
         results: List[Optional[ConcretizationResult]] = [None] * len(specs)
         stream = self.as_completed(specs)
@@ -205,15 +197,15 @@ class AsyncConcretizationSession:
     ) -> AsyncIterator[Tuple[int, ConcretizationResult]]:
         """Stream ``(input index, result)`` pairs in *completion* order.
 
-        Cache hits and in-batch duplicates yield first (they never lease a
-        worker); each remaining distinct spec is delta-ground + solved on the
-        pool and yielded the moment it finishes, so the first result arrives
-        in roughly one solve's latency regardless of the batch size.  The
-        union of yielded pairs is element-wise identical to the sequential
-        session's ``solve``.
+        Cache hits and in-batch duplicates yield first (they never take a
+        permit); each remaining distinct spec is delta-ground + solved on
+        the solver threads and yielded the moment it finishes, so the first
+        result arrives in roughly one solve's latency regardless of the
+        batch size.  The union of yielded pairs is element-wise identical to
+        the sequential session's ``solve``.
 
         Cancelling the consuming task (or closing the generator early)
-        cancels pending pool futures and returns the leased workers; a solver
+        cancels the pending solves and returns their permits; a solver
         error propagates to the consumer after the same cleanup.
         """
         session = self.session
@@ -221,7 +213,7 @@ class AsyncConcretizationSession:
         loop = asyncio.get_running_loop()
         abstract = session._as_specs(specs)
 
-        # Unsat parity with the sync paths: failed specs are collected (and
+        # Unsat parity with the sync path: failed specs are collected (and
         # their outcomes cached) rather than aborting the stream mid-batch;
         # after every satisfiable result has been yielded, the failure with
         # the earliest *input* index is raised — the same exception, with the
@@ -232,7 +224,7 @@ class AsyncConcretizationSession:
             failures.sort(key=lambda pair: pair[0])
             raise failures[0][1]
 
-        # -- cache pass (event-loop thread, like the parent in _solve_parallel)
+        # -- cache pass (event-loop thread)
         pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
         for index, spec in enumerate(abstract):
             session.stats.specs_solved += 1
@@ -256,175 +248,43 @@ class AsyncConcretizationSession:
                 raise_earliest()
             return
 
-        keys = list(pending.keys())
-        unique = [abstract[indices[0]] for indices in pending.values()]
+        pool = self._solver_pool()
 
-        # -- pre-ground the shared bases off-loop, serialized, before fan-out
-        families = {session._base_key([spec]) for spec in unique}
-        demand_token = next(_WORKER_BATCH_IDS)
-        session._base_demands[demand_token] = len(families)
-        try:
+        async def solve(key: Tuple):
+            """Ground (or find) the base under the ground lock, then solve
+            on it under a permit; an unsat error is this spec's outcome."""
+            spec = abstract[pending[key][0]]
             async with ground_lock:
-                for spec in unique:
-                    base = await loop.run_in_executor(
-                        self._fallback_pool(), session._base_for, [spec]
-                    )
-                    if len(unique) > 1:
-                        # a fan-out completes the base first too, so forked
-                        # workers inherit the template instead of each
-                        # building their own; a single miss builds it in its
-                        # solve, under the base's lock
-                        await loop.run_in_executor(
-                            self._fallback_pool(), base.prepared.build_template
-                        )
-
-            async def finish(unique_index: int, concretization: ConcretizationResult):
-                """Cache bookkeeping for one solved spec (event-loop thread)."""
-                session.stats.delta_groundings += 1
-                pristine = session._copy_result(concretization)
-                session.solve_cache.put(keys[unique_index], pristine)
-                indices = pending[keys[unique_index]]
-                replays = [
-                    (duplicate, session._replay(pristine))
-                    for duplicate in indices[1:]
-                ]
-                return [(indices[0], concretization)] + replays
-
-            if len(unique) == 1:
-                # a single miss gains nothing from a pool; solve it on the
-                # fallback thread so the loop stays responsive.  worker=True:
-                # off-loop solves must not mutate the session's base memo or
-                # statistics (a concurrent call may be doing the same)
-                async with semaphore:
-                    try:
-                        concretization = await loop.run_in_executor(
-                            self._fallback_pool(),
-                            lambda: session._solve_uncached(unique[0], worker=True),
-                        )
-                    except UnsatisfiableSpecError as error:
-                        session.stats.delta_groundings += 1
-                        session.solve_cache.put(keys[0], UnsatOutcome.from_error(error))
-                        failures.append((pending[keys[0]][0], error))
-                        concretization = None
-                if concretization is not None:
-                    for pair in await finish(0, concretization):
-                        yield pair
-                if failures:
-                    raise_earliest()
-                return
-
-            # -- fan out: one executor per call, workers leased under the
-            #    session-wide semaphore
-            batch_token = next(_WORKER_BATCH_IDS)
-            _WORKER_BATCHES[batch_token] = (session, list(unique))
-            backend = session._resolve_backend()
-            executor = self._make_executor(backend, len(unique))
-            tasks = [
-                asyncio.ensure_future(
-                    self._solve_on_pool(executor, backend, batch_token, i, unique[i])
-                )
-                for i in range(len(unique))
-            ]
-            try:
-                for completed in asyncio.as_completed(tasks):
-                    unique_index, outcome = await completed
-                    if isinstance(outcome, UnsatisfiableSpecError):
-                        session.stats.delta_groundings += 1
-                        session.solve_cache.put(
-                            keys[unique_index], UnsatOutcome.from_error(outcome)
-                        )
-                        failures.append((pending[keys[unique_index]][0], outcome))
-                        continue
-                    for pair in await finish(unique_index, outcome):
-                        yield pair
-            finally:
-                # cancellation/error path: return leased workers cleanly.
-                # Pending pool futures are cancelled; running solves finish
-                # in the (non-blocking) executor shutdown and their workers
-                # exit — the event loop never waits on them.
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-                if executor is not None:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                _WORKER_BATCHES.pop(batch_token, None)
-            if failures:
-                raise_earliest()
-        finally:
-            session._base_demands.pop(demand_token, None)
-
-    # ------------------------------------------------------------------
-    # Pool plumbing
-    # ------------------------------------------------------------------
-
-    def _make_executor(self, backend: str, size: int) -> Optional[Executor]:
-        """A per-call executor, or None to run everything on the fallback
-        threads (pool infrastructure failures degrade, never fail)."""
-        workers = min(self.max_concurrency, size)
-        try:
-            if backend == "process":
-                context = multiprocessing.get_context("fork")
-                return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            return ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-async-pool"
-            )
-        except (OSError, ValueError, RuntimeError):
-            return None
-
-    async def _solve_on_pool(
-        self,
-        executor: Optional[Executor],
-        backend: str,
-        batch_token: int,
-        index: int,
-        spec: Spec,
-    ) -> Tuple[int, Union[ConcretizationResult, UnsatisfiableSpecError]]:
-        """Solve one cache-missing spec under the concurrency semaphore.
-
-        Pool path first; a broken pool (a worker process died, or the
-        executor could not start) degrades *this* solve to the fallback
-        thread — results stay element-wise identical, the event loop stays
-        live.  An unsatisfiable spec is a per-spec *outcome*, not a pool
-        failure: its error (explanation intact across process pickling) is
-        returned in the spec's slot for the consumer to cache and raise.
-        """
-        semaphore, _ = self._primitives()
-        loop = asyncio.get_running_loop()
-        async with semaphore:
-            if executor is not None:
+                base = await loop.run_in_executor(pool, session._base_for, [spec])
+            async with semaphore:
                 try:
-                    pool_future = executor.submit(_worker_solve, batch_token, index)
-                except RuntimeError:
-                    pool_future = None  # executor already shut down: degrade
-                if pool_future is not None:
-                    try:
-                        result = await asyncio.wrap_future(pool_future)
-                    except BrokenProcessPool:
-                        pass  # worker died mid-solve: degrade to sequential
-                    except UnsatisfiableSpecError as error:
-                        self.session.stats.parallel_solves += 1
-                        return index, error
-                    except asyncio.CancelledError:
-                        pool_future.cancel()  # return the leased worker
-                        raise
-                    else:
-                        self.session.stats.parallel_solves += 1
-                        session_stats = result.statistics.get("session")
-                        if isinstance(session_stats, dict):
-                            session_stats["parallel_backend"] = backend
-                            session_stats["async"] = True
-                        return index, result
-            # worker=True: several degraded solves may run on fallback
-            # threads at once, and only the worker path is guaranteed not to
-            # mutate shared session state (base LRU, statistics)
-            try:
-                result = await loop.run_in_executor(
-                    self._fallback_pool(),
-                    lambda: self.session._solve_uncached(spec, worker=True),
-                )
-            except UnsatisfiableSpecError as error:
-                return index, error
-            session_stats = result.statistics.get("session")
-            if isinstance(session_stats, dict):
-                session_stats["async"] = True
-            return index, result
+                    return key, await loop.run_in_executor(
+                        pool, session._solve_uncached, spec, base
+                    )
+                except UnsatisfiableSpecError as error:
+                    return key, error
+
+        tasks = [asyncio.ensure_future(solve(key)) for key in pending]
+        try:
+            for completed in asyncio.as_completed(tasks):
+                key, outcome = await completed
+                session.stats.delta_groundings += 1
+                indices = pending[key]
+                if isinstance(outcome, UnsatisfiableSpecError):
+                    session.solve_cache.put(key, UnsatOutcome.from_error(outcome))
+                    failures.append((indices[0], outcome))
+                    continue
+                pristine = session._copy_result(outcome)
+                session.solve_cache.put(key, pristine)
+                yield indices[0], outcome
+                for duplicate in indices[1:]:
+                    yield duplicate, session._replay(pristine)
+        finally:
+            # cancellation/error path: cancelled tasks return their permits
+            # and drop their queued solves; a solve already running finishes
+            # on its thread, and the event loop never waits on it
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+        if failures:
+            raise_earliest()

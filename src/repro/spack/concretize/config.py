@@ -1,17 +1,21 @@
 """The public session configuration: one frozen object, every knob.
 
 Every concretization front-end (sync session, async session, HTTP service,
-CLI) takes its execution knobs — workers, backends, cache directories, disk
-budgets, profiling, snapshot behaviour — from a single frozen
-:class:`SessionConfig` passed as ``session_config=``::
+CLI) takes its execution knobs — the async front-end's concurrency, cache
+directories, disk budgets, profiling, snapshot behaviour — from a single
+frozen :class:`SessionConfig` passed as ``session_config=``::
 
-    config = SessionConfig(workers=4, cache_dir="/var/cache/concretize")
+    config = SessionConfig(cache_dir="/var/cache/concretize")
     session = ConcretizationSession(repo, session_config=config)
     service = ConcretizationService(catalogs, session_config=config)
 
 The per-knob constructor keywords of releases before 2.0.0 are gone: passing
 one raises :class:`TypeError`, and ``SessionConfig(<same name>=...)`` is the
-replacement for each.  The solver's own search knobs live on
+replacement for each.  The in-session worker pool and its two fields are
+gone since 3.0.0 (passing either raises :class:`TypeError` too): a session
+solves in input order, and ``python -m repro.spack.service --workers N``
+serves from N processes.
+The solver's own search knobs live on
 :class:`~repro.asp.configs.SolverConfig` (the session's ``config=``).
 
 ``SessionConfig`` is immutable and hashable, so it is safe to share one
@@ -31,14 +35,11 @@ __all__ = ["SessionConfig"]
 class SessionConfig:
     """Execution configuration shared by every concretization front-end.
 
-    *Parallelism*
+    *Concurrency*
 
-    * ``workers`` — solver workers per batch: ``1`` (sequential, default),
-      ``N > 1`` (pool fan-out), or ``"auto"`` (scheduler-visible CPU count);
-    * ``worker_backend`` — ``"process"``, ``"thread"``, or ``"auto"``
-      (processes wherever ``fork`` exists);
-    * ``max_concurrency`` — async front-end only: the semaphore bound on
-      simultaneously leased workers (``None`` derives it from ``workers``).
+    * ``max_concurrency`` — async front-end only: the bound on simultaneous
+      solves and the size of its solver thread pool (``None``: the
+      scheduler-visible CPU count; the service defaults to 4).
 
     *Persistence*
 
@@ -59,8 +60,6 @@ class SessionConfig:
       ``"rules"`` to also time each rule.
     """
 
-    workers: Union[int, str] = 1
-    worker_backend: str = "auto"
     max_concurrency: Optional[int] = None
     cache_dir: Optional[str] = None
     snapshots: bool = True
@@ -70,10 +69,6 @@ class SessionConfig:
     profile: Union[bool, str] = False
 
     def __post_init__(self):
-        if self.workers != "auto" and int(self.workers) < 1:
-            raise ValueError(f"workers must be >= 1 or 'auto', got {self.workers!r}")
-        if self.worker_backend not in ("auto", "process", "thread"):
-            raise ValueError(f"unknown worker backend: {self.worker_backend!r}")
         if self.max_concurrency is not None and int(self.max_concurrency) < 1:
             raise ValueError(
                 f"max_concurrency must be >= 1, got {self.max_concurrency!r}"

@@ -26,33 +26,26 @@ Mutating the repository (a new package version), swapping compiler
 registries, or switching presets changes the content hash, which transparently
 bypasses every stale cache layer.
 
-Two orthogonal extensions scale sessions beyond one process (see
+A session solves its specs one after another, in input order, each as one
+solve (the unit the paper times).  Process parallelism lives one level
+up: ``python -m repro.spack.service --workers N`` forks N serving
+processes that share warm state through the on-disk cache.  See
 ``docs/ARCHITECTURE.md`` for the full data-flow picture and
-``docs/CACHING.md`` for the on-disk contracts):
+``docs/CACHING.md`` for the on-disk contracts.
 
-* **parallel solving** — ``SessionConfig(workers=N)`` (or the
-  :class:`ParallelConcretizationSession` convenience wrapper) grounds the
-  shared base once in the parent, then fans the independent per-spec
-  delta-ground + solve work out to a pool of workers behind one executor
-  abstraction.  The default backend forks processes, so workers inherit the
-  read-only grounded base for free; a thread backend exists for platforms
-  without ``fork``.  Results keep the input order and are element-wise
-  identical to a sequential :meth:`ConcretizationSession.solve`;
+**Persistence** — ``SessionConfig(cache_dir=...)`` swaps the private
+in-memory :class:`~repro.spack.store.SolveCache` for a
+:class:`~repro.spack.store.PersistentSolveCache` and adds a
+:class:`~repro.spack.store.PersistentGroundCache` plus a flat mmap-able
+:class:`~repro.spack.store.SnapshotStore` under ``_base_for``, so a second
+process pointed at the same directory replays a warm batch with zero
+grounding and zero solver calls — attaching the shared ground snapshot
+near-zero-copy instead of unpickling an object graph where possible.  All
+layers are keyed by the same content hashes as the in-memory caches, so
+repo/preset/store changes invalidate disk entries exactly like memory ones.
 
-* **persistence** — ``SessionConfig(cache_dir=...)`` swaps the
-  private in-memory :class:`~repro.spack.store.SolveCache` for a
-  :class:`~repro.spack.store.PersistentSolveCache` and adds a
-  :class:`~repro.spack.store.PersistentGroundCache` plus a flat mmap-able
-  :class:`~repro.spack.store.SnapshotStore` under ``_base_for``, so a
-  second process pointed at the same directory replays a warm batch with
-  zero grounding and zero solver calls — attaching the shared ground
-  snapshot near-zero-copy instead of unpickling an object graph where
-  possible.  All layers are keyed by the same content hashes as the
-  in-memory caches, so repo/preset/store changes invalidate disk entries
-  exactly like memory ones.
-
-Every execution knob (workers, backends, cache directories and budgets,
-profiling, snapshots) lives on one frozen
+Every execution knob (cache directories and budgets, profiling, snapshots,
+the async front-end's concurrency) lives on one frozen
 :class:`~repro.spack.concretize.config.SessionConfig` accepted by all
 front-ends via ``session_config=``; the solver's search knobs live on the
 session's :class:`~repro.asp.configs.SolverConfig` (``config=``).
@@ -60,19 +53,16 @@ session's :class:`~repro.asp.configs.SolverConfig` (``config=``).
 For *serving* concretizations instead of batching them, the
 :class:`~repro.spack.concretize.async_session.AsyncConcretizationSession`
 front-end wraps a session in ``asyncio``: awaitable solves, an
-``as_completed()`` streaming API over the same worker fan-out, bounded
-concurrency, and clean cancellation — sharing this module's caches and
-statistics, and element-wise identical to :meth:`ConcretizationSession.solve`.
+``as_completed()`` streaming API whose cache misses solve concurrently on
+one set of solver threads, bounded concurrency, and clean cancellation —
+sharing this module's caches and statistics, and element-wise identical to
+:meth:`ConcretizationSession.solve`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -406,39 +396,6 @@ def clear_shared_bases() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Worker pools (parallel solving)
-# ---------------------------------------------------------------------------
-
-#: State readable by pool workers, keyed by a per-batch token so concurrent
-#: ``solve()`` calls (two sessions, or one session driven from two user
-#: threads) can never clobber each other.  Process workers are forked *after*
-#: their batch's entry is registered, so they inherit it (plus the session's
-#: already grounded bases) through copy-on-write memory; thread workers read
-#: it directly.  Only :meth:`ConcretizationSession._run_workers` writes it.
-_WORKER_BATCHES: Dict[int, Tuple] = {}
-_WORKER_BATCH_IDS = iter(range(1, 2**63))
-
-
-def _worker_solve(batch: int, index: int) -> "ConcretizationResult":
-    """Pool entry point: solve one spec of one registered batch.
-
-    Runs :meth:`ConcretizationSession._solve_uncached`, which only *reads*
-    the session (the grounded base is forked per solve, never mutated), so
-    the same function is safe on thread and on forked process workers.
-    """
-    session, specs = _WORKER_BATCHES[batch]
-    return session._solve_uncached(specs[index], worker=True)
-
-
-def default_worker_count() -> int:
-    """The scheduler-visible CPU count (what ``workers="auto"`` resolves to)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity (macOS, Windows)
-        return os.cpu_count() or 1
-
-
-# ---------------------------------------------------------------------------
 # The session
 # ---------------------------------------------------------------------------
 
@@ -471,8 +428,6 @@ class SessionStatistics:
     solve_cache_misses: int = 0
     #: total specs concretized through this session
     specs_solved: int = 0
-    #: solves executed on pool workers (0 in sequential sessions)
-    parallel_solves: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -488,7 +443,6 @@ class SessionStatistics:
             "solve_cache_hits": self.solve_cache_hits,
             "solve_cache_misses": self.solve_cache_misses,
             "specs_solved": self.specs_solved,
-            "parallel_solves": self.parallel_solves,
         }
 
 
@@ -503,9 +457,9 @@ class ConcretizationSession:
 
     Execution knobs live on one frozen
     :class:`~repro.spack.concretize.config.SessionConfig` passed as
-    ``session_config=`` — parallelism (``workers``, ``worker_backend``),
-    persistence (``cache_dir``, ``snapshots``, ``cache_max_entries`` /
-    ``cache_max_bytes``, ``share_ground_cache``), and ``profile``; see
+    ``session_config=`` — persistence (``cache_dir``, ``snapshots``,
+    ``cache_max_entries`` / ``cache_max_bytes``, ``share_ground_cache``) and
+    ``profile``; see
     :class:`SessionConfig` for per-knob semantics.  Problem inputs stay
     explicit parameters, mirroring :class:`Concretizer`, plus:
 
@@ -576,10 +530,6 @@ class ConcretizationSession:
             else None
         )
         self.share_ground_cache = cfg.share_ground_cache
-        self.workers = (
-            default_worker_count() if cfg.workers == "auto" else int(cfg.workers)
-        )
-        self.worker_backend = cfg.worker_backend
         self.profile = cfg.profile
         self.asp_stats: Optional[ASPStats] = (
             ASPStats(per_rule=(cfg.profile == "rules")) if cfg.profile else None
@@ -593,10 +543,6 @@ class ConcretizationSession:
         # the process-wide _SHARED_LAYERS is consulted too unless
         # share_ground_cache is False
         self._local_layers: "OrderedDict[Tuple, PreparedProgram]" = OrderedDict()
-        # per-in-flight-batch base-family counts: _fan_out registers each
-        # batch's demand so the local base memo cannot LRU-evict a
-        # pre-grounded base while any concurrent solve() still needs it
-        self._base_demands: Dict[int, int] = {}
         # base keys known to have a valid disk ground-cache entry (avoids a
         # probe per solve)
         self._ground_persisted: set = set()
@@ -867,8 +813,7 @@ class ConcretizationSession:
             while len(_SHARED_BASES) > _SHARED_BASES_LIMIT:
                 _SHARED_BASES.popitem(last=False)
         self._local_bases[key] = base
-        limit = max(_SHARED_BASES_LIMIT, sum(self._base_demands.values()))
-        while len(self._local_bases) > limit:
+        while len(self._local_bases) > _SHARED_BASES_LIMIT:
             self._local_bases.popitem(last=False)
         self._last_base = base
         return base
@@ -890,38 +835,21 @@ class ConcretizationSession:
             self._possible_packages(abstract),
         )
 
-    def _peek_base(self, key: Tuple) -> Optional[_GroundedBase]:
-        """A memoized grounded base, without any cache bookkeeping.
-
-        Pool workers use this instead of :meth:`_base_for`: it neither
-        reorders the LRU dicts nor bumps statistics, so concurrent thread
-        workers cannot race on shared session state, and worker-side lookups
-        (whose stats would be discarded or double-counted) stay invisible.
-        """
-        base = self._local_bases.get(key)
-        if base is None and self.share_ground_cache:
-            base = _SHARED_BASES.get(key)
-        return base
-
     def _solve_key(self, spec: Spec) -> Tuple:
         return (self.content_hash(), self._store_token(), _canonical_spec(spec))
 
     # ------------------------------------------------------------------
 
     def solve(self, specs: Sequence[Union[str, Spec]]) -> List[ConcretizationResult]:
-        """Concretize every spec (one independent solve each), sharing the
-        grounded base across the batch and replaying cached solves.
+        """Concretize every spec (one independent solve each, in input
+        order), sharing the grounded base across the batch and replaying
+        cached solves.
 
-        Results keep the input order: ``solve(specs)[i]`` always answers
-        ``specs[i]``.  With ``workers > 1`` the cache-missing portion of the
-        batch is solved on a worker pool (see :meth:`_solve_parallel`), which
-        is element-wise identical to — just faster than — the sequential
-        path.
+        ``solve(specs)[i]`` always answers ``specs[i]``; the first
+        unsatisfiable spec raises its
+        :class:`~repro.spack.errors.UnsatisfiableSpecError`.
         """
-        abstract = self._as_specs(specs)
-        if self.workers > 1 and len(abstract) > 1:
-            return self._solve_parallel(abstract)
-        return [self._solve_one(spec) for spec in abstract]
+        return [self._solve_one(spec) for spec in self._as_specs(specs)]
 
     def concretize(self, spec: Union[str, Spec]) -> ConcretizationResult:
         """Concretize a single abstract spec through the session caches."""
@@ -929,22 +857,16 @@ class ConcretizationSession:
 
     # ------------------------------------------------------------------
 
-    def _solve_uncached(self, spec: Spec, worker: bool = False) -> ConcretizationResult:
-        """One full solve, bypassing the solve cache (shared base + delta).
+    def _solve_uncached(self, spec: Spec, base: _GroundedBase) -> ConcretizationResult:
+        """One full solve on ``base``, bypassing the solve cache.
 
-        This is the unit of work a pool worker executes (``worker=True``):
-        the grounded base is looked up without any cache bookkeeping
-        (:meth:`_peek_base`) and then only forked, never mutated, so
-        concurrent calls are safe on threads and on forked processes alike —
-        and worker-side lookups never skew the parent's statistics.  Cache
-        lookups, cache writes, and statistics stay with the caller.
+        ``base`` is the grounded base of ``spec``'s family
+        (:meth:`_base_for`).  It is only forked, never mutated, so the async
+        session runs several of these at once on its solver threads; the
+        first solve on a base builds its completion template under the
+        base's lock.  Cache lookups, cache writes and statistics stay with
+        the caller.
         """
-        if worker:
-            base = self._peek_base(self._base_key([spec]))
-            if base is None:  # evicted between pre-grounding and fan-out
-                base = self._base_for([spec])
-        else:
-            base = self._base_for([spec])
         self._attach_instrumentation(base.prepared)
         encoder = base.encoder.fork()
 
@@ -997,7 +919,7 @@ class ConcretizationSession:
         self.stats.solve_cache_misses += 1
 
         try:
-            concretization = self._solve_uncached(spec)
+            concretization = self._solve_uncached(spec, self._base_for([spec]))
         except UnsatisfiableSpecError as error:
             # unsat outcomes (message + minimal core) are cached under the
             # same content-hash key, so warm replays raise identically
@@ -1008,184 +930,6 @@ class ConcretizationSession:
         # cache a pristine copy: callers may freely mutate the returned DAG
         self.solve_cache.put(key, self._copy_result(concretization))
         return concretization
-
-    # ------------------------------------------------------------------
-    # Parallel fan-out
-    # ------------------------------------------------------------------
-
-    def _solve_parallel(self, abstract: List[Spec]) -> List[ConcretizationResult]:
-        """Fan the batch out to a worker pool, preserving sequential semantics.
-
-        The cache pass runs first, in the parent: hits (including duplicate
-        specs within the batch, which the sequential path would also answer
-        from the cache) are replayed immediately and never reach a worker.
-        Every distinct remaining spec is solved exactly once.  Before the
-        pool starts, the parent grounds the shared base for each distinct
-        spec family, so forked workers inherit ready-made ground state and
-        only ever delta-ground + solve.  Results are reassembled in input
-        order, so the return value is element-wise identical to the
-        sequential path's.
-
-        Unsat parity: every unsatisfiable outcome (cache hit or fresh) is
-        collected rather than raised mid-batch, satisfiable results are
-        still cached, and the error belonging to the *earliest input index*
-        is raised at the end — the same exception, with the same
-        explanation, the sequential path would have raised first.
-        """
-        results: List[Optional[ConcretizationResult]] = [None] * len(abstract)
-        failures: List[Tuple[int, UnsatisfiableSpecError]] = []
-        pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        for index, spec in enumerate(abstract):
-            self.stats.specs_solved += 1
-            key = self._solve_key(spec)
-            if key in pending:
-                # duplicate of a spec already scheduled this batch: the
-                # sequential path would replay it from the cache
-                self.stats.solve_cache_hits += 1
-                pending[key].append(index)
-                continue
-            cached = self.solve_cache.get(key)
-            if cached is not None:
-                self.stats.solve_cache_hits += 1
-                if isinstance(cached, UnsatOutcome):
-                    failures.append((index, cached.to_error()))
-                    continue
-                results[index] = self._replay(cached)
-                continue
-            self.stats.solve_cache_misses += 1
-            pending[key] = [index]
-
-        if pending:
-            unique = [abstract[indices[0]] for indices in pending.values()]
-            if len(unique) == 1:
-                # a single miss gains nothing from a pool; solve it inline
-                try:
-                    solved: List[Union[ConcretizationResult, UnsatisfiableSpecError]] = [
-                        self._solve_uncached(unique[0])
-                    ]
-                except UnsatisfiableSpecError as error:
-                    solved = [error]
-            else:
-                solved = self._fan_out(unique)
-            for (key, indices), outcome in zip(pending.items(), solved):
-                self.stats.delta_groundings += 1
-                if isinstance(outcome, UnsatisfiableSpecError):
-                    self.solve_cache.put(key, UnsatOutcome.from_error(outcome))
-                    failures.append((indices[0], outcome))
-                    continue
-                pristine = self._copy_result(outcome)
-                self.solve_cache.put(key, pristine)
-                results[indices[0]] = outcome
-                for duplicate in indices[1:]:
-                    results[duplicate] = self._replay(pristine)
-        if failures:
-            failures.sort(key=lambda pair: pair[0])
-            raise failures[0][1]
-        return results
-
-    def _fan_out(self, unique: List[Spec]) -> List[ConcretizationResult]:
-        """Pre-ground the needed bases, then run ``unique`` on the pool.
-
-        Grounding and each base's completion template happen in the parent,
-        before workers fork, so every worker finds its base ready-made and
-        none builds the template again.  The batch's family count is
-        registered in ``_base_demands`` for the duration, widening the local
-        base memo, so a batch spanning more families than the steady-state
-        LRU limit cannot evict a pre-grounded base before the worker that
-        needs it runs — including when several ``solve()`` calls overlap on
-        one session (demands are summed, and each batch removes only its
-        own registration).
-        """
-        families = {self._base_key([spec]) for spec in unique}
-        token = next(_WORKER_BATCH_IDS)
-        self._base_demands[token] = len(families)
-        try:
-            for spec in unique:
-                self._base_for([spec]).prepared.build_template()
-            return self._run_workers(unique)
-        finally:
-            self._base_demands.pop(token, None)
-
-    def _resolve_backend(self) -> str:
-        if self.worker_backend != "auto":
-            return self.worker_backend
-        if "fork" in multiprocessing.get_all_start_methods():
-            return "process"
-        return "thread"
-
-    def _run_workers(
-        self, specs: List[Spec]
-    ) -> List[Union[ConcretizationResult, UnsatisfiableSpecError]]:
-        """Solve ``specs`` (all cache misses, bases pre-grounded) on a pool.
-
-        One executor abstraction covers both backends: ``"process"`` builds
-        a fork-context :class:`~concurrent.futures.ProcessPoolExecutor`
-        (workers inherit the grounded bases through copy-on-write memory and
-        ship back only the ~KB-sized results), ``"thread"`` a
-        :class:`~concurrent.futures.ThreadPoolExecutor`.  If the pool cannot
-        be created, cannot actually start workers (fork happens lazily at
-        the first submit), or dies underneath us (sandboxes without
-        semaphores, fork guards, the OOM killer, ...), the batch degrades to
-        in-process sequential solving rather than failing.  Only pool
-        *infrastructure* failures degrade — an unsatisfiable spec is a
-        per-spec *outcome*: its :class:`UnsatisfiableSpecError` (explanation
-        intact, thanks to ``__reduce__``) is returned in the spec's slot so
-        the caller can cache it and decide which failure to raise.
-        """
-
-        def solve_inline() -> List[Union[ConcretizationResult, UnsatisfiableSpecError]]:
-            outcomes: List[Union[ConcretizationResult, UnsatisfiableSpecError]] = []
-            for spec in specs:
-                try:
-                    outcomes.append(self._solve_uncached(spec))
-                except UnsatisfiableSpecError as error:
-                    outcomes.append(error)
-            return outcomes
-
-        workers = min(self.workers, len(specs))
-        backend = self._resolve_backend()
-        batch = next(_WORKER_BATCH_IDS)
-        _WORKER_BATCHES[batch] = (self, list(specs))
-        executor = None
-        try:
-            try:
-                if backend == "process":
-                    context = multiprocessing.get_context("fork")
-                    executor = ProcessPoolExecutor(
-                        max_workers=workers, mp_context=context
-                    )
-                else:
-                    executor = ThreadPoolExecutor(max_workers=workers)
-                futures = [
-                    executor.submit(_worker_solve, batch, i)
-                    for i in range(len(specs))
-                ]
-            except (OSError, ValueError, RuntimeError):
-                # the pool never came up (no semaphores, cannot fork, cannot
-                # start threads): degrade, don't fail
-                return solve_inline()
-            results: List[Union[ConcretizationResult, UnsatisfiableSpecError]] = []
-            try:
-                for future in futures:
-                    try:
-                        results.append(future.result())
-                    except UnsatisfiableSpecError as error:
-                        results.append(error)
-            except BrokenProcessPool:
-                # a worker process died mid-batch: degrade, don't fail
-                return solve_inline()
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-            _WORKER_BATCHES.pop(batch, None)
-        self.stats.parallel_solves += len(results)
-        for result in results:
-            if isinstance(result, UnsatisfiableSpecError):
-                continue
-            session_stats = result.statistics.get("session")
-            if isinstance(session_stats, dict):
-                session_stats["parallel_backend"] = backend
-        return results
 
     @staticmethod
     def _copy_specs(result: ConcretizationResult) -> Tuple[List[Spec], Dict[str, Spec]]:
@@ -1228,30 +972,3 @@ class ConcretizationSession:
         }
         timings = {"setup": 0.0, "load": 0.0, "ground": 0.0, "solve": 0.0, "total": 0.0}
         return self._copy_result(cached, statistics=statistics, timings=timings)
-
-
-class ParallelConcretizationSession(ConcretizationSession):
-    """A :class:`ConcretizationSession` that solves batches in parallel.
-
-    Pure convenience: ``ParallelConcretizationSession(...)`` is
-    ``ConcretizationSession(..., session_config=SessionConfig(workers="auto"))``
-    — the shared base is still grounded exactly once (in the parent), the
-    solve cache still answers repeats, and results are still element-wise
-    identical to a sequential session in input order.  Pass ``workers=N``
-    explicitly to pin the pool size (this class's own parameter; it
-    overrides ``session_config.workers``), or a
-    ``session_config`` with ``worker_backend="thread"`` on platforms
-    without ``fork``.
-    """
-
-    def __init__(
-        self,
-        *args,
-        workers: Union[int, str] = "auto",
-        session_config: Optional[SessionConfig] = None,
-        **kwargs,
-    ):
-        base = session_config if session_config is not None else SessionConfig()
-        super().__init__(
-            *args, session_config=base.replace(workers=workers), **kwargs
-        )

@@ -7,8 +7,8 @@ per tenant with the three behaviors a real multi-user deployment needs:
 * **deadlines** — every request carries a deadline in seconds (its own, or
   the service default).  The solve runs under ``asyncio.wait_for``; hitting
   the deadline *cancels* the in-flight work through the async session's
-  cancellation machinery (leased workers are returned, pending pool futures
-  cancelled — nothing leaks) and surfaces as
+  cancellation machinery (semaphore permits are returned, queued solves
+  dropped — nothing leaks) and surfaces as
   :class:`DeadlineExceededError` (HTTP 504);
 * **backpressure** — a bounded admission queue maps onto the session's
   ``max_concurrency``: at most ``max_concurrency + queue_limit`` requests
@@ -240,12 +240,9 @@ class ConcretizationService:
     * ``retry_after_s`` — the hint returned with 429 responses;
     * ``session_config`` — a :class:`~repro.spack.concretize.SessionConfig`
       applied to every tenant session (``cache_dir`` for warm restarts and
-      shared snapshots, cache bounds, ...).  The service
-      resolves a ``worker_backend`` of ``"auto"`` to ``"thread"``: the
-      service process runs many transport threads, and forking a process
-      pool out of a threaded server is a foot-gun;
-    * ``worker_backend`` — explicit backend override for the underlying
-      sessions (wins over ``session_config.worker_backend``).
+      shared snapshots, cache bounds, ...).  Each tenant session solves on
+      its async session's threads; process parallelism comes from serving
+      with ``--workers N`` (:func:`~repro.spack.service.http.serve`).
 
     Use as a context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -258,17 +255,9 @@ class ConcretizationService:
         queue_limit: int = 8,
         default_deadline_s: float = 30.0,
         retry_after_s: float = 1.0,
-        worker_backend: Optional[str] = None,
         session_config: Optional[SessionConfig] = None,
     ):
         config = session_config if session_config is not None else SessionConfig()
-        if worker_backend is None:
-            worker_backend = (
-                "thread"
-                if config.worker_backend == "auto"
-                else config.worker_backend
-            )
-        config = config.replace(worker_backend=worker_backend)
         if max_concurrency is None:
             max_concurrency = (
                 config.max_concurrency if config.max_concurrency is not None else 4
@@ -282,7 +271,6 @@ class ConcretizationService:
         self.queue_limit = int(queue_limit)
         self.default_deadline_s = float(default_deadline_s)
         self.retry_after_s = float(retry_after_s)
-        self.worker_backend = worker_backend
         self.session_config = config
 
         self._admission = threading.Semaphore(self.max_concurrency + self.queue_limit)
@@ -514,7 +502,7 @@ class ConcretizationService:
             )
         except asyncio.TimeoutError:
             # wait_for cancelled the batch task before raising: the async
-            # session's cleanup already returned the leased workers
+            # session's cleanup already returned its permits
             raise DeadlineExceededError(deadline_s) from None
 
     def _check_running(self) -> None:
@@ -592,8 +580,7 @@ class ConcretizationService:
 
         The stream is consumed under ``aclosing`` so *any* exit — deadline
         cancellation, a solver error, the transport dropping the connection
-        — deterministically closes the generator and returns the leased
-        workers.
+        — deterministically closes the generator and returns its permits.
         """
         try:
             async def consume():

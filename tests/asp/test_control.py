@@ -112,6 +112,8 @@ class TestSolverConfig:
             lambda: SolverConfig.preset("tweety").with_overrides(restart_strategy="astrology"),
             lambda: SolverConfig.preset("tweety").with_overrides(unknown_knob=1),
             lambda: SolverConfig.preset("tweety").with_overrides(var_decay=2.0),
+            # removed in 3.0.0: objective-first decisions left it nothing to do
+            lambda: SolverConfig.preset("tweety").with_overrides(zero_first=False),
         ],
         ids=[
             "heuristic",
@@ -120,6 +122,7 @@ class TestSolverConfig:
             "restart-strategy",
             "unknown-knob",
             "var-decay",
+            "removed-zero-first",
         ],
     )
     def test_invalid_knobs_rejected(self, make):

@@ -1,25 +1,27 @@
-"""Async concretization sessions: identity, streaming, cancellation, crashes.
+"""Async concretization sessions: identity, streaming, cancellation, races.
 
-The contract under test (ISSUE 4 tentpole, async half):
+The contract under test:
 
 * ``await AsyncConcretizationSession(...).concretize_batch(specs)`` is
-  element-wise identical to the sequential session, in input order, on both
-  worker backends;
+  element-wise identical to the sequential session, in input order;
 * ``as_completed()`` streams every ``(input index, result)`` pair exactly
   once, cache hits first, and the union matches the sequential results;
-* concurrency is bounded by the session-wide semaphore
-  (``max_concurrency``);
-* cancelling a consumer mid-stream returns the leased workers and leaves the
-  session (and the event loop) fully usable — no hung tasks;
-* a worker process that dies mid-solve degrades that call to sequential
-  solving with identical results; solver errors still propagate.
+* solves in flight are bounded by the session-wide semaphore
+  (``max_concurrency``), and reach that bound;
+* cancelling a consumer mid-stream returns its permits and leaves the
+  session (and the event loop) fully usable — no hung tasks; solver errors
+  propagate;
+* concurrent solves on one grounded base build its completion template
+  once, under the base's lock.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import itertools
 import os
+import sys
+import threading
 import time
 from contextlib import aclosing
 
@@ -44,9 +46,6 @@ BATCH = [
     "example",
     "example+bzip",
 ]
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
 
 def signature(result):
     return (
@@ -76,9 +75,9 @@ def sequential_results(micro_repo):
     return [signature(r) for r in session.solve(BATCH)]
 
 
-def make_async(micro_repo, worker_backend="thread", max_concurrency=4):
+def make_async(micro_repo, max_concurrency=4):
     clear_shared_bases()
-    config = SessionConfig(share_ground_cache=False, worker_backend=worker_backend)
+    config = SessionConfig(share_ground_cache=False)
     return AsyncConcretizationSession(
         repo=micro_repo, session_config=config, max_concurrency=max_concurrency
     )
@@ -89,32 +88,13 @@ def make_async(micro_repo, worker_backend="thread", max_concurrency=4):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["thread"] + (["process"] if HAS_FORK else []),
-)
-def test_batch_identical_to_sequential(micro_repo, sequential_results, backend):
+def test_batch_identical_to_sequential(micro_repo, sequential_results):
     async def go():
-        async with make_async(micro_repo, worker_backend=backend) as session:
+        async with make_async(micro_repo) as session:
             return await session.concretize_batch(BATCH)
 
     results = run(go())
     assert [signature(r) for r in results] == sequential_results
-
-
-@pytest.mark.skipif(not HAS_FORK, reason="needs fork-based process workers")
-def test_process_workers_inherit_the_parent_template(micro_repo):
-    """A fan-out completes the base before forking, so no worker builds the
-    completion template again."""
-
-    async def go():
-        async with make_async(micro_repo, worker_backend="process") as session:
-            await session.concretize_batch(BATCH)
-            return session
-
-    session = run(go())
-    assert session.stats.parallel_solves == 6
-    assert session.statistics()["base"]["template_builds"] == 1
 
 
 def test_single_concretize_roundtrip(micro_repo):
@@ -157,7 +137,7 @@ def test_as_completed_yields_cache_hits_first(micro_repo):
             return order
 
     order = run(go())
-    # the warm spec (index 1) streams out before any worker-solved result
+    # the warm spec (index 1) streams out before any freshly solved result
     assert order[0] == 1
 
 
@@ -172,21 +152,44 @@ def test_in_batch_duplicates_never_lease_a_worker(micro_repo):
     assert stats["solve_cache_hits"] == 2  # the two in-batch repeats
     assert stats["solve_cache_misses"] == 6
     assert stats["specs_solved"] == len(BATCH)
-    assert stats["base_groundings"] == 1  # grounded once, before fan-out
+    assert stats["base_groundings"] == 1  # grounded once, under the ground lock
 
 
-def test_semaphore_bounds_inflight_solves(micro_repo, sequential_results):
-    async def go():
-        async with make_async(micro_repo, max_concurrency=1) as session:
+def test_semaphore_bounds_inflight_solves(micro_repo, sequential_results, monkeypatch):
+    """The permit is the only bound on solves in flight: a batch of six
+    distinct misses runs exactly ``max_concurrency`` solves at its peak."""
+    original = ConcretizationSession._solve_uncached
+    lock = threading.Lock()
+    inflight = [0]
+    peak = [0]
+
+    def counted(self, spec, base):
+        with lock:
+            inflight[0] += 1
+            peak[0] = max(peak[0], inflight[0])
+        try:
+            time.sleep(0.05)
+            return original(self, spec, base)
+        finally:
+            with lock:
+                inflight[0] -= 1
+
+    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", counted)
+
+    async def go(max_concurrency):
+        async with make_async(micro_repo, max_concurrency=max_concurrency) as session:
             results = await session.concretize_batch(BATCH)
             return [signature(r) for r in results]
 
-    assert run(go()) == sequential_results
+    for max_concurrency in (1, 2):
+        peak[0] = 0
+        assert run(go(max_concurrency)) == sequential_results
+        assert peak[0] == max_concurrency
 
 
 def test_concurrent_batches_share_one_session(micro_repo):
     """Two overlapping concretize_batch calls on one session must both see
-    correct results (the semaphore and base demands are session-wide)."""
+    correct results (the semaphore and the ground lock are session-wide)."""
 
     async def go():
         async with make_async(micro_repo, max_concurrency=2) as session:
@@ -201,6 +204,57 @@ def test_concurrent_batches_share_one_session(micro_repo):
     versions_lo, versions_hi = run(go())
     assert versions_lo == ["1.0.0", "1.0.0"]
     assert versions_hi == ["1.1.0", "1.1.0"]
+
+
+def test_thread_workers_race_for_one_completion_template(micro_repo):
+    """More concurrent single-spec requests than CPUs, switching threads
+    every microsecond, solve distinct specs over one grounded base on the
+    session's solver threads.  Nothing builds the completion template ahead
+    of the solves: the first solve builds it while the others wait for it
+    under the base's lock, every result matches sequential solving, and the
+    template is built exactly once."""
+    workers = min((os.cpu_count() or 1) + 2, 24)
+    specs = [
+        f"example@{version}{bzip} ^zlib@{zlib}{pic}"
+        for version, bzip, zlib, pic in itertools.product(
+            ("1.0.0", "1.1.0"), ("+bzip", "~bzip"), ("1.3", "1.2.11", "1.2.8"), ("+pic", "~pic")
+        )
+    ][:workers]
+    clear_shared_bases()
+    sequential = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
+    )
+    expected = [signature(r) for r in sequential.solve(specs)]
+
+    clear_shared_bases()
+    session = AsyncConcretizationSession(
+        repo=micro_repo,
+        session_config=SessionConfig(share_ground_cache=False),
+        max_concurrency=workers,
+    )
+
+    async def solve_concurrently():
+        async with session:
+            return await asyncio.gather(*(session.concretize(spec) for spec in specs))
+
+    outcome = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        runner = threading.Thread(
+            target=lambda: outcome.update(results=asyncio.run(solve_concurrently())),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=300)
+        elapsed = time.monotonic() - started
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), f"solver threads still running after {elapsed:.0f} s"
+    assert [signature(r) for r in outcome["results"]] == expected
+    assert session.stats.delta_groundings == len(specs)
+    assert session.statistics()["base"]["template_builds"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +278,7 @@ def test_cancel_mid_stream_returns_workers_and_stays_usable(micro_repo):
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            # leased workers were returned: a fresh solve completes promptly
+            # the permits were returned: a fresh solve completes promptly
             result = await session.concretize("example@1.0.0")
             return got, str(result.spec.versions)
 
@@ -256,10 +310,10 @@ def test_deadline_cancelled_batch_restores_full_concurrency(micro_repo, monkeypa
     original = ConcretizationSession._solve_uncached
     slow = [True]
 
-    def maybe_slow(self, spec, worker=False):
+    def maybe_slow(self, spec, base):
         if slow[0]:
             time.sleep(0.5)
-        return original(self, spec, worker=worker)
+        return original(self, spec, base)
 
     monkeypatch.setattr(ConcretizationSession, "_solve_uncached", maybe_slow)
 
@@ -312,59 +366,6 @@ def test_solver_errors_propagate(micro_repo):
         run(go())
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="process backend needs fork")
-def test_crashing_worker_degrades_to_sequential(micro_repo, sequential_results, monkeypatch):
-    """A worker process dying mid-solve (OOM killer, fork guard, ...) must
-    degrade the affected solves to the fallback thread — identical results,
-    no hung event loop — exactly like the sync session's degradation."""
-    original = ConcretizationSession._solve_uncached
-    parent_pid = os.getpid()
-
-    def dying(self, spec, worker=False):
-        if os.getpid() != parent_pid:
-            os._exit(1)  # simulate the process dying, not a Python exception
-        return original(self, spec, worker=worker)
-
-    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", dying)
-
-    async def go():
-        async with make_async(
-            micro_repo, worker_backend="process", max_concurrency=4
-        ) as session:
-            return await session.concretize_batch(BATCH)
-
-    results = run(go(), timeout=120)
-    assert [signature(r) for r in results] == sequential_results
-
-
-def test_as_completed_completes_under_a_crashing_worker(micro_repo, monkeypatch):
-    """Streaming keeps working through a pool collapse: every index still
-    arrives exactly once (ordering may change — that is the point)."""
-    if not HAS_FORK:
-        pytest.skip("process backend needs fork")
-    original = ConcretizationSession._solve_uncached
-    parent_pid = os.getpid()
-
-    def dying(self, spec, worker=False):
-        if os.getpid() != parent_pid:
-            os._exit(1)
-        return original(self, spec, worker=worker)
-
-    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", dying)
-
-    async def go():
-        async with make_async(
-            micro_repo, worker_backend="process", max_concurrency=4
-        ) as session:
-            indices = []
-            async for index, _result in session.as_completed(BATCH):
-                indices.append(index)
-            return indices
-
-    indices = run(go(), timeout=120)
-    assert sorted(indices) == list(range(len(BATCH)))
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def test_as_completed_completes_under_a_crashing_worker(micro_repo, monkeypatch)
 def test_invalid_construction_is_rejected(micro_repo):
     with pytest.raises(ValueError):
         AsyncConcretizationSession(
-            session=ConcretizationSession(repo=micro_repo), workers=2
+            session=ConcretizationSession(repo=micro_repo), reuse=True
         )
     with pytest.raises(ValueError):
         AsyncConcretizationSession(repo=micro_repo, max_concurrency=0)

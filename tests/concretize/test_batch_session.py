@@ -29,6 +29,16 @@ UNSHARED = SessionConfig(share_ground_cache=False)
 #: an overlapping batch: three distinct solves, two repeats, two spec families
 BATCH = ["example", "example+bzip", "minitool", "example", "example+bzip"]
 
+#: six distinct solves of one spec family
+FAMILY = [
+    "example",
+    "example+bzip",
+    "example~bzip",
+    "example@1.0.0",
+    "example@1.1.0",
+    "example ^zlib~pic",
+]
+
 
 def signature(result):
     """Everything that must match between session and sequential solves.
@@ -274,3 +284,19 @@ def test_store_contents_change_solve_keys(micro_repo):
     key_before = session._solve_key(spec)
     store.install(Concretizer(repo=micro_repo).concretize("example").spec)
     assert session._solve_key(spec) != key_before
+
+
+# ---------------------------------------------------------------------------
+# Search effort
+# ---------------------------------------------------------------------------
+
+
+def test_every_batch_spec_takes_one_model(micro_repo):
+    """Objective-first decisions make each spec's first stable model its
+    optimum, so the optimizer only proves bounds after it (a regression
+    to several improving models per spec shows here, without a clock)."""
+    clear_shared_bases()
+    session = ConcretizationSession(repo=micro_repo, session_config=UNSHARED)
+    for spec in FAMILY:
+        result = session.solve([spec])[0]
+        assert result.statistics["optimization"]["models_found"] == 1, spec

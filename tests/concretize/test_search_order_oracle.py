@@ -1,10 +1,9 @@
 """Order-independence oracle: the optimum does not depend on search order.
 
 Every solver preset searches in its own order (VSIDS or a fixed index
-order, either default phase, its own restarts, with or without the
-zero-first fast path), and a session numbers its solver variables
-differently from a one-shot solve (a completion template plus a delta
-instead of one whole completion).  None of that may change an answer.  On
+order, either default phase, its own restarts), and a session numbers its
+solver variables differently from a one-shot solve (a completion template
+plus a delta instead of one whole completion).  None of that may change an answer.  On
 small random catalogs every preset finds the same optimal cost vector, a
 session returns exactly the one-shot default solve's answer, and a root
 that is unsatisfiable on one path is unsatisfiable on every path.

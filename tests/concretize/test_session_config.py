@@ -6,10 +6,10 @@ The contract under test:
   :class:`~repro.spack.concretize.config.SessionConfig`;
 * the surfaces removed in 2.0.0 — the per-knob constructor kwargs, the
   service's ``session_kwargs``, per-request solver presets, and the
-  ``portfolio`` / ``join_strategy`` / ``persist_ground`` fields — fail with a
-  plain ``TypeError`` instead of being silently accepted;
-* :class:`ParallelConcretizationSession` keeps ``workers`` as a
-  first-class parameter, applied via ``replace()``;
+  ``portfolio`` / ``join_strategy`` / ``persist_ground`` fields — and in
+  3.0.0 — the in-session worker pool's ``workers`` / ``worker_backend``
+  fields and the service's ``worker_backend`` — fail with a plain
+  ``TypeError`` instead of being silently accepted;
 * the async session and the HTTP service accept the same object.
 """
 
@@ -22,11 +22,7 @@ import pytest
 
 from repro.spack.concretize import SessionConfig
 from repro.spack.concretize.async_session import AsyncConcretizationSession
-from repro.spack.concretize.session import (
-    ConcretizationSession,
-    ParallelConcretizationSession,
-    clear_shared_bases,
-)
+from repro.spack.concretize.session import ConcretizationSession, clear_shared_bases
 from repro.spack.service.app import ConcretizationService
 
 
@@ -41,24 +37,20 @@ def make_session(repo, **kwargs):
 
 
 def test_config_is_frozen_and_validated():
-    config = SessionConfig(workers=2, cache_dir="/tmp/x")
+    config = SessionConfig(max_concurrency=2, cache_dir="/tmp/x")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.workers = 4
-    with pytest.raises(ValueError):
-        SessionConfig(workers=0)
-    with pytest.raises(ValueError):
-        SessionConfig(worker_backend="carrier-pigeon")
+        config.max_concurrency = 4
     with pytest.raises(ValueError):
         SessionConfig(max_concurrency=0)
 
 
 def test_replace_returns_a_new_validated_config():
     base = SessionConfig()
-    bumped = base.replace(workers=3)
-    assert bumped.workers == 3
-    assert base.workers == 1  # the original is untouched
+    bumped = base.replace(max_concurrency=3)
+    assert bumped.max_concurrency == 3
+    assert base.max_concurrency is None  # the original is untouched
     with pytest.raises(ValueError):
-        base.replace(workers=-1)
+        base.replace(max_concurrency=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +61,9 @@ def test_replace_returns_a_new_validated_config():
 def test_session_accepts_session_config(micro_repo):
     session = make_session(
         micro_repo,
-        session_config=SessionConfig(workers=2, worker_backend="thread", profile=True),
+        session_config=SessionConfig(share_ground_cache=False, profile=True),
     )
-    assert session.workers == 2
-    assert session.worker_backend == "thread"
+    assert session.share_ground_cache is False
     assert session.session_config.profile is True
     assert session.asp_stats is not None
 
@@ -81,6 +72,11 @@ REMOVED_SURFACES = {
     "config-portfolio": lambda repo, tmp: SessionConfig(portfolio=True),
     "config-join-strategy": lambda repo, tmp: SessionConfig(join_strategy="naive"),
     "config-persist-ground": lambda repo, tmp: SessionConfig(persist_ground=False),
+    "config-workers": lambda repo, tmp: SessionConfig(workers=2),
+    "config-worker-backend": lambda repo, tmp: SessionConfig(worker_backend="thread"),
+    "service-worker-backend": lambda repo, tmp: ConcretizationService(
+        base_repo=repo, worker_backend="thread"
+    ),
     "session-kwarg": lambda repo, tmp: ConcretizationSession(repo=repo, workers=2),
     "async-session-kwarg": lambda repo, tmp: AsyncConcretizationSession(
         repo=repo, cache_dir=str(tmp)
@@ -103,7 +99,7 @@ def test_removed_surfaces_raise_type_error(micro_repo, tmp_path, surface):
 
 def test_session_config_must_be_a_session_config(micro_repo):
     with pytest.raises(TypeError, match="must be a SessionConfig"):
-        make_session(micro_repo, session_config={"workers": 2})
+        make_session(micro_repo, session_config={"cache_dir": "/tmp/x"})
 
 
 def test_unknown_kwarg_raises_type_error(micro_repo):
@@ -114,25 +110,8 @@ def test_unknown_kwarg_raises_type_error(micro_repo):
 def test_config_only_construction_emits_no_warnings(micro_repo):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        session = make_session(micro_repo, session_config=SessionConfig(workers=2))
-    assert session.workers == 2
-
-
-def test_parallel_session_workers_is_first_class(micro_repo):
-    clear_shared_bases()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        session = ParallelConcretizationSession(repo=micro_repo, workers=2)
-    assert session.workers == 2
-    # and it composes with an explicit config
-    clear_shared_bases()
-    session = ParallelConcretizationSession(
-        repo=micro_repo,
-        workers=3,
-        session_config=SessionConfig(worker_backend="thread"),
-    )
-    assert session.workers == 3
-    assert session.worker_backend == "thread"
+        session = make_session(micro_repo, session_config=SessionConfig(snapshots=False))
+    assert session.session_config.snapshots is False
 
 
 def test_async_session_inherits_config_max_concurrency(micro_repo):

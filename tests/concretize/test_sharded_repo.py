@@ -17,10 +17,17 @@ The contract under test (ISSUE 3 tentpole):
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.asp.control import PreparedProgram
-from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
+from repro.spack.concretize import (
+    AsyncConcretizationSession,
+    ConcretizationSession,
+    Concretizer,
+    SessionConfig,
+)
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.directives import depends_on, version
 from repro.spack.errors import PackageError
@@ -74,9 +81,9 @@ def signature(result):
     )
 
 
-def fresh_session(repo, workers=1, cache_dir=None, **kwargs):
+def fresh_session(repo, cache_dir=None, **kwargs):
     clear_shared_bases()
-    config = SessionConfig(share_ground_cache=False, workers=workers, cache_dir=cache_dir)
+    config = SessionConfig(share_ground_cache=False, cache_dir=cache_dir)
     return ConcretizationSession(repo=repo, session_config=config, **kwargs)
 
 
@@ -135,10 +142,19 @@ def test_dependency_on_a_later_shard_is_complete():
 
 
 def test_sharded_parallel_solve_matches_sequential():
+    """Concurrent misses on a layered base: an async batch solves two spec
+    families at once on the session's threads."""
     specs = FAMILY_BATCH + ["minitool"]
     sequential = fresh_session(micro_sharded()).solve(specs)
-    parallel = fresh_session(micro_sharded(), workers=2).solve(specs)
-    for spec, a, b in zip(specs, parallel, sequential):
+
+    async def solve_concurrently():
+        async with AsyncConcretizationSession(
+            session=fresh_session(micro_sharded()), max_concurrency=2
+        ) as session:
+            return await session.concretize_batch(specs)
+
+    concurrent = asyncio.run(solve_concurrently())
+    for spec, a, b in zip(specs, concurrent, sequential):
         assert signature(a) == signature(b), spec
 
 

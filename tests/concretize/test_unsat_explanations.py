@@ -10,9 +10,9 @@ The contract under test (ISSUE 7 tentpole):
   conflict core (removing any single member makes the problem satisfiable);
 * the explanation is *identical* — element-wise, and in the rendered
   message — across every entry point: one-shot :class:`Concretizer`,
-  sequential :class:`ConcretizationSession`, the worker-pool parallel path
-  (surviving process-pool pickling), the async session, and warm replays
-  from both the in-memory and the persistent solve cache;
+  sequential :class:`ConcretizationSession`, the async session, and warm
+  replays from both the in-memory and the persistent solve cache; it
+  survives pickling, so it crosses process boundaries intact;
 * against seeded synthetic catalogs with planted conflicts
   (:class:`~repro.spack.generator.SyntheticRepoBuilder`), the extracted
   core equals the planted ground truth exactly, and relaxing any single
@@ -78,8 +78,7 @@ def test_provenance_roundtrips_through_dict_and_pickle(micro_repo):
     error = unsat_error(lambda: Concretizer(repo=micro_repo).concretize("example %intel"))
     for entry in error.explanation:
         assert ConstraintProvenance.from_dict(entry.to_dict()) == entry
-    # the worker-pool parity below rests on this: the error crosses a
-    # process boundary with its explanation intact
+    # the error crosses a process boundary with its explanation intact
     clone = pickle.loads(pickle.dumps(error))
     assert isinstance(clone, UnsatisfiableSpecError)
     assert clone.explanation == error.explanation
@@ -88,29 +87,21 @@ def test_provenance_roundtrips_through_dict_and_pickle(micro_repo):
 
 
 # ---------------------------------------------------------------------------
-# Path parity (sequential / parallel / async / warm caches)
+# Path parity (sequential / async / warm caches)
 # ---------------------------------------------------------------------------
-
-#: parallel sessions: two pool workers
-TWO_WORKERS = SessionConfig(workers=2)
 
 #: one satisfiable spec on each side of the unsat one, so the parity checks
 #: also prove a failed spec does not poison its batch neighbours
 MIXED_BATCH = ["zlib", "example %intel", "minitool"]
 
 
-def test_parallel_and_async_sessions_match_sequential(micro_repo):
+def test_async_session_matches_sequential(micro_repo):
     sequential = unsat_error(
         lambda: ConcretizationSession(repo=micro_repo).solve(MIXED_BATCH)
     )
-    parallel = unsat_error(
-        lambda: ConcretizationSession(repo=micro_repo, session_config=TWO_WORKERS).solve(MIXED_BATCH)
-    )
 
     async def solve_async():
-        async with AsyncConcretizationSession(
-            repo=micro_repo, session_config=TWO_WORKERS
-        ) as session:
+        async with AsyncConcretizationSession(repo=micro_repo, max_concurrency=2) as session:
             await session.concretize_batch(MIXED_BATCH)
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
@@ -118,10 +109,9 @@ def test_parallel_and_async_sessions_match_sequential(micro_repo):
     one_shot = unsat_error(
         lambda: Concretizer(repo=micro_repo).concretize("example %intel")
     )
-    for error in (parallel, asynchronous):
-        assert error.explanation == sequential.explanation
-        assert str(error) == str(sequential)
-        assert error.specs == sequential.specs
+    assert asynchronous.explanation == sequential.explanation
+    assert str(asynchronous) == str(sequential)
+    assert asynchronous.specs == sequential.specs
     # the one-shot concretizer encodes in a different fact order; the
     # explanation is the same constraints regardless
     assert one_shot.explanation == sequential.explanation
@@ -133,20 +123,14 @@ def test_earliest_input_index_failure_wins(micro_repo):
     batch = ["zlib", "zlib@99.99", "example %intel"]
     sequential = unsat_error(lambda: ConcretizationSession(repo=micro_repo).solve(batch))
     assert sequential.specs == ["zlib @99.99"]
-    parallel = unsat_error(
-        lambda: ConcretizationSession(repo=micro_repo, session_config=TWO_WORKERS).solve(batch)
-    )
 
     async def solve_async():
-        async with AsyncConcretizationSession(
-            repo=micro_repo, session_config=TWO_WORKERS
-        ) as session:
+        async with AsyncConcretizationSession(repo=micro_repo, max_concurrency=2) as session:
             await session.concretize_batch(batch)
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
-    for error in (parallel, asynchronous):
-        assert error.specs == sequential.specs
-        assert error.explanation == sequential.explanation
+    assert asynchronous.specs == sequential.specs
+    assert asynchronous.explanation == sequential.explanation
 
 
 def test_warm_in_memory_cache_replays_the_same_explanation(micro_repo):
@@ -176,7 +160,7 @@ def test_persistent_cache_replays_across_sessions(micro_repo, tmp_path):
 
 
 def test_unsat_does_not_poison_satisfiable_neighbours(micro_repo):
-    session = ConcretizationSession(repo=micro_repo, session_config=TWO_WORKERS)
+    session = ConcretizationSession(repo=micro_repo)
     unsat_error(lambda: session.solve(MIXED_BATCH))
     results = session.solve(["zlib", "minitool"])
     assert [r.spec.name for r in results] == ["zlib", "minitool"]
@@ -242,21 +226,17 @@ def test_scenario_explanations_agree_across_paths():
 
     one_shot = unsat_error(lambda: Concretizer(repo=repo).concretize(spec))
     sequential = unsat_error(lambda: ConcretizationSession(repo=repo).concretize(spec))
-    parallel = unsat_error(
-        lambda: ConcretizationSession(repo=repo, session_config=TWO_WORKERS).solve(
-            ["synth-0000", spec]
-        )
-    )
+    batch = unsat_error(lambda: ConcretizationSession(repo=repo).solve(["synth-0000", spec]))
 
     async def solve_async():
-        async with AsyncConcretizationSession(repo=repo, session_config=TWO_WORKERS) as session:
+        async with AsyncConcretizationSession(repo=repo, max_concurrency=2) as session:
             await session.concretize_batch(["synth-0000", spec])
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
 
     expected = sorted(f"{planted.package}: {d}" for d in planted.directives)
     assert one_shot.core() == expected
-    for error in (sequential, parallel, asynchronous):
+    for error in (sequential, batch, asynchronous):
         assert error.explanation == one_shot.explanation
 
 

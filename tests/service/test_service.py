@@ -195,10 +195,10 @@ def test_deadline_exceeded_cancels_and_releases_workers(service, monkeypatch):
     original = ConcretizationSession._solve_uncached
     slow = [True]
 
-    def maybe_slow(self, spec, worker=False):
+    def maybe_slow(self, spec, base):
         if slow[0]:
             time.sleep(1.0)
-        return original(self, spec, worker=worker)
+        return original(self, spec, base)
 
     monkeypatch.setattr(ConcretizationSession, "_solve_uncached", maybe_slow)
 
@@ -219,9 +219,9 @@ def test_deadline_exceeded_cancels_and_releases_workers(service, monkeypatch):
 def test_mid_stream_deadline_ends_stream_with_504_record(service, monkeypatch):
     original = ConcretizationSession._solve_uncached
 
-    def slow(self, spec, worker=False):
+    def slow(self, spec, base):
         time.sleep(1.0)
-        return original(self, spec, worker=worker)
+        return original(self, spec, base)
 
     monkeypatch.setattr(ConcretizationSession, "_solve_uncached", slow)
     records = list(
@@ -244,9 +244,9 @@ def test_saturation_sheds_load_with_429(service, monkeypatch):
     original = ConcretizationSession._solve_uncached
     release = threading.Event()
 
-    def blocked(self, spec, worker=False):
+    def blocked(self, spec, base):
         release.wait(timeout=30)
-        return original(self, spec, worker=worker)
+        return original(self, spec, base)
 
     monkeypatch.setattr(ConcretizationSession, "_solve_uncached", blocked)
 
@@ -422,9 +422,9 @@ def test_http_batch_and_header_options(server):
 def test_http_deadline_maps_to_504(server, service, monkeypatch):
     original = ConcretizationSession._solve_uncached
 
-    def slow(self, spec, worker=False):
+    def slow(self, spec, base):
         time.sleep(1.0)
-        return original(self, spec, worker=worker)
+        return original(self, spec, base)
 
     monkeypatch.setattr(ConcretizationSession, "_solve_uncached", slow)
     status, body, _ = http_json(
@@ -443,9 +443,9 @@ def test_http_429_carries_retry_after(server, service, monkeypatch):
     original = ConcretizationSession._solve_uncached
     release = threading.Event()
 
-    def blocked(self, spec, worker=False):
+    def blocked(self, spec, base):
         release.wait(timeout=30)
-        return original(self, spec, worker=worker)
+        return original(self, spec, base)
 
     monkeypatch.setattr(ConcretizationSession, "_solve_uncached", blocked)
     results = []
@@ -520,9 +520,6 @@ def test_server_start_stop_is_clean(micro_repo):
     service = ConcretizationService(
         base_repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
     )
-    # the service resolves the config's "auto" backend to threads: forking
-    # a process pool out of a threaded server is a foot-gun
-    assert service.session_config.worker_backend == "thread"
     with service, ConcretizationServer(service, port=0) as server:
         status, body, _ = http_json(f"{server.url}/v1/healthz")
         assert status == 200

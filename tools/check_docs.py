@@ -21,6 +21,13 @@ It also holds the docs to the *curated public surface*: every
 supported API), and every ``__all__`` entry must itself resolve in ``src/``
 (so the export list cannot rot either).
 
+And it holds them to the configuration objects: every keyword of a
+``SessionConfig(...)`` or ``SolverConfig(...)`` call must name a field of
+that dataclass (read from ``src/`` with :mod:`ast`), so a removed knob
+cannot linger in a doc.  Checked: fenced code blocks, example scripts
+(whole), and backtick references of that shape; code that does not parse
+as Python is skipped.
+
 Everything else inside backticks (shell commands, flags, file paths, plain
 words) is ignored.  Run from the repository root (CI does)::
 
@@ -41,6 +48,7 @@ DOC_FILES = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"
 EXAMPLE_FILES = sorted((REPO_ROOT / "examples").glob("*.py"))
 
 BACKTICK = re.compile(r"`([^`\n]+)`")
+INLINE_CODE = re.compile(r"`([^`]+)`")
 MODULE_PATH = re.compile(r"^repro(\.\w+)+$")
 CLASS_REF = re.compile(r"^[A-Z][A-Za-z0-9]*(\.\w+)*$")
 FUNCTION_CALL = re.compile(r"^[a-z_][a-z0-9_]*\(\)$")
@@ -49,8 +57,6 @@ CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]+$")
 #: Well-known names docs may reference that live in the standard library, not
 #: in src/. Builtins (``None``, ``repr``, ...) are detected automatically.
 STDLIB_ALLOWLIST = {
-    "BrokenProcessPool",
-    "ProcessPoolExecutor",
     "ThreadPoolExecutor",
     "OrderedDict",
     "Path",
@@ -127,12 +133,19 @@ def defined_in(symbol: str, corpus: str) -> bool:
     return re.search(pattern, corpus, re.MULTILINE) is not None
 
 
-def scan_text(source: pathlib.Path, text: str, corpus: str, failures: list) -> int:
+def scan_text(
+    source: pathlib.Path, text: str, corpus: str, fields: dict, failures: list
+) -> int:
     """Check every backtick-quoted reference in ``text``; returns the count
     of references that matched a checked shape."""
     # drop fenced code blocks: they hold shell sessions and pseudo-code
     text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
     checked = 0
+    for match in INLINE_CODE.finditer(text):
+        # an inline span may wrap lines, inside a blockquote too
+        code = re.sub(r"\n\s*>?", " ", match.group(1)).strip()
+        if "Config(" in code:
+            checked += check_config_calls(source, code, fields, failures)
     seen = set()
     for match in BACKTICK.finditer(text):
         # strip the Sphinx short-name marker (``~repro.spack.store.SolveCache``)
@@ -216,6 +229,54 @@ def check_imports(source: pathlib.Path, text: str, exports: dict, failures: list
     return checked
 
 
+#: Configuration dataclasses whose call keywords docs and examples must keep
+#: valid, and the module defining each.
+CONFIG_CLASSES = {
+    "SessionConfig": SRC / "repro" / "spack" / "concretize" / "config.py",
+    "SolverConfig": SRC / "repro" / "asp" / "configs.py",
+}
+
+
+def load_config_fields() -> dict:
+    """``{class name: set(field names)}`` for :data:`CONFIG_CLASSES` (a
+    class that moved fails here, instead of silently checking nothing)."""
+    fields = {}
+    for name, path in CONFIG_CLASSES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        (cls,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name]
+        fields[name] = {
+            statement.target.id
+            for statement in cls.body
+            if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+        }
+    return fields
+
+
+def check_config_calls(source: pathlib.Path, code: str, fields: dict, failures: list) -> int:
+    """Every keyword of a config-class call in ``code`` must name one of its
+    fields; returns the count of keywords checked (0 if ``code`` does not
+    parse as Python)."""
+    try:
+        tree = ast.parse(code)
+    except SyntaxError:
+        return 0
+    checked = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for keyword in node.keywords if name in fields else ():
+            if keyword.arg is None:  # **options
+                continue
+            checked += 1
+            if keyword.arg not in fields[name]:
+                failures.append(
+                    (source.relative_to(REPO_ROOT), f"{name}({keyword.arg}=...)",
+                     f"{name} has no field {keyword.arg!r}")
+                )
+    return checked
+
+
 def example_docstring(path: pathlib.Path) -> str:
     """The module docstring of one example (empty when absent/unparsable)."""
     try:
@@ -228,19 +289,22 @@ def example_docstring(path: pathlib.Path) -> str:
 def main() -> int:
     corpus = load_sources()
     exports = load_exports()
+    fields = load_config_fields()
     failures = []
     checked = check_exports_resolve(exports, corpus, failures)
     for doc in DOC_FILES:
         if not doc.is_file():
             continue
         text = doc.read_text(encoding="utf-8")
-        checked += scan_text(doc, text, corpus, failures)
+        checked += scan_text(doc, text, corpus, fields, failures)
         checked += check_imports(doc, text, exports, failures)
+        for block in FENCED_BLOCK.findall(text):
+            checked += check_config_calls(doc, block, fields, failures)
     for example in EXAMPLE_FILES:
-        checked += scan_text(example, example_docstring(example), corpus, failures)
-        checked += check_imports(
-            example, example.read_text(encoding="utf-8"), exports, failures
-        )
+        source = example.read_text(encoding="utf-8")
+        checked += scan_text(example, example_docstring(example), corpus, fields, failures)
+        checked += check_imports(example, source, exports, failures)
+        checked += check_config_calls(example, source, fields, failures)
 
     for doc, token, reason in failures:
         print(f"FAIL {doc}: `{token}` — {reason}", file=sys.stderr)

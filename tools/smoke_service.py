@@ -85,10 +85,10 @@ def main() -> int:
         original = ConcretizationSession._solve_uncached
         slow = [True]
 
-        def maybe_slow(self, spec, worker=False):
+        def maybe_slow(self, spec, base):
             if slow[0]:
                 time.sleep(2.0)
-            return original(self, spec, worker=worker)
+            return original(self, spec, base)
 
         ConcretizationSession._solve_uncached = maybe_slow
         try:
