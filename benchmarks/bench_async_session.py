@@ -59,10 +59,7 @@ MAX_CONCURRENCY = 4
 
 def sequential_baseline():
     clear_shared_bases()
-    session = ConcretizationSession(
-        repo=micro_repo(),
-        session_config=SessionConfig(share_ground_cache=False),
-    )
+    session = ConcretizationSession(repo=micro_repo())
     start = time.perf_counter()
     results = session.solve(list(WORKLOAD))
     elapsed = time.perf_counter() - start
@@ -73,8 +70,7 @@ async def streamed():
     clear_shared_bases()
     async with AsyncConcretizationSession(
         repo=micro_repo(),
-        session_config=SessionConfig(share_ground_cache=False),
-        max_concurrency=MAX_CONCURRENCY,
+        session_config=SessionConfig(max_concurrency=MAX_CONCURRENCY),
     ) as session:
         results = [None] * len(WORKLOAD)
         start = time.perf_counter()

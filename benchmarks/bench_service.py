@@ -138,10 +138,9 @@ def main(argv=None) -> int:
     rows = []
     with ConcretizationService(
         base_repo=micro_repo(),
-        max_concurrency=MAX_CONCURRENCY,
         queue_limit=QUEUE_LIMIT,
         default_deadline_s=60.0,
-        session_config=SessionConfig(),
+        session_config=SessionConfig(max_concurrency=MAX_CONCURRENCY),
     ) as service:
         specs_of = {}
         for tenant, (package_cls, private_spec) in TENANTS.items():

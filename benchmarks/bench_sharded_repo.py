@@ -75,7 +75,7 @@ def timed_solve(repo, workload, cache_dir):
     clear_shared_bases()
     session = ConcretizationSession(
         repo=repo,
-        session_config=SessionConfig(share_ground_cache=False, cache_dir=cache_dir),
+        session_config=SessionConfig(cache_dir=cache_dir),
     )
     start = time.perf_counter()
     results = session.solve(list(workload))

@@ -99,7 +99,7 @@ def run_replay_child(cache_dir: str) -> int:
     repo = micro_repo()
     session = ConcretizationSession(
         repo=repo,
-        session_config=SessionConfig(share_ground_cache=False, cache_dir=cache_dir),
+        session_config=SessionConfig(cache_dir=cache_dir),
     )
     start = time.perf_counter()
     results = session.solve(list(WARM_WORKLOAD))
@@ -121,7 +121,7 @@ def run_warm_start(repo, cache_dir):
     clear_shared_bases()
     cold = ConcretizationSession(
         repo=repo,
-        session_config=SessionConfig(share_ground_cache=False, cache_dir=cache_dir),
+        session_config=SessionConfig(cache_dir=cache_dir),
     )
     start = time.perf_counter()
     cold_results = cold.solve(list(WARM_WORKLOAD))

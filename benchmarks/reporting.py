@@ -48,7 +48,6 @@ QUICK_BENCHMARKS = (
     "bench_async_session.py",
     "bench_service.py",
     "bench_unsat.py",
-    "bench_profile.py",
     "bench_snapshot.py",
 )
 

@@ -22,7 +22,7 @@ Run with::
 import asyncio
 import time
 
-from repro.spack.concretize import AsyncConcretizationSession
+from repro.spack.concretize import AsyncConcretizationSession, SessionConfig
 from repro.spack.directives import depends_on, version
 from repro.spack.package import Package
 from repro.spack.repo import Repository, ShardedRepository, builtin_repository
@@ -65,7 +65,8 @@ async def main():
     # pairs in *completion* order: cache hits first, then each solve the
     # moment it finishes.
     # ------------------------------------------------------------------
-    async with AsyncConcretizationSession(repo=composed, max_concurrency=4) as session:
+    config = SessionConfig(max_concurrency=4)
+    async with AsyncConcretizationSession(repo=composed, session_config=config) as session:
         start = time.perf_counter()
         async for index, result in session.as_completed(REQUESTS):
             elapsed = time.perf_counter() - start

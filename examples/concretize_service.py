@@ -34,6 +34,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.spack.concretize import SessionConfig
 from repro.spack.directives import depends_on, version
 from repro.spack.package import Package
 from repro.spack.service import ConcretizationServer, ConcretizationService
@@ -61,7 +62,9 @@ def post(url, payload):
 
 
 def main():
-    service = ConcretizationService(max_concurrency=4, default_deadline_s=120.0)
+    service = ConcretizationService(
+        default_deadline_s=120.0, session_config=SessionConfig(max_concurrency=4)
+    )
     service.add_tenant("acme", packages=[Webstack])
 
     with service, ConcretizationServer(service, port=0) as server:

@@ -28,7 +28,7 @@ from repro.asp.grounder import Grounder
 from repro.asp.optimization import OptimizationResult, Optimizer
 from repro.asp.parser import parse_program
 from repro.asp.solver import CDCLSolver
-from repro.asp.stats import ASPStats, PhaseTimer
+from repro.asp.stats import PhaseTimer
 from repro.asp.syntax import Program, ground_atom
 
 #: Parsed-program memo: the concretizer loads the same ~300-line logic program
@@ -108,13 +108,8 @@ class SolveResult:
 class Control:
     """Top-level entry point of the ASP system (the 'clingo' object)."""
 
-    def __init__(
-        self,
-        config: Optional[SolverConfig] = None,
-        stats: Optional[ASPStats] = None,
-    ):
+    def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig.preset("tweety")
-        self.stats = stats
         self.timer = PhaseTimer()
         self.program = Program()
         self.extra_facts: List[Tuple] = []
@@ -152,7 +147,7 @@ class Control:
     def ground(self) -> GroundProgram:
         """Ground the program against the accumulated facts ("ground" phase)."""
         with self.timer.phase("ground"):
-            grounder = Grounder(self.program, self.extra_facts, stats=self.stats)
+            grounder = Grounder(self.program, self.extra_facts)
             self.ground_program = grounder.ground()
         return self.ground_program
 
@@ -176,26 +171,14 @@ class Control:
         if self.ground_program is None:
             self.ground()
 
-        stats = self.stats
-        stage = stats.stage if stats is not None else None
         with self.timer.phase("solve"):
-            if stage is not None:
-                with stage("solve.complete"):
-                    self.completed = complete(
-                        self.ground_program, self._build_solver(), base=self._base_completion
-                    )
-            else:
-                self.completed = complete(
-                    self.ground_program, self._build_solver(), base=self._base_completion
-                )
+            self.completed = complete(
+                self.ground_program, self._build_solver(), base=self._base_completion
+            )
             self._optimizer = Optimizer(
                 self.completed, enforce_stability=self.config.enforce_stability
             )
-            if stage is not None:
-                with stage("solve.search"):
-                    outcome: OptimizationResult = self._optimizer.optimize()
-            else:
-                outcome = self._optimizer.optimize()
+            outcome: OptimizationResult = self._optimizer.optimize()
         if self._base_completion is not None:
             self._base_completion.count_skipped(self._optimizer.enforcer.skipped)
 
@@ -274,17 +257,16 @@ class PreparedProgram:
         base_facts: Sequence[Tuple] = (),
         config: Optional[SolverConfig] = None,
         possible_hints: Sequence[Tuple] = (),
-        stats: Optional[ASPStats] = None,
         fact_source=None,
     ):
         """``fact_source``, when given, is a callable invoked with a
         ``write(atom)`` sink; it streams base facts straight into the
         grounder (no intermediate fact list) and may *return* extra possible
         hints computed during emission (e.g. hints that depend on what was
-        encoded).  It composes with, and is ordered after, ``base_facts``.
+        encoded).  It composes with, and is ordered after, ``base_facts``;
+        its time is accounted as "setup", not "ground".
         """
         self.config = config or SolverConfig.preset("tweety")
-        self.stats = stats
         self.timer = PhaseTimer()
         #: source text kept for flat snapshots (repro.asp.snapshot): an
         #: attaching process reparses it via the per-process parse memo
@@ -295,9 +277,10 @@ class PreparedProgram:
         atoms = [ground_atom(*fact) for fact in base_facts]
         hints = [ground_atom(*hint) for hint in possible_hints]
         with self.timer.phase("ground"):
-            self._base = Grounder(self.program, atoms, possible_hints=hints, stats=stats)
+            self._base = Grounder(self.program, atoms, possible_hints=hints)
             if fact_source is not None:
-                streamed_hints = fact_source(self._base.fact_writer())
+                with self.timer.phase("setup"):
+                    streamed_hints = fact_source(self._base.fact_writer())
                 if streamed_hints:
                     self._base.add_possible_hints(
                         ground_atom(*hint) for hint in streamed_hints
@@ -341,7 +324,6 @@ class PreparedProgram:
         """
         layered = PreparedProgram.__new__(PreparedProgram)
         layered.config = self.config
-        layered.stats = self.stats
         layered.timer = PhaseTimer()
         layered.text = self.text
         layered.program = self.program
@@ -376,14 +358,22 @@ class PreparedProgram:
         grounding under "ground" (its "load" is zero — parsing happened once,
         in :meth:`__init__`).  ``fact_source`` streams additional delta
         facts, same contract as in :meth:`__init__` (hints it returns are
-        ignored here — the delta layer derives possibility itself).
+        ignored here — the delta layer derives possibility itself), and its
+        time is likewise accounted as "setup".
         """
         self.forks += 1
-        control = Control(config=config or self.config, stats=self.stats)
+        control = Control(config=config or self.config)
+
+        def timed_source(write):
+            with control.timer.phase("setup"):
+                fact_source(write)
+
         with control.timer.phase("ground"):
             grounder = self._base.clone()
             atoms = [ground_atom(*fact) for fact in extra_facts]
-            grounder.ground_delta(atoms, fact_source=fact_source)
+            grounder.ground_delta(
+                atoms, fact_source=None if fact_source is None else timed_source
+            )
         control.adopt_ground(grounder.ground_program, base=self._completion)
         return control
 

@@ -33,8 +33,6 @@ fully grounded ``Grounder`` remains picklable for the on-disk ground cache.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.asp.errors import GroundingError
@@ -45,7 +43,6 @@ from repro.asp.ground import (
     GroundProgram,
     GroundRule,
 )
-from repro.asp.stats import ASPStats
 from repro.asp.symbols import SymbolTable
 from repro.asp.syntax import (
     Atom,
@@ -71,11 +68,6 @@ Substitution = Dict[str, object]
 
 #: relation key: (predicate name, arity)
 RelKey = Tuple[str, int]
-
-
-@contextmanager
-def _null_stage(name):
-    yield
 
 
 class _Relation:
@@ -775,7 +767,6 @@ class _CompiledStatement:
     def __init__(self, statement, kind: str, symbols: SymbolTable):
         self.statement = statement
         self.kind = kind
-        self.label = str(statement)
         if kind == "minimize_element":
             body = statement.condition
         else:
@@ -975,9 +966,7 @@ class Grounder:
     arrive only in a later shard layer.
 
     All clones of one base share a :class:`SymbolTable` (and the compiled
-    join plans), so id-tuples agree across the whole lineage.  An optional
-    :class:`~repro.asp.stats.ASPStats` collects per-stage (and, opt-in,
-    per-rule) grounding timings.
+    join plans), so id-tuples agree across the whole lineage.
     """
 
     def __init__(
@@ -986,11 +975,9 @@ class Grounder:
         extra_facts: Sequence[tuple] = (),
         possible_hints: Sequence[tuple] = (),
         symbols: Optional[SymbolTable] = None,
-        stats: Optional[ASPStats] = None,
     ):
         self.program = program
         self.symbols = symbols if symbols is not None else SymbolTable()
-        self.stats = stats
         self.ground_program = GroundProgram()
         self.possible = _AtomDatabase()
         self.certain = _AtomDatabase()
@@ -1056,34 +1043,24 @@ class Grounder:
         return write
 
     def ground(self) -> GroundProgram:
-        stats = self.stats
-        stage = stats.stage if stats is not None else _null_stage
-        with stage("ground.setup"):
-            facts, rules, constraints = self._split_statements()
-            for rule in rules + constraints:
-                self._check_safety(rule)
-            for minimize in self.program.minimizes:
-                self._check_minimize_safety(minimize)
-        with stage("ground.facts"):
-            self._add_facts(facts)
-            for atom in self._possible_hints:
-                key, args = self._ids_of(atom)
-                self.possible.add(key, args)
-        with stage("ground.setup"):
-            self._components = self._stratify(rules)
-            self._constraints = constraints
-        with stage("ground.rules"):
-            for component_rules in self._components:
-                self._ground_component(component_rules)
-        with stage("ground.constraints"):
-            for constraint in constraints:
-                self._ground_constraint(constraint)
-        with stage("ground.minimize"):
-            for minimize in self.program.minimizes:
-                self._ground_minimize(minimize)
+        facts, rules, constraints = self._split_statements()
+        for rule in rules + constraints:
+            self._check_safety(rule)
+        for minimize in self.program.minimizes:
+            self._check_minimize_safety(minimize)
+        self._add_facts(facts)
+        for atom in self._possible_hints:
+            key, args = self._ids_of(atom)
+            self.possible.add(key, args)
+        self._components = self._stratify(rules)
+        self._constraints = constraints
+        for component_rules in self._components:
+            self._ground_component(component_rules)
+        for constraint in constraints:
+            self._ground_constraint(constraint)
+        for minimize in self.program.minimizes:
+            self._ground_minimize(minimize)
         self.base_groundings += 1
-        if stats is not None:
-            stats.count("base_groundings")
         return self.ground_program
 
     def clone(self) -> "Grounder":
@@ -1101,7 +1078,6 @@ class Grounder:
         other = Grounder.__new__(Grounder)
         other.program = self.program
         other.symbols = self.symbols
-        other.stats = self.stats
         other.ground_program = self.ground_program.copy()
         other.possible = self.possible.fork()
         other.certain = self.certain.fork()
@@ -1148,39 +1124,32 @@ class Grounder:
                 )
             self._possible_hints.extend(possible_hints)
             return self.ground()
-        stats = self.stats
-        stage = stats.stage if stats is not None else _null_stage
         delta = _AtomDatabase()
-        with stage("delta.facts"):
-            def add_fact(atom):
-                key, args = self._ids_of(atom)
-                if self.possible.add(key, args):
-                    delta.add(key, args)
-                self.certain.add(key, args)
-                atom_id = self._value_atom_id(atom, key, args)
-                self.ground_program.facts.add(atom_id)
 
-            for atom in extra_facts:
-                add_fact(atom)
-            if fact_source is not None:
-                fact_source(lambda atom: add_fact(ground_atom(*atom)))
-            for atom in possible_hints:
-                self._possible_hints.append(atom)
-                key, args = self._ids_of(atom)
-                if self.possible.add(key, args):
-                    delta.add(key, args)
-        with stage("delta.rules"):
-            for component_rules in self._components:
-                self._ground_component(component_rules, delta)
-        with stage("delta.constraints"):
-            for constraint in self._constraints:
-                self._ground_constraint(constraint, delta)
-        with stage("delta.minimize"):
-            for minimize in self.program.minimizes:
-                self._ground_minimize(minimize, delta)
+        def add_fact(atom):
+            key, args = self._ids_of(atom)
+            if self.possible.add(key, args):
+                delta.add(key, args)
+            self.certain.add(key, args)
+            atom_id = self._value_atom_id(atom, key, args)
+            self.ground_program.facts.add(atom_id)
+
+        for atom in extra_facts:
+            add_fact(atom)
+        if fact_source is not None:
+            fact_source(lambda atom: add_fact(ground_atom(*atom)))
+        for atom in possible_hints:
+            self._possible_hints.append(atom)
+            key, args = self._ids_of(atom)
+            if self.possible.add(key, args):
+                delta.add(key, args)
+        for component_rules in self._components:
+            self._ground_component(component_rules, delta)
+        for constraint in self._constraints:
+            self._ground_constraint(constraint, delta)
+        for minimize in self.program.minimizes:
+            self._ground_minimize(minimize, delta)
         self.delta_groundings += 1
-        if stats is not None:
-            stats.count("delta_groundings")
         return self.ground_program
 
     # -- interning helpers --------------------------------------------------
@@ -1383,21 +1352,10 @@ class Grounder:
     # -- component grounding -------------------------------------------------
 
     def _ground_component(self, rules: List[Rule], delta: Optional[_AtomDatabase] = None):
-        stats = self.stats
-        per_rule = stats is not None and stats.per_rule
-
         def ground_rule(rule: Rule, rule_delta: Optional[_AtomDatabase]) -> bool:
-            if per_rule:
-                start = perf_counter()
             if isinstance(rule.head, Choice):
-                result = self._ground_choice_rule(rule, rule_delta)
-            else:
-                result = self._ground_normal_rule(rule, rule_delta)
-            if per_rule:
-                stats.add_rule(self._compile(
-                    rule, "choice" if isinstance(rule.head, Choice) else "rule"
-                ).label, perf_counter() - start)
-            return result
+                return self._ground_choice_rule(rule, rule_delta)
+            return self._ground_normal_rule(rule, rule_delta)
 
         if delta is None:
             changed = True
@@ -1737,12 +1695,10 @@ class Grounder:
         # compiled plans embed closures; both rebuild lazily after unpickling
         state.pop("_rule_positions", None)
         state.pop("_compiled", None)
-        state.pop("stats", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.stats = None
         self._compiled = {}
 
 

@@ -381,14 +381,14 @@ class GroundSnapshot:
 
     # -- materialization -----------------------------------------------
 
-    def materialize(self, stats=None) -> PreparedProgram:
+    def materialize(self) -> PreparedProgram:
         """Decode the payload into a live prepared program (memoized)."""
         if self._prepared is not None:
             return self._prepared
         if self._mm is None:
             raise SnapshotError(f"{self.path}: snapshot is closed")
         try:
-            prepared = self._materialize(stats)
+            prepared = self._materialize()
         except SnapshotError:
             raise
         except Exception as exc:  # any decode failure degrades to cold
@@ -396,7 +396,7 @@ class GroundSnapshot:
         self._prepared = prepared
         return prepared
 
-    def _materialize(self, stats) -> PreparedProgram:
+    def _materialize(self) -> PreparedProgram:
         mm = self._mm
         header = self.header
         sym_off = len(SNAPSHOT_MAGIC) + _HEADER_LEN.size + self._header_len
@@ -431,20 +431,17 @@ class GroundSnapshot:
 
         prepared = PreparedProgram.__new__(PreparedProgram)
         prepared.config = SolverConfig(**header["config"])
-        prepared.stats = stats
         prepared.timer = PhaseTimer()
         prepared.text = header["program"]
         with prepared.timer.phase("load"):
             prepared.program = parse_program_cached(prepared.text)
         with prepared.timer.phase("attach"):
-            prepared._base = self._decode_grounder(
-                header, values, data, prepared.program, stats
-            )
+            prepared._base = self._decode_grounder(header, values, data, prepared.program)
         prepared._reset_solve_state()
         return prepared
 
     def _decode_grounder(
-        self, header: dict, values: list, data: List[int], program, stats
+        self, header: dict, values: list, data: List[int], program
     ) -> Grounder:
         sections = header["sections"]
         counts = header["counts"]
@@ -452,7 +449,6 @@ class GroundSnapshot:
         grounder = Grounder.__new__(Grounder)
         grounder.program = program
         grounder.symbols = SymbolTable(values)
-        grounder.stats = stats
         ground = GroundProgram()
         grounder.ground_program = ground
 

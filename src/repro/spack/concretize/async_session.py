@@ -20,9 +20,12 @@ The execution model:
 * the cache pass runs on the event loop: hits (and in-batch duplicates)
   yield immediately and never take a permit;
 * every distinct cache miss becomes one task.  The task finds or grounds its
-  spec family's shared base under a session-wide ground lock (so concurrent
-  calls cannot race the session's base memo), then takes a permit of a
-  session-wide :class:`asyncio.Semaphore` (``max_concurrency``) and runs
+  spec family's shared base on a solver thread, under the wrapped session's
+  ground lock (so a base is ground once, even when the task that started
+  it was cancelled meanwhile); an :class:`asyncio.Lock` queues the tasks
+  before that, so waiting tasks do not hold solver threads.  The task then
+  takes a permit of a session-wide :class:`asyncio.Semaphore`
+  (``SessionConfig.max_concurrency``) and runs
   :meth:`~repro.spack.concretize.session.ConcretizationSession._solve_uncached`
   on the session's one :class:`~concurrent.futures.ThreadPoolExecutor`.  The
   first solve on a base builds its completion template under the base's
@@ -58,7 +61,7 @@ from repro.spack.spec import Spec
 
 
 def default_worker_count() -> int:
-    """The scheduler-visible CPU count (the default ``max_concurrency``)."""
+    """The scheduler-visible CPU count (what ``max_concurrency=None`` means)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity (macOS, Windows)
@@ -72,14 +75,12 @@ class AsyncConcretizationSession:
     session=sync_session)``) or with the same arguments as
     :class:`ConcretizationSession` (they are forwarded verbatim — including
     ``session_config=``, a
-    :class:`~repro.spack.concretize.config.SessionConfig`).  Additional
-    knobs:
+    :class:`~repro.spack.concretize.config.SessionConfig`).
 
-    * ``max_concurrency`` — the semaphore bound on simultaneous solves
-      across *all* concurrent calls on this session, and the size of its
-      solver thread pool.  Defaults to ``session_config.max_concurrency``
-      when set, else the scheduler-visible CPU count
-      (:func:`default_worker_count`).
+    The session config's ``max_concurrency`` bounds simultaneous solves
+    across *all* concurrent calls on this session and sizes its solver
+    thread pool; ``None`` means the scheduler-visible CPU count
+    (:func:`default_worker_count`).
 
     Use it as an async context manager (``async with``) or call
     :meth:`aclose` when done to release the solver threads.
@@ -89,7 +90,6 @@ class AsyncConcretizationSession:
         self,
         *args,
         session: Optional[ConcretizationSession] = None,
-        max_concurrency: Optional[int] = None,
         **kwargs,
     ):
         if session is not None and (args or kwargs):
@@ -98,18 +98,16 @@ class AsyncConcretizationSession:
                 "arguments, not both"
             )
         self.session = session if session is not None else ConcretizationSession(*args, **kwargs)
-        if max_concurrency is None:
-            max_concurrency = self.session.session_config.max_concurrency
-        if max_concurrency is None:
-            max_concurrency = default_worker_count()
-        if int(max_concurrency) < 1:
-            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency!r}")
-        self.max_concurrency = int(max_concurrency)
+        self.max_concurrency = int(
+            self.session.session_config.max_concurrency or default_worker_count()
+        )
         # loop-bound primitives, created lazily inside the running loop (one
         # session object may serve several sequential asyncio.run loops)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
-        self._ground_lock: Optional[asyncio.Lock] = None
+        # tasks wait here for their turn to find or ground a base, so that
+        # waiting does not occupy solver threads
+        self._ground_queue: Optional[asyncio.Lock] = None
         self._pool: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -148,8 +146,8 @@ class AsyncConcretizationSession:
         if self._loop is not loop:
             self._loop = loop
             self._semaphore = asyncio.Semaphore(self.max_concurrency)
-            self._ground_lock = asyncio.Lock()
-        return self._semaphore, self._ground_lock
+            self._ground_queue = asyncio.Lock()
+        return self._semaphore, self._ground_queue
 
     def _solver_pool(self) -> ThreadPoolExecutor:
         """The session's solver threads (base grounding and solves)."""
@@ -209,7 +207,7 @@ class AsyncConcretizationSession:
         error propagates to the consumer after the same cleanup.
         """
         session = self.session
-        semaphore, ground_lock = self._primitives()
+        semaphore, ground_queue = self._primitives()
         loop = asyncio.get_running_loop()
         abstract = session._as_specs(specs)
 
@@ -251,10 +249,10 @@ class AsyncConcretizationSession:
         pool = self._solver_pool()
 
         async def solve(key: Tuple):
-            """Ground (or find) the base under the ground lock, then solve
-            on it under a permit; an unsat error is this spec's outcome."""
+            """Ground (or find) the base, one task at a time, then solve on
+            it under a permit; an unsat error is this spec's outcome."""
             spec = abstract[pending[key][0]]
-            async with ground_lock:
+            async with ground_queue:
                 base = await loop.run_in_executor(pool, session._base_for, [spec])
             async with semaphore:
                 try:

@@ -248,16 +248,15 @@ class Concretizer:
         control = Control(config=self.config)
 
         # setup: generate the problem facts
-        control.timer.start("setup")
-        encoder = ProblemEncoder(
-            self.repo,
-            platform=self.platform,
-            compilers=self.compilers,
-            store=self.store,
-            reuse=self.reuse,
-        )
-        facts = encoder.encode(abstract)
-        control.timer.stop("setup")
+        with control.timer.phase("setup"):
+            encoder = ProblemEncoder(
+                self.repo,
+                platform=self.platform,
+                compilers=self.compilers,
+                store=self.store,
+                reuse=self.reuse,
+            )
+            facts = encoder.encode(abstract)
 
         # load / ground / solve
         control.load(logic_program())

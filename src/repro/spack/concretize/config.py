@@ -1,8 +1,8 @@
 """The public session configuration: one frozen object, every knob.
 
 Every concretization front-end (sync session, async session, HTTP service,
-CLI) takes its execution knobs — the async front-end's concurrency, cache
-directories, disk budgets, profiling, snapshot behaviour — from a single
+CLI) takes its execution knobs — the async front-end's and the service's
+concurrency, the cache directory and its disk budgets — from a single
 frozen :class:`SessionConfig` passed as ``session_config=``::
 
     config = SessionConfig(cache_dir="/var/cache/concretize")
@@ -14,7 +14,9 @@ one raises :class:`TypeError`, and ``SessionConfig(<same name>=...)`` is the
 replacement for each.  The in-session worker pool and its two fields are
 gone since 3.0.0 (passing either raises :class:`TypeError` too): a session
 solves in input order, and ``python -m repro.spack.service --workers N``
-serves from N processes.
+serves from N processes.  4.0.0 removed the ``profile``, ``snapshots`` and
+``share_ground_cache`` fields and the front-ends' own ``max_concurrency``
+keywords, leaving only settings a deployment changes.
 The solver's own search knobs live on
 :class:`~repro.asp.configs.SolverConfig` (the session's ``config=``).
 
@@ -26,7 +28,7 @@ instance across sessions, services, and threads; derive variants with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 __all__ = ["SessionConfig"]
 
@@ -37,36 +39,25 @@ class SessionConfig:
 
     *Concurrency*
 
-    * ``max_concurrency`` — async front-end only: the bound on simultaneous
-      solves and the size of its solver thread pool (``None``: the
-      scheduler-visible CPU count; the service defaults to 4).
+    * ``max_concurrency`` — the async session's and the service's bound on
+      simultaneous solves, and the size of the async session's solver
+      thread pool (``None``: the scheduler-visible CPU count, on every
+      front-end).
 
     *Persistence*
 
     * ``cache_dir`` — directory for the persistent solve/ground/snapshot
       layers; ``None`` (default) stays purely in-memory.  With a directory,
-      grounded bases always persist;
-    * ``snapshots`` — set False to skip the flat mmap-able ground snapshots
-      (``cache_dir`` then persists pickled bases only; see
-      ``docs/CACHING.md``);
+      grounded bases always persist, as pickles and as flat mmap-able
+      snapshots (see ``docs/CACHING.md``);
     * ``cache_max_entries`` / ``cache_max_bytes`` — LRU disk budgets,
-      applied to each persistent layer;
-    * ``share_ground_cache`` — set False to opt out of the process-wide
-      in-memory grounded-base memo.
-
-    *Instrumentation*
-
-    * ``profile`` — ``True`` for per-stage grounding/solving timers,
-      ``"rules"`` to also time each rule.
+      applied to each persistent layer.
     """
 
     max_concurrency: Optional[int] = None
     cache_dir: Optional[str] = None
-    snapshots: bool = True
     cache_max_entries: Optional[int] = None
     cache_max_bytes: Optional[int] = None
-    share_ground_cache: bool = True
-    profile: Union[bool, str] = False
 
     def __post_init__(self):
         if self.max_concurrency is not None and int(self.max_concurrency) < 1:

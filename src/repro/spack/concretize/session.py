@@ -44,8 +44,8 @@ near-zero-copy instead of unpickling an object graph where possible.  All
 layers are keyed by the same content hashes as the in-memory caches, so
 repo/preset/store changes invalidate disk entries exactly like memory ones.
 
-Every execution knob (cache directories and budgets, profiling, snapshots,
-the async front-end's concurrency) lives on one frozen
+Every execution knob (the cache directory and its budgets, the async
+front-end's concurrency) lives on one frozen
 :class:`~repro.spack.concretize.config.SessionConfig` accepted by all
 front-ends via ``session_config=``; the solver's search knobs live on the
 session's :class:`~repro.asp.configs.SolverConfig` (``config=``).
@@ -62,6 +62,7 @@ sharing this module's caches and statistics, and element-wise identical to
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -69,7 +70,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.asp.configs import SolverConfig
 from repro.asp.control import PreparedProgram
 from repro.asp.snapshot import SnapshotError
-from repro.asp.stats import ASPStats, Timer
 from repro.spack.architecture import Platform, default_platform
 from repro.spack.compilers import CompilerRegistry
 from repro.spack.concretize.concretizer import (
@@ -276,10 +276,7 @@ class _GroundedBase:
             return [("root", name) for name in sorted(encoder.possible_packages)]
 
         self.prepared = PreparedProgram(
-            logic_program(),
-            config=session.config,
-            stats=session.asp_stats,
-            fact_source=stream_base,
+            logic_program(), config=session.config, fact_source=stream_base
         )
 
     def _build_layered(self, session: "ConcretizationSession", abstract: Sequence[Spec]):
@@ -313,7 +310,6 @@ class _GroundedBase:
                     layer.facts,
                     config=session.config,
                     possible_hints=layer.hints,
-                    stats=session.asp_stats,
                 )
             else:
                 prepared = prepared.extend(layer.facts, possible_hints=layer.hints)
@@ -390,7 +386,9 @@ _SHARED_LAYERS_LIMIT = 64
 
 
 def clear_shared_bases() -> None:
-    """Drop all memoized grounded bases (mainly for tests and benchmarks)."""
+    """Drop all memoized grounded bases, so the next session grounds (or
+    loads from disk) its own; tests and benchmarks call it to isolate
+    their measurements."""
     _SHARED_BASES.clear()
     _SHARED_LAYERS.clear()
 
@@ -457,9 +455,8 @@ class ConcretizationSession:
 
     Execution knobs live on one frozen
     :class:`~repro.spack.concretize.config.SessionConfig` passed as
-    ``session_config=`` — persistence (``cache_dir``, ``snapshots``,
-    ``cache_max_entries`` / ``cache_max_bytes``, ``share_ground_cache``) and
-    ``profile``; see
+    ``session_config=`` — persistence (``cache_dir``,
+    ``cache_max_entries`` / ``cache_max_bytes``); see
     :class:`SessionConfig` for per-knob semantics.  Problem inputs stay
     explicit parameters, mirroring :class:`Concretizer`, plus:
 
@@ -473,6 +470,12 @@ class ConcretizationSession:
     mmap-able ground snapshots
     (:class:`repro.spack.store.SnapshotStore`) that later *processes*
     attach near-zero-copy instead of unpickling; see ``docs/CACHING.md``.
+
+    Grounded bases are memoized process-wide, so a later session over the
+    same inputs reuses them; :func:`clear_shared_bases` drops that memo.
+    Finding or grounding a base holds the session's ground lock, so calls
+    from several threads (the async session's solver threads, or a sync
+    caller beside them) ground each base once.
     """
 
     def __init__(
@@ -510,38 +513,28 @@ class ConcretizationSession:
             )
         else:
             self.solve_cache = SolveCache()
-        persist = cache_dir is not None
-        self.ground_cache: Optional[PersistentGroundCache] = (
-            PersistentGroundCache(
+        self.ground_cache: Optional[PersistentGroundCache] = None
+        self.snapshot_store: Optional[SnapshotStore] = None
+        if cache_dir is not None:
+            self.ground_cache = PersistentGroundCache(
                 cache_dir,
                 max_entries=cfg.cache_max_entries,
                 max_bytes=cfg.cache_max_bytes,
             )
-            if persist
-            else None
-        )
-        self.snapshot_store: Optional[SnapshotStore] = (
-            SnapshotStore(
+            self.snapshot_store = SnapshotStore(
                 cache_dir,
                 max_entries=cfg.cache_max_entries,
                 max_bytes=cfg.cache_max_bytes,
             )
-            if persist and cfg.snapshots
-            else None
-        )
-        self.share_ground_cache = cfg.share_ground_cache
-        self.profile = cfg.profile
-        self.asp_stats: Optional[ASPStats] = (
-            ASPStats(per_rule=(cfg.profile == "rules")) if cfg.profile else None
-        )
         self.stats = SessionStatistics()
+        # held by _base_for on whichever thread runs it
+        self._ground_lock = threading.Lock()
         self._content_hash: Optional[str] = None
         self._context_token: Optional[str] = None
         self._last_base: Optional[_GroundedBase] = None
         self._local_bases: "OrderedDict[Tuple, _GroundedBase]" = OrderedDict()
         # session-local memo of layered base prefixes (sharded repositories);
-        # the process-wide _SHARED_LAYERS is consulted too unless
-        # share_ground_cache is False
+        # the process-wide _SHARED_LAYERS is consulted after it
         self._local_layers: "OrderedDict[Tuple, PreparedProgram]" = OrderedDict()
         # base keys known to have a valid disk ground-cache entry (avoids a
         # probe per solve)
@@ -621,12 +614,11 @@ class ConcretizationSession:
         if prepared is not None:
             self._local_layers.move_to_end(key)
             return prepared, "memory"
-        if self.share_ground_cache:
-            prepared = _SHARED_LAYERS.get(key)
-            if prepared is not None:
-                _SHARED_LAYERS.move_to_end(key)
-                self._local_layers[key] = prepared
-                return prepared, "memory"
+        prepared = _SHARED_LAYERS.get(key)
+        if prepared is not None:
+            _SHARED_LAYERS.move_to_end(key)
+            self._local_layers[key] = prepared
+            return prepared, "memory"
         if self.snapshot_store is not None:
             # flat snapshot first (same preference as the monolithic path);
             # an attached layer is already on disk in its preferred form, so
@@ -649,10 +641,9 @@ class ConcretizationSession:
         self._local_layers[key] = prepared
         while len(self._local_layers) > _SHARED_LAYERS_LIMIT:
             self._local_layers.popitem(last=False)
-        if self.share_ground_cache:
-            _SHARED_LAYERS[key] = prepared
-            while len(_SHARED_LAYERS) > _SHARED_LAYERS_LIMIT:
-                _SHARED_LAYERS.popitem(last=False)
+        _SHARED_LAYERS[key] = prepared
+        while len(_SHARED_LAYERS) > _SHARED_LAYERS_LIMIT:
+            _SHARED_LAYERS.popitem(last=False)
 
     def _persist_layer(self, key: Tuple, prepared: PreparedProgram) -> None:
         """Write a prefix program through to disk (validated, self-healing).
@@ -688,20 +679,13 @@ class ConcretizationSession:
         if snapshot is None:
             return None
         try:
-            prepared = snapshot.materialize(stats=self.asp_stats)
+            prepared = snapshot.materialize()
         except SnapshotError:
             self.snapshot_store.note_load_error(key)
             snapshot.close()
             return None
         self.stats.snapshot_attaches += 1
         return prepared
-
-    def _attach_instrumentation(self, prepared: PreparedProgram) -> None:
-        """Point a (possibly disk- or memo-loaded) prepared program at this
-        session's profiling collector, so warm bases report here too."""
-        if self.asp_stats is not None and prepared.stats is not self.asp_stats:
-            prepared.stats = self.asp_stats
-            prepared._base.stats = self.asp_stats
 
     def statistics(self) -> Dict[str, object]:
         """Session counters plus the active base's grounder statistics."""
@@ -711,8 +695,6 @@ class ConcretizationSession:
             result["snapshot_store"] = self.snapshot_store.statistics()
         if self._last_base is not None:
             result["base"] = self._last_base.statistics()
-        if self.asp_stats is not None:
-            result["asp"] = self.asp_stats.as_dict()
         return result
 
     # ------------------------------------------------------------------
@@ -736,87 +718,93 @@ class ConcretizationSession:
         of the same roots) share one base; each solve then runs on a program
         exactly as large as a standalone concretizer's, so sharing never
         slows the search down.
+
+        Runs under the session's ground lock, held on the calling thread:
+        a caller that stops waiting (a cancelled async call) cannot let
+        another call ground the same base beside this one.
         """
-        key = self._base_key(abstract)
-        sharded = isinstance(self.repo, ShardedRepository)
-        base = self._local_bases.get(key)
-        if base is not None:
-            self._local_bases.move_to_end(key)
-            self.stats.base_cache_hits += 1
-            self._last_base = base
-            return base
-        if self.share_ground_cache:
+        with self._ground_lock:
+            key = self._base_key(abstract)
+            sharded = isinstance(self.repo, ShardedRepository)
+            base = self._local_bases.get(key)
+            if base is not None:
+                self._local_bases.move_to_end(key)
+                self.stats.base_cache_hits += 1
+                self._last_base = base
+                return base
             base = _SHARED_BASES.get(key)
             if base is not None:
                 _SHARED_BASES.move_to_end(key)
                 self.stats.base_cache_hits += 1
-        from_snapshot = False
-        if base is None and self.snapshot_store is not None and not sharded:
-            # flat snapshots first: attaching is O(header) + a lazy decode,
-            # cheaper than walking a pickled object graph of the same base
-            base = self._attach_snapshot(key, abstract)
-            if base is not None:
-                from_snapshot = True
-                self.stats.base_disk_hits += 1
-                self._snapshot_persisted.add(key)
-        probed_disk = False
-        if base is None and self.ground_cache is not None and not sharded:
-            probed_disk = True
-            loaded = self.ground_cache.get(key)
-            if isinstance(loaded, _GroundedBase):  # reject foreign payloads
-                base = loaded
-                self.stats.base_disk_hits += 1
-                self._ground_persisted.add(key)
-        if base is None:
-            base = _GroundedBase(self, abstract)
-            if base.layers_total:
-                # layered construction (sharded repository): account at
-                # layer granularity — a fully replayed chain grounds nothing
-                self.stats.shard_layers_grounded += base.layers_grounded
-                self.stats.shard_layers_replayed += base.layers_replayed_memory
-                self.stats.shard_layers_disk += base.layers_replayed_disk
-                if base.layers_grounded:
-                    self.stats.base_groundings += 1
-                elif base.layers_replayed_disk:
+            from_snapshot = False
+            if base is None and self.snapshot_store is not None and not sharded:
+                # flat snapshots first: attaching is O(header) + a lazy
+                # decode, cheaper than walking a pickled object graph of the
+                # same base
+                base = self._attach_snapshot(key, abstract)
+                if base is not None:
+                    from_snapshot = True
                     self.stats.base_disk_hits += 1
+                    self._snapshot_persisted.add(key)
+            probed_disk = False
+            if base is None and self.ground_cache is not None and not sharded:
+                probed_disk = True
+                loaded = self.ground_cache.get(key)
+                if isinstance(loaded, _GroundedBase):  # reject foreign payloads
+                    base = loaded
+                    self.stats.base_disk_hits += 1
+                    self._ground_persisted.add(key)
+            if base is None:
+                base = _GroundedBase(self, abstract)
+                if base.layers_total:
+                    # layered construction (sharded repository): account at
+                    # layer granularity — a fully replayed chain grounds
+                    # nothing
+                    self.stats.shard_layers_grounded += base.layers_grounded
+                    self.stats.shard_layers_replayed += base.layers_replayed_memory
+                    self.stats.shard_layers_disk += base.layers_replayed_disk
+                    if base.layers_grounded:
+                        self.stats.base_groundings += 1
+                    elif base.layers_replayed_disk:
+                        self.stats.base_disk_hits += 1
+                    else:
+                        self.stats.base_cache_hits += 1
                 else:
-                    self.stats.base_cache_hits += 1
-            else:
-                self.stats.base_groundings += 1
-        if (
-            self.ground_cache is not None
-            and not sharded
-            and not from_snapshot
-            and key not in self._ground_persisted
-        ):
-            # Write through even when the base came from an in-memory memo
-            # (e.g. grounded by a cache_dir-less session): warm starts must
-            # find every base this session used on disk.  The probe is a
-            # *validated* load (not a bare existence check), so corrupted or
-            # version-skewed entries get overwritten — the cache self-heals.
-            # (Sharded bases persist per chain prefix instead, inside
-            # _GroundedBase._build_layered; snapshot-attached bases are
-            # already on disk in their preferred form.)
-            if probed_disk or not isinstance(
-                self.ground_cache.get(key), _GroundedBase
+                    self.stats.base_groundings += 1
+            if (
+                self.ground_cache is not None
+                and not sharded
+                and not from_snapshot
+                and key not in self._ground_persisted
             ):
-                self.ground_cache.put(key, base)
-            self._ground_persisted.add(key)
-        if not sharded:
-            # Same write-through contract for the flat snapshot beside the
-            # pickle: a validated attach probe, so damaged or skewed files
-            # are overwritten and the layer self-heals.  (Sharded bases
-            # snapshot per chain prefix inside _persist_layer.)
-            self._persist_snapshot(key, base.prepared)
-        if self.share_ground_cache:
+                # Write through even when the base came from the in-memory
+                # memo (e.g. grounded by a cache_dir-less session): warm
+                # starts must find every base this session used on disk.
+                # The probe is a *validated* load (not a bare existence
+                # check), so corrupted or version-skewed entries get
+                # overwritten — the cache self-heals.  (Sharded bases
+                # persist per chain prefix instead, inside
+                # _GroundedBase._build_layered; snapshot-attached bases are
+                # already on disk in their preferred form.)
+                if probed_disk or not isinstance(
+                    self.ground_cache.get(key), _GroundedBase
+                ):
+                    self.ground_cache.put(key, base)
+                self._ground_persisted.add(key)
+            if not sharded:
+                # Same write-through contract for the flat snapshot beside
+                # the pickle: a validated attach probe, so damaged or skewed
+                # files are overwritten and the layer self-heals.  (Sharded
+                # bases snapshot per chain prefix inside _persist_layer.)
+                self._persist_snapshot(key, base.prepared)
             _SHARED_BASES[key] = base
             while len(_SHARED_BASES) > _SHARED_BASES_LIMIT:
                 _SHARED_BASES.popitem(last=False)
-        self._local_bases[key] = base
-        while len(self._local_bases) > _SHARED_BASES_LIMIT:
-            self._local_bases.popitem(last=False)
-        self._last_base = base
-        return base
+            self._local_bases[key] = base
+            while len(self._local_bases) > _SHARED_BASES_LIMIT:
+                self._local_bases.popitem(last=False)
+            self._last_base = base
+            return base
 
     def _attach_snapshot(
         self, key: Tuple, abstract: Sequence[Spec]
@@ -867,21 +855,18 @@ class ConcretizationSession:
         base's lock.  Cache lookups, cache writes and statistics stay with
         the caller.
         """
-        self._attach_instrumentation(base.prepared)
         encoder = base.encoder.fork()
 
         # Stream the per-spec delta facts from the encoder straight into
         # the forked grounder (no intermediate list on the hot path); the
-        # encoder's own fact log still accumulates for the explainer.
-        setup_timer = Timer()
+        # encoder's own fact log still accumulates for the explainer.  The
+        # fork times the stream as "setup".
         delta_facts: List[Tuple] = []
 
         def stream_delta(write):
-            with setup_timer:
-                delta_facts.extend(encoder.encode_delta([spec], sink=write))
+            delta_facts.extend(encoder.encode_delta([spec], sink=write))
 
         control = base.prepared.fork(config=self.config, fact_source=stream_delta)
-        control.timer.add("setup", setup_timer.elapsed)
         result = control.solve()
         statistics: Dict[str, object] = {
             "encoding": encoder.stats.as_dict(),

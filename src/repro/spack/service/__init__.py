@@ -15,9 +15,11 @@ Two layers:
 Run a server with ``python -m repro.spack.service`` (see the README
 quickstart), or embed the pieces directly::
 
+    from repro.spack.concretize import SessionConfig
     from repro.spack.service import ConcretizationService, ConcretizationServer
 
-    with ConcretizationService(max_concurrency=4) as service:
+    config = SessionConfig(max_concurrency=4)
+    with ConcretizationService(session_config=config) as service:
         server = ConcretizationServer(service, host="127.0.0.1", port=8080)
         server.start()
         ...

@@ -1,11 +1,13 @@
 """CLI entry point: ``python -m repro.spack.service [--host H] [--port P]``.
 
 Serves the builtin catalog as the ``default`` tenant.  Options mirror the
-:class:`~repro.spack.service.app.ConcretizationService` constructor knobs
-that matter operationally (concurrency, queue depth, default deadline),
-plus ``--workers N`` for the pre-forked multi-process mode: N processes
-accept on one socket and share warm ground state through the mmap
-snapshot files under ``--cache-dir`` (see ``docs/ARCHITECTURE.md``).
+:class:`~repro.spack.service.app.ConcretizationService` knobs that matter
+operationally: queue depth and default deadline, plus the concurrency and
+cache directory it passes on through one
+:class:`~repro.spack.concretize.config.SessionConfig`.  ``--workers N``
+selects the pre-forked multi-process mode: N processes accept on one
+socket and share warm ground state through the mmap snapshot files under
+``--cache-dir`` (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ def main(argv=None) -> int:
                         help="default per-request deadline in seconds")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent solve/ground/snapshot cache directory")
-    parser.add_argument("--no-snapshots", action="store_true",
-                        help="disable mmap ground snapshots (pickle cache only)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -44,13 +44,11 @@ def main(argv=None) -> int:
                      "state through the snapshot cache on disk)")
 
     session_config = SessionConfig(
-        cache_dir=args.cache_dir,
-        snapshots=not args.no_snapshots,
+        max_concurrency=args.max_concurrency, cache_dir=args.cache_dir
     )
 
     def service_factory() -> ConcretizationService:
         return ConcretizationService(
-            max_concurrency=args.max_concurrency,
             queue_limit=args.queue_limit,
             default_deadline_s=args.deadline,
             session_config=session_config,

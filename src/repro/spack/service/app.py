@@ -10,10 +10,10 @@ per tenant with the three behaviors a real multi-user deployment needs:
   cancellation machinery (semaphore permits are returned, queued solves
   dropped — nothing leaks) and surfaces as
   :class:`DeadlineExceededError` (HTTP 504);
-* **backpressure** — a bounded admission queue maps onto the session's
-  ``max_concurrency``: at most ``max_concurrency + queue_limit`` requests
-  may be in flight (admitted requests beyond ``max_concurrency`` wait on
-  the session semaphore); one more is shed immediately with
+* **backpressure** — a bounded admission queue maps onto the session
+  config's ``max_concurrency``: at most ``max_concurrency + queue_limit``
+  requests may be in flight (admitted requests beyond ``max_concurrency``
+  wait on the session semaphore); one more is shed immediately with
   :class:`OverloadedError` (HTTP 429 + ``Retry-After``) instead of queueing
   without bound;
 * **per-tenant catalogs** — each registered tenant gets its own composed
@@ -41,7 +41,10 @@ import threading
 from contextlib import aclosing
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
-from repro.spack.concretize.async_session import AsyncConcretizationSession
+from repro.spack.concretize.async_session import (
+    AsyncConcretizationSession,
+    default_worker_count,
+)
 from repro.spack.concretize.concretizer import ConcretizationResult
 from repro.spack.concretize.config import SessionConfig
 from repro.spack.concretize.session import ConcretizationSession
@@ -193,20 +196,11 @@ class UnsolvableError(ServiceError):
 class TenantState:
     """One tenant's composed catalog and its (async) session."""
 
-    def __init__(
-        self,
-        name: str,
-        repo: Repository,
-        *,
-        max_concurrency: int,
-        session_config: SessionConfig,
-    ):
+    def __init__(self, name: str, repo: Repository, *, session_config: SessionConfig):
         self.name = name
         self.repo = repo
         self.session = ConcretizationSession(repo=repo, session_config=session_config)
-        self.async_session = AsyncConcretizationSession(
-            session=self.session, max_concurrency=max_concurrency
-        )
+        self.async_session = AsyncConcretizationSession(session=self.session)
         self.overlay: Optional[ShardedRepository] = None
         self.requests = 0
 
@@ -232,17 +226,17 @@ class ConcretizationService:
 
     * ``base_repo`` — the shared base catalog every tenant composes over
       (default: :func:`~repro.spack.repo.builtin_repository`);
-    * ``max_concurrency`` — solver concurrency bound per tenant session
-      (the async session's semaphore);
     * ``queue_limit`` — how many admitted requests may *wait* beyond
       ``max_concurrency`` before new ones are shed with 429;
     * ``default_deadline_s`` — deadline applied when a request carries none;
     * ``retry_after_s`` — the hint returned with 429 responses;
     * ``session_config`` — a :class:`~repro.spack.concretize.SessionConfig`
-      applied to every tenant session (``cache_dir`` for warm restarts and
-      shared snapshots, cache bounds, ...).  Each tenant session solves on
-      its async session's threads; process parallelism comes from serving
-      with ``--workers N`` (:func:`~repro.spack.service.http.serve`).
+      applied to every tenant session: its ``max_concurrency`` bounds each
+      tenant's simultaneous solves (the async session's semaphore; ``None``
+      means the scheduler-visible CPU count), ``cache_dir`` enables warm
+      restarts and shared snapshots.  Each tenant session solves on its
+      async session's threads; process parallelism comes from serving with
+      ``--workers N`` (:func:`~repro.spack.service.http.serve`).
 
     Use as a context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -251,23 +245,16 @@ class ConcretizationService:
         self,
         base_repo: Optional[Repository] = None,
         *,
-        max_concurrency: Optional[int] = None,
         queue_limit: int = 8,
         default_deadline_s: float = 30.0,
         retry_after_s: float = 1.0,
         session_config: Optional[SessionConfig] = None,
     ):
         config = session_config if session_config is not None else SessionConfig()
-        if max_concurrency is None:
-            max_concurrency = (
-                config.max_concurrency if config.max_concurrency is not None else 4
-            )
-        if int(max_concurrency) < 1:
-            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency!r}")
         if int(queue_limit) < 0:
             raise ValueError(f"queue_limit must be >= 0, got {queue_limit!r}")
         self.base_repo = base_repo if base_repo is not None else builtin_repository()
-        self.max_concurrency = int(max_concurrency)
+        self.max_concurrency = int(config.max_concurrency or default_worker_count())
         self.queue_limit = int(queue_limit)
         self.default_deadline_s = float(default_deadline_s)
         self.retry_after_s = float(retry_after_s)
@@ -377,12 +364,7 @@ class ConcretizationService:
             repo: Repository = self.base_repo
         else:
             repo = ShardedRepository.compose(overlay, self.base_repo)
-        state = TenantState(
-            name,
-            repo,
-            max_concurrency=self.max_concurrency,
-            session_config=self.session_config,
-        )
+        state = TenantState(name, repo, session_config=self.session_config)
         state.overlay = overlay if isinstance(overlay, ShardedRepository) else None
         self._tenants[name] = state
         return state

@@ -53,7 +53,7 @@ from repro.spack.spec_parser import parse_spec
 #: serialized layout (or the semantics of what is cached) changes; readers
 #: treat any other version as a miss, so old and new code can share one cache
 #: directory without ever exchanging garbage.
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 #: Age after which an orphaned ``.tmp`` file (an interrupted writer's
 #: leftover) may be reaped by budgeted pruning; generous enough that no
@@ -500,8 +500,8 @@ class PersistentSolveCache(SolveCache):
     raise and can never return a stale or foreign result, because keys embed
     the content hash of every relevant input (see ``docs/CACHING.md``).
 
-    Set ``persist=False`` (or construct a plain :class:`SolveCache`) to
-    disable the disk layer while keeping the interface.
+    A plain :class:`SolveCache` is the memory-only cache with the same
+    interface.
 
     ``max_disk_entries`` / ``max_disk_bytes`` bound the *on-disk* store
     (``max_entries`` remains the in-memory LRU size): every write prunes
@@ -514,13 +514,11 @@ class PersistentSolveCache(SolveCache):
         self,
         cache_dir: str,
         max_entries: int = 1024,
-        persist: bool = True,
         max_disk_entries: Optional[int] = None,
         max_disk_bytes: Optional[int] = None,
     ):
         super().__init__(max_entries)
         self.cache_dir = cache_dir
-        self.persist = persist
         self._disk = _DiskCacheLayer(
             cache_dir,
             "solve",
@@ -548,7 +546,7 @@ class PersistentSolveCache(SolveCache):
                 return entry
         # the disk probe runs outside the lock (file I/O must not serialize
         # concurrent readers or leak a held lock across fork)
-        value = self._load(key) if self.persist else None
+        value = self._load(key)
         with self._lock:
             if value is not None:
                 self.hits += 1
@@ -556,15 +554,13 @@ class PersistentSolveCache(SolveCache):
                 super().put(key, value)  # RLock: reentrant
                 return value
             self.misses += 1
-            if self.persist:
-                self.disk_misses += 1
+            self.disk_misses += 1
             return None
 
     def put(self, key: Hashable, value) -> None:
         """Insert into memory and write through to disk (best effort)."""
         super().put(key, value)
-        if self.persist:
-            self._dump(key, value)
+        self._dump(key, value)
 
     # -- disk layer ----------------------------------------------------
 
@@ -653,12 +649,10 @@ class PersistentGroundCache:
     def __init__(
         self,
         cache_dir: str,
-        persist: bool = True,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ):
         self.cache_dir = cache_dir
-        self.persist = persist
         self._disk = _DiskCacheLayer(
             cache_dir,
             "ground",
@@ -679,8 +673,6 @@ class PersistentGroundCache:
 
     def get(self, key: Hashable):
         """The cached object for ``key``, or None (on any miss or error)."""
-        if not self.persist:
-            return None
         status, payload = self._disk.load(cache_key_token(key))
         with self._lock:
             if status == "hit":
@@ -693,8 +685,6 @@ class PersistentGroundCache:
 
     def put(self, key: Hashable, value) -> None:
         """Persist ``value`` under ``key`` (best effort; never raises)."""
-        if not self.persist:
-            return
         ok, evicted = self._disk.store(cache_key_token(key), value)
         with self._lock:
             if ok:
@@ -744,12 +734,10 @@ class SnapshotStore:
     def __init__(
         self,
         cache_dir: str,
-        persist: bool = True,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ):
         self.cache_dir = cache_dir
-        self.persist = persist
         # no codec: the snapshot module owns the byte layout; this layer
         # reuses only the path mapping and LRU pruning machinery
         self._disk = _DiskCacheLayer(
@@ -785,8 +773,6 @@ class SnapshotStore:
         the caller materializes it (and must be treated as a cold ground —
         sessions do, via :meth:`note_load_error`).
         """
-        if not self.persist:
-            return None
         from repro.asp.snapshot import GroundSnapshot, SnapshotError
 
         token = self._token(key)
@@ -808,8 +794,6 @@ class SnapshotStore:
         """Whether a validated snapshot exists for ``key`` (a silent attach
         probe: no counters move, so write-through existence checks do not
         skew the attach/miss statistics that ``/v1/stats`` reports)."""
-        if not self.persist:
-            return False
         from repro.asp.snapshot import GroundSnapshot, SnapshotError
 
         token = self._token(key)
@@ -840,8 +824,6 @@ class SnapshotStore:
 
     def put(self, key: Hashable, prepared) -> bool:
         """Encode and persist ``prepared`` under ``key`` (best effort)."""
-        if not self.persist:
-            return False
         from repro.asp.snapshot import SnapshotError, snapshot_bytes
 
         token = self._token(key)

@@ -7,12 +7,15 @@ The contract under test:
 * ``as_completed()`` streams every ``(input index, result)`` pair exactly
   once, cache hits first, and the union matches the sequential results;
 * solves in flight are bounded by the session-wide semaphore
-  (``max_concurrency``), and reach that bound;
+  (``SessionConfig.max_concurrency``), and reach that bound;
 * cancelling a consumer mid-stream returns its permits and leaves the
   session (and the event loop) fully usable — no hung tasks; solver errors
   propagate;
 * concurrent solves on one grounded base build its completion template
-  once, under the base's lock.
+  once, under the base's lock;
+* a call cancelled while its base is being ground leaves that grounding to
+  finish under the session's ground lock: the next call reuses the base
+  instead of grounding it again beside it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.spack.concretize import (
     ConcretizationSession,
     SessionConfig,
 )
-from repro.spack.concretize.session import clear_shared_bases
+from repro.spack.concretize.session import _GroundedBase, clear_shared_bases
 from repro.spack.errors import UnsatisfiableSpecError
 
 #: overlapping single-family batch: six distinct solves, two exact repeats
@@ -68,19 +71,15 @@ def run(coro, timeout=120.0):
 
 @pytest.fixture()
 def sequential_results(micro_repo):
-    clear_shared_bases()
-    session = ConcretizationSession(
-        repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
-    )
+    session = ConcretizationSession(repo=micro_repo)
     return [signature(r) for r in session.solve(BATCH)]
 
 
 def make_async(micro_repo, max_concurrency=4):
+    """An async session that grounds its own bases (empty process memo)."""
     clear_shared_bases()
-    config = SessionConfig(share_ground_cache=False)
-    return AsyncConcretizationSession(
-        repo=micro_repo, session_config=config, max_concurrency=max_concurrency
-    )
+    config = SessionConfig(max_concurrency=max_concurrency)
+    return AsyncConcretizationSession(repo=micro_repo, session_config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +219,10 @@ def test_thread_workers_race_for_one_completion_template(micro_repo):
             ("1.0.0", "1.1.0"), ("+bzip", "~bzip"), ("1.3", "1.2.11", "1.2.8"), ("+pic", "~pic")
         )
     ][:workers]
-    clear_shared_bases()
-    sequential = ConcretizationSession(
-        repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
-    )
+    sequential = ConcretizationSession(repo=micro_repo)
     expected = [signature(r) for r in sequential.solve(specs)]
 
-    clear_shared_bases()
-    session = AsyncConcretizationSession(
-        repo=micro_repo,
-        session_config=SessionConfig(share_ground_cache=False),
-        max_concurrency=workers,
-    )
+    session = make_async(micro_repo, max_concurrency=workers)
 
     async def solve_concurrently():
         async with session:
@@ -330,6 +321,35 @@ def test_deadline_cancelled_batch_restores_full_concurrency(micro_repo, monkeypa
     assert run(go(), timeout=60) == ["1.0.0"]
 
 
+def test_cancelled_grounding_is_not_repeated_beside_itself(micro_repo, monkeypatch):
+    """A deadline fires while the first call's base is being ground.  The
+    grounding goes on, on its solver thread, and keeps the session's ground
+    lock until it ends, so the next call of the same family waits for it
+    and reuses the base instead of grounding a second copy beside it."""
+    original = _GroundedBase.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.5)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_GroundedBase, "__init__", slow_init)
+
+    async def go():
+        async with make_async(micro_repo, max_concurrency=2) as session:
+            started = time.perf_counter()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(session.concretize("example"), 0.1)
+            waited = time.perf_counter() - started
+            result = await session.concretize("example+bzip")
+            return waited, result, session.stats
+
+    waited, result, stats = run(go(), timeout=60)
+    assert waited < 0.3  # the deadline fired on time
+    assert result.spec.variants["bzip"] == "true"
+    assert stats.base_groundings == 1
+    assert stats.base_cache_hits == 1
+
+
 def test_abandoned_stream_with_aclosing_restores_full_concurrency(micro_repo):
     """Breaking out of an ``async for`` abandons the generator mid-batch;
     the ``aclosing`` discipline (what the service uses) must cancel the
@@ -377,14 +397,13 @@ def test_invalid_construction_is_rejected(micro_repo):
             session=ConcretizationSession(repo=micro_repo), reuse=True
         )
     with pytest.raises(ValueError):
-        AsyncConcretizationSession(repo=micro_repo, max_concurrency=0)
+        AsyncConcretizationSession(
+            repo=micro_repo, session_config=SessionConfig(max_concurrency=0)
+        )
 
 
 def test_wraps_an_existing_session(micro_repo):
-    clear_shared_bases()
-    sync_session = ConcretizationSession(
-        repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
-    )
+    sync_session = ConcretizationSession(repo=micro_repo)
     sync_results = [signature(r) for r in sync_session.solve(["example"])]
 
     async def go():

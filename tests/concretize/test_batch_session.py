@@ -12,19 +12,21 @@ The contract under test (ISSUE 1):
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.asp.configs import SolverConfig
-from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
-from repro.spack.concretize.session import clear_shared_bases
+from repro.spack.concretize import ConcretizationSession, Concretizer
+from repro.spack.concretize.encoder import ProblemEncoder
 from repro.spack.directives import depends_on, provides, variant, version
 from repro.spack.errors import UnsatisfiableSpecError
 from repro.spack.package import Package
 from repro.spack.repo import Repository
 from repro.spack.store import Database, SolveCache
-
-#: sessions that keep their grounded bases to themselves
-UNSHARED = SessionConfig(share_ground_cache=False)
 
 #: an overlapping batch: three distinct solves, two repeats, two spec families
 BATCH = ["example", "example+bzip", "minitool", "example", "example+bzip"]
@@ -59,7 +61,7 @@ def signature(result):
 
 @pytest.fixture()
 def session(micro_repo):
-    return ConcretizationSession(repo=micro_repo, session_config=UNSHARED)
+    return ConcretizationSession(repo=micro_repo)
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +98,7 @@ def test_unsatisfiable_spec_raises_like_sequential(session):
 def test_reuse_mode_matches_sequential(micro_repo):
     store = Database()
     store.install(Concretizer(repo=micro_repo).concretize("example~bzip").spec)
-    session = ConcretizationSession(
-        repo=micro_repo, store=store, reuse=True, session_config=UNSHARED
-    )
+    session = ConcretizationSession(repo=micro_repo, store=store, reuse=True)
     for spec in ("example~bzip", "minitool"):
         result = session.concretize(spec)
         sequential = Concretizer(repo=micro_repo, store=store, reuse=True).solve([spec])
@@ -107,9 +107,7 @@ def test_reuse_mode_matches_sequential(micro_repo):
 
 def test_store_growth_mid_session_is_picked_up(micro_repo):
     store = Database()
-    session = ConcretizationSession(
-        repo=micro_repo, store=store, reuse=True, session_config=UNSHARED
-    )
+    session = ConcretizationSession(repo=micro_repo, store=store, reuse=True)
     before = session.concretize("example")
     assert before.number_reused == 0
     store.install(Concretizer(repo=micro_repo).concretize("example").spec)
@@ -134,6 +132,36 @@ def test_shared_base_is_grounded_once_per_spec_family(micro_repo, session):
     base_stats = session.statistics()["base"]
     assert base_stats["base_groundings"] == 1
     assert base_stats["forks"] == 3
+
+
+def test_concurrent_base_lookups_ground_once(session):
+    """More threads than CPUs ask one session for the same family's base at
+    once, switching threads every microsecond: the session's ground lock
+    lets one of them ground it and hands every other the same base."""
+    workers = (os.cpu_count() or 1) + 2
+    abstract = session._as_specs(["example"])
+    start = threading.Barrier(workers)
+    bases = []
+
+    def lookup():
+        start.wait()
+        bases.append(session._base_for(abstract))
+
+    threads = [threading.Thread(target=lookup, daemon=True) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(bases) == workers
+    assert all(base is bases[0] for base in bases)
+    assert session.stats.base_groundings == 1
+    assert session.stats.base_cache_hits == workers - 1
 
 
 def test_second_pass_hits_cache_without_regrounding(micro_repo, session):
@@ -170,31 +198,23 @@ def test_replayed_results_are_independent_copies(micro_repo, session):
 
 def test_solve_cache_can_be_shared_across_sessions(micro_repo):
     cache = SolveCache()
-    one = ConcretizationSession(
-        repo=micro_repo, solve_cache=cache, session_config=UNSHARED
-    )
+    one = ConcretizationSession(repo=micro_repo, solve_cache=cache)
     one.solve(["example"])
-    two = ConcretizationSession(
-        repo=micro_repo, solve_cache=cache, session_config=UNSHARED
-    )
+    two = ConcretizationSession(repo=micro_repo, solve_cache=cache)
     result = two.concretize("example")
     assert two.stats.solve_cache_hits == 1
     assert result.statistics["session"]["solve_cache"] == "hit"
 
 
 def test_shared_ground_cache_across_sessions(micro_repo):
-    clear_shared_bases()
-    try:
-        one = ConcretizationSession(repo=micro_repo)
-        one.solve(["example"])
-        assert one.stats.base_groundings == 1
-        two = ConcretizationSession(repo=micro_repo)
-        two.solve(["example+bzip"])
-        # same repo/preset/spec-family: the second session forks the first's base
-        assert two.stats.base_groundings == 0
-        assert two.stats.base_cache_hits == 1
-    finally:
-        clear_shared_bases()
+    one = ConcretizationSession(repo=micro_repo)
+    one.solve(["example"])
+    assert one.stats.base_groundings == 1
+    two = ConcretizationSession(repo=micro_repo)
+    two.solve(["example+bzip"])
+    # same repo/preset/spec-family: the second session forks the first's base
+    assert two.stats.base_groundings == 0
+    assert two.stats.base_cache_hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,31 +239,26 @@ def _micro_like_repo(extra_zlib_version=None):
 
 
 def test_content_hash_is_stable_for_equal_inputs():
-    one = ConcretizationSession(repo=_micro_like_repo(), session_config=UNSHARED)
-    two = ConcretizationSession(repo=_micro_like_repo(), session_config=UNSHARED)
+    one = ConcretizationSession(repo=_micro_like_repo())
+    two = ConcretizationSession(repo=_micro_like_repo())
     assert one.content_hash() == two.content_hash()
 
 
 def test_new_package_version_changes_content_hash():
-    old = ConcretizationSession(repo=_micro_like_repo(), session_config=UNSHARED)
-    new = ConcretizationSession(
-        repo=_micro_like_repo(extra_zlib_version="1.4"), session_config=UNSHARED
-    )
+    old = ConcretizationSession(repo=_micro_like_repo())
+    new = ConcretizationSession(repo=_micro_like_repo(extra_zlib_version="1.4"))
     assert old.content_hash() != new.content_hash()
 
 
 def test_repo_mutation_bypasses_stale_solve_cache():
     cache = SolveCache()
-    old = ConcretizationSession(
-        repo=_micro_like_repo(), solve_cache=cache, session_config=UNSHARED
-    )
+    old = ConcretizationSession(repo=_micro_like_repo(), solve_cache=cache)
     stale = old.concretize("leaftool")
     assert str(stale.specs["zlib"].versions) == "1.3"
 
     new = ConcretizationSession(
         repo=_micro_like_repo(extra_zlib_version="1.4"),
         solve_cache=cache,
-        session_config=UNSHARED,
     )
     fresh = new.concretize("leaftool")
     # the shared cache must not replay the stale 1.3 answer
@@ -258,13 +273,11 @@ def test_switching_presets_changes_content_hash_and_bypasses_cache(micro_repo):
         repo=micro_repo,
         config=SolverConfig.preset("tweety"),
         solve_cache=cache,
-        session_config=UNSHARED,
     )
     frumpy = ConcretizationSession(
         repo=micro_repo,
         config=SolverConfig.preset("frumpy"),
         solve_cache=cache,
-        session_config=UNSHARED,
     )
     assert tweety.content_hash() != frumpy.content_hash()
 
@@ -277,9 +290,7 @@ def test_switching_presets_changes_content_hash_and_bypasses_cache(micro_repo):
 
 def test_store_contents_change_solve_keys(micro_repo):
     store = Database()
-    session = ConcretizationSession(
-        repo=micro_repo, store=store, reuse=True, session_config=UNSHARED
-    )
+    session = ConcretizationSession(repo=micro_repo, store=store, reuse=True)
     spec = session._as_specs(["example"])[0]
     key_before = session._solve_key(spec)
     store.install(Concretizer(repo=micro_repo).concretize("example").spec)
@@ -295,8 +306,32 @@ def test_every_batch_spec_takes_one_model(micro_repo):
     """Objective-first decisions make each spec's first stable model its
     optimum, so the optimizer only proves bounds after it (a regression
     to several improving models per spec shows here, without a clock)."""
-    clear_shared_bases()
-    session = ConcretizationSession(repo=micro_repo, session_config=UNSHARED)
+    session = ConcretizationSession(repo=micro_repo)
     for spec in FAMILY:
         result = session.solve([spec])[0]
         assert result.statistics["optimization"]["models_found"] == 1, spec
+
+
+# ---------------------------------------------------------------------------
+# Phase timings
+# ---------------------------------------------------------------------------
+
+
+def test_solve_timings_count_streamed_setup_once(session, monkeypatch):
+    """A solve's delta facts stream into the grounder from inside its
+    ground phase.  Their encoding is charged to setup alone, so ground
+    excludes it and the total stays within the wall time of the call."""
+    session.concretize("example")  # the family's base, outside the measurement
+    encode_delta = ProblemEncoder.encode_delta
+
+    def slow_encode_delta(self, *args, **kwargs):
+        time.sleep(0.05)
+        return encode_delta(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProblemEncoder, "encode_delta", slow_encode_delta)
+    start = time.perf_counter()
+    timings = session.concretize("example+bzip").timings
+    wall = time.perf_counter() - start
+    assert timings["setup"] >= 0.05
+    assert timings["ground"] < 0.05
+    assert timings["total"] <= wall

@@ -25,11 +25,10 @@ import pytest
 from repro.asp.control import Control, parse_program_cached
 from repro.asp.grounder import Grounder
 from repro.asp.syntax import ground_atom
-from repro.spack.concretize import ConcretizationSession, SessionConfig
+from repro.spack.concretize import ConcretizationSession
 from repro.spack.concretize.concretizer import result_from_solve
 from repro.spack.concretize.encoder import ProblemEncoder
 from repro.spack.concretize.logic import logic_program
-from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.spec_parser import parse_spec
 
 from tests.asp.naive_grounder import NaiveGrounder
@@ -165,10 +164,7 @@ def assert_concretizer_program_identical(make_repo):
     """For every spec: both grounders derive the same ground program and
     the same optimal model, and the naive-grounded answer is the one an
     (indexed) session returns."""
-    clear_shared_bases()
-    session = ConcretizationSession(
-        repo=make_repo(), session_config=SessionConfig(share_ground_cache=False)
-    )
+    session = ConcretizationSession(repo=make_repo())
     for text in BATCH:
         spec = parse_spec(text)
         facts = ProblemEncoder(make_repo()).encode([spec])

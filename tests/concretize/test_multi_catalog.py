@@ -83,7 +83,7 @@ def signature(result):
 
 def fresh_session(repo, cache_dir=None):
     clear_shared_bases()
-    config = SessionConfig(share_ground_cache=False, cache_dir=cache_dir)
+    config = SessionConfig(cache_dir=cache_dir)
     return ConcretizationSession(repo=repo, session_config=config)
 
 

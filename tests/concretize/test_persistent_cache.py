@@ -48,11 +48,7 @@ def signature(result):
 def fresh_session(micro_repo, cache_dir, cache_max_entries=None, **kwargs):
     """A session with cold in-memory caches over a (possibly warm) disk dir."""
     clear_shared_bases()
-    config = SessionConfig(
-        share_ground_cache=False,
-        cache_dir=str(cache_dir),
-        cache_max_entries=cache_max_entries,
-    )
+    config = SessionConfig(cache_dir=str(cache_dir), cache_max_entries=cache_max_entries)
     return ConcretizationSession(repo=micro_repo, session_config=config, **kwargs)
 
 
@@ -102,7 +98,7 @@ def test_second_process_replays_with_zero_solver_calls(micro_repo, tmp_path):
         "repo.set_provider_preference('mpi', ['mpich', 'openmpi'])\n"
         "repo.set_provider_preference('blas', ['miniblas', 'reflapack'])\n"
         "repo.set_provider_preference('lapack', ['miniblas', 'reflapack'])\n"
-        "config = SessionConfig(share_ground_cache=False, cache_dir=sys.argv[1])\n"
+        "config = SessionConfig(cache_dir=sys.argv[1])\n"
         "session = ConcretizationSession(repo=repo, session_config=config)\n"
         "results = session.solve(json.loads(sys.argv[2]))\n"
         "print(json.dumps({'stats': session.stats.as_dict(),\n"
@@ -141,7 +137,6 @@ def test_memo_hit_bases_are_still_written_to_disk(micro_repo, tmp_path):
     """A base grounded by a cache-less session and then *reused* (via the
     process-wide memo) by a persisting session must still land on disk —
     warm starts have to find every base the persisting session used."""
-    clear_shared_bases()
     warmup = ConcretizationSession(repo=micro_repo)  # no cache_dir, shared memo
     warmup.solve(["example"])
 
@@ -202,7 +197,7 @@ def test_truncated_solve_entry_degrades_to_cold_solve(micro_repo, tmp_path):
     one = fresh_session(micro_repo, tmp_path)
     one.solve(["example"])
     (path,) = solve_files(tmp_path)
-    payload = open(path, "rb").read()
+    payload = pathlib.Path(path).read_bytes()
     with open(path, "wb") as handle:
         handle.write(payload[: len(payload) // 2])
 
@@ -215,9 +210,9 @@ def test_version_mismatch_is_a_miss_not_an_error(micro_repo, tmp_path):
     one = fresh_session(micro_repo, tmp_path)
     one.solve(["example"])
     (path,) = solve_files(tmp_path)
-    payload = json.load(open(path))
+    payload = json.loads(pathlib.Path(path).read_text())
     payload["version"] = CACHE_FORMAT_VERSION + 1
-    json.dump(payload, open(path, "w"))
+    pathlib.Path(path).write_text(json.dumps(payload))
 
     two = fresh_session(micro_repo, tmp_path)
     assert two.solve(["example"])[0].spec.concrete
@@ -253,9 +248,9 @@ def test_ground_cache_version_mismatch_is_a_miss(tmp_path):
     cache = PersistentGroundCache(str(tmp_path))
     cache.put("key", {"some": "payload"})
     (path,) = ground_files(tmp_path)
-    payload = pickle.load(open(path, "rb"))
+    payload = pickle.loads(pathlib.Path(path).read_bytes())
     payload["version"] = CACHE_FORMAT_VERSION + 1
-    pickle.dump(payload, open(path, "wb"))
+    pathlib.Path(path).write_bytes(pickle.dumps(payload))
     assert cache.get("key") is None
     assert cache.load_errors == 0
 
@@ -340,7 +335,7 @@ def test_two_sessions_share_one_cache_dir(micro_repo, tmp_path):
     one = fresh_session(micro_repo, tmp_path)
     two = ConcretizationSession(
         repo=micro_repo,
-        session_config=SessionConfig(share_ground_cache=False, cache_dir=str(tmp_path)),
+        session_config=SessionConfig(cache_dir=str(tmp_path)),
     )
     a = one.solve(["example"])[0]
     # session two sees session one's write immediately (through disk)
@@ -385,12 +380,6 @@ def test_concurrent_writers_to_one_key_never_corrupt(micro_repo, tmp_path):
     # no stray temp files left behind
     leftovers = [f for f in os.listdir(tmp_path / "solve") if f.endswith(".tmp")]
     assert leftovers == []
-
-
-def test_persistence_can_be_disabled(tmp_path):
-    cache = PersistentSolveCache(str(tmp_path / "off"), persist=False)
-    cache.put(("k",), object())
-    assert not (tmp_path / "off").exists()
 
 
 # ---------------------------------------------------------------------------

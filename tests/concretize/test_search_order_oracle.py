@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.asp.configs import SolverConfig
-from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
+from repro.spack.concretize import ConcretizationSession, Concretizer
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.errors import UnsatisfiableSpecError
 from repro.spack.generator import SyntheticRepoBuilder
@@ -84,9 +84,7 @@ def test_optimum_does_not_depend_on_search_order(params, data):
             assert costs(found) == costs(reference), preset
 
     clear_shared_bases()
-    session = ConcretizationSession(
-        repo=repo, session_config=SessionConfig(share_ground_cache=False)
-    )
+    session = ConcretizationSession(repo=repo)
     found = answer(session.concretize, root)
     if reference is None:
         assert found is None

@@ -33,7 +33,7 @@ from repro.spack.directives import depends_on, version
 from repro.spack.errors import PackageError
 from repro.spack.package import Package
 from repro.spack.repo import Repository, RepositoryShard, ShardedRepository
-from repro.spack.store import Database
+from repro.spack.store import Database, SolveCache
 
 from tests.conftest import MICRO_PACKAGES
 
@@ -81,9 +81,10 @@ def signature(result):
     )
 
 
-def fresh_session(repo, cache_dir=None, **kwargs):
+def fresh_session(repo, cache_dir=None, max_concurrency=None, **kwargs):
+    """A session with an empty process-wide memo, as a new process has."""
     clear_shared_bases()
-    config = SessionConfig(share_ground_cache=False, cache_dir=cache_dir)
+    config = SessionConfig(cache_dir=cache_dir, max_concurrency=max_concurrency)
     return ConcretizationSession(repo=repo, session_config=config, **kwargs)
 
 
@@ -149,7 +150,7 @@ def test_sharded_parallel_solve_matches_sequential():
 
     async def solve_concurrently():
         async with AsyncConcretizationSession(
-            session=fresh_session(micro_sharded()), max_concurrency=2
+            session=fresh_session(micro_sharded(), max_concurrency=2)
         ) as session:
             return await session.concretize_batch(specs)
 
@@ -283,8 +284,7 @@ def test_warm_session_replays_every_layer_from_disk(tmp_path):
 
     warm = fresh_session(micro_sharded(), cache_dir=str(tmp_path))
     # bypass the solve cache so the grounded base itself is exercised
-    warm.solve_cache.clear()
-    warm.solve_cache.persist = False
+    warm.solve_cache = SolveCache()
     results = [signature(r) for r in warm.solve(FAMILY_BATCH)]
     assert results == expected
     assert warm.stats.shard_layers_grounded == 0
@@ -328,21 +328,17 @@ def test_editing_an_unreached_shard_keeps_every_layer_warm(tmp_path):
 
 
 def test_in_memory_prefixes_are_shared_between_sessions():
-    clear_shared_bases()
-    try:
-        repo = micro_sharded()
-        one = ConcretizationSession(repo=repo)
-        one.solve(["example"])
-        assert one.stats.shard_layers_grounded == FAMILY_LAYERS
+    repo = micro_sharded()
+    one = ConcretizationSession(repo=repo)
+    one.solve(["example"])
+    assert one.stats.shard_layers_grounded == FAMILY_LAYERS
 
-        edited = micro_sharded()
-        edited.add(_Newapp, shard="apps")
-        two = ConcretizationSession(repo=edited)
-        two.solve(["example"])
-        assert two.stats.shard_layers_grounded == 1
-        assert two.stats.shard_layers_replayed == FAMILY_LAYERS - 1
-    finally:
-        clear_shared_bases()
+    edited = micro_sharded()
+    edited.add(_Newapp, shard="apps")
+    two = ConcretizationSession(repo=edited)
+    two.solve(["example"])
+    assert two.stats.shard_layers_grounded == 1
+    assert two.stats.shard_layers_replayed == FAMILY_LAYERS - 1
 
 
 # ---------------------------------------------------------------------------

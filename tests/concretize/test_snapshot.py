@@ -28,11 +28,11 @@ from tests.concretize.test_sharded_repo import micro_sharded, signature
 BATCH = ["example", "example+bzip", "example@1.0.0"]
 
 
-def fresh_session(repo, cache_dir, **overrides) -> ConcretizationSession:
+def fresh_session(repo, cache_dir) -> ConcretizationSession:
+    """A session that finds bases only on disk: the process-wide memo is
+    emptied first, as a new process would start."""
     clear_shared_bases()
-    config = SessionConfig(
-        cache_dir=str(cache_dir), share_ground_cache=False, **overrides
-    )
+    config = SessionConfig(cache_dir=str(cache_dir))
     return ConcretizationSession(repo=repo, session_config=config)
 
 
@@ -190,11 +190,3 @@ def test_damaged_snapshot_and_pickle_degrade_to_cold_ground(micro_repo, tmp_path
     assert [signature(r) for r in third.solve(BATCH)] == cold_results
     assert third.stats.base_groundings == 0
     assert third.stats.snapshot_attaches == 1
-
-
-def test_snapshots_can_be_disabled(micro_repo, tmp_path):
-    session = fresh_session(micro_repo, tmp_path, snapshots=False)
-    session.solve(BATCH)
-    assert session.snapshot_store is None
-    assert not snapshot_files(tmp_path)
-    assert "snapshot_store" not in session.statistics()

@@ -32,6 +32,9 @@ from repro.spack.errors import ConstraintProvenance, UnsatisfiableSpecError
 from repro.spack.generator import SyntheticRepoBuilder
 from repro.spack.spec_parser import parse_spec
 
+#: async sessions here solve on two threads
+TWO_SOLVERS = SessionConfig(max_concurrency=2)
+
 # ---------------------------------------------------------------------------
 # Structured explanations (micro catalog)
 # ---------------------------------------------------------------------------
@@ -101,7 +104,9 @@ def test_async_session_matches_sequential(micro_repo):
     )
 
     async def solve_async():
-        async with AsyncConcretizationSession(repo=micro_repo, max_concurrency=2) as session:
+        async with AsyncConcretizationSession(
+            repo=micro_repo, session_config=TWO_SOLVERS
+        ) as session:
             await session.concretize_batch(MIXED_BATCH)
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
@@ -125,7 +130,9 @@ def test_earliest_input_index_failure_wins(micro_repo):
     assert sequential.specs == ["zlib @99.99"]
 
     async def solve_async():
-        async with AsyncConcretizationSession(repo=micro_repo, max_concurrency=2) as session:
+        async with AsyncConcretizationSession(
+            repo=micro_repo, session_config=TWO_SOLVERS
+        ) as session:
             await session.concretize_batch(batch)
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
@@ -229,7 +236,7 @@ def test_scenario_explanations_agree_across_paths():
     batch = unsat_error(lambda: ConcretizationSession(repo=repo).solve(["synth-0000", spec]))
 
     async def solve_async():
-        async with AsyncConcretizationSession(repo=repo, max_concurrency=2) as session:
+        async with AsyncConcretizationSession(repo=repo, session_config=TWO_SOLVERS) as session:
             await session.concretize_batch(["synth-0000", spec])
 
     asynchronous = unsat_error(lambda: asyncio.run(solve_async()))

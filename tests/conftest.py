@@ -158,6 +158,16 @@ MICRO_PACKAGES = (
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(autouse=True)
+def isolated_ground_memo():
+    """Every test starts with an empty process-wide grounded-base memo, so
+    its sessions ground (or load from disk) their own bases and the
+    sharing counters it asserts count only its own work."""
+    from repro.spack.concretize.session import clear_shared_bases
+
+    clear_shared_bases()
+
+
 @pytest.fixture(scope="session")
 def micro_repo() -> Repository:
     repo = Repository(name="micro", packages=MICRO_PACKAGES)

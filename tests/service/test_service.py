@@ -35,7 +35,7 @@ import urllib.request
 import pytest
 
 from repro.spack.concretize.config import SessionConfig
-from repro.spack.concretize.session import ConcretizationSession, clear_shared_bases
+from repro.spack.concretize.session import ConcretizationSession
 from repro.spack.directives import depends_on, version
 from repro.spack.package import Package
 from repro.spack.service import (
@@ -59,14 +59,12 @@ class TenantTool(Package):
 
 @pytest.fixture()
 def service(micro_repo):
-    clear_shared_bases()
     with ConcretizationService(
         base_repo=micro_repo,
-        max_concurrency=2,
         queue_limit=1,
         default_deadline_s=60.0,
         retry_after_s=0.25,
-        session_config=SessionConfig(share_ground_cache=False),
+        session_config=SessionConfig(max_concurrency=2),
     ) as svc:
         yield svc
 
@@ -516,10 +514,7 @@ def test_http_streamed_unsat_ndjson_carries_conflict_core(server):
 
 
 def test_server_start_stop_is_clean(micro_repo):
-    clear_shared_bases()
-    service = ConcretizationService(
-        base_repo=micro_repo, session_config=SessionConfig(share_ground_cache=False)
-    )
+    service = ConcretizationService(base_repo=micro_repo)
     with service, ConcretizationServer(service, port=0) as server:
         status, body, _ = http_json(f"{server.url}/v1/healthz")
         assert status == 200

@@ -21,9 +21,13 @@ It also holds the docs to the *curated public surface*: every
 supported API), and every ``__all__`` entry must itself resolve in ``src/``
 (so the export list cannot rot either).
 
-And it holds them to the configuration objects: every keyword of a
-``SessionConfig(...)`` or ``SolverConfig(...)`` call must name a field of
-that dataclass (read from ``src/`` with :mod:`ast`), so a removed knob
+And it holds them to the configuration objects and the front-ends that
+take them: every keyword of a ``SessionConfig(...)`` or
+``SolverConfig(...)`` call must name a field of that dataclass, and every
+keyword of a ``ConcretizationSession(...)``, ``AsyncConcretizationSession(...)``
+or ``ConcretizationService(...)`` call must name a parameter of its
+``__init__`` (the async session also takes the session's, which it
+forwards).  Both are read from ``src/`` with :mod:`ast`, so a removed knob
 cannot linger in a doc.  Checked: fenced code blocks, example scripts
 (whole), and backtick references of that shape; code that does not parse
 as Python is skipped.
@@ -134,18 +138,28 @@ def defined_in(symbol: str, corpus: str) -> bool:
 
 
 def scan_text(
-    source: pathlib.Path, text: str, corpus: str, fields: dict, failures: list
+    source: pathlib.Path,
+    text: str,
+    corpus: str,
+    fields: dict,
+    failures: list,
+    first_line: int = 1,
 ) -> int:
-    """Check every backtick-quoted reference in ``text``; returns the count
-    of references that matched a checked shape."""
-    # drop fenced code blocks: they hold shell sessions and pseudo-code
-    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    """Check every backtick-quoted reference in ``text`` (whose first line
+    is line ``first_line`` of ``source``); returns the count of references
+    that matched a checked shape."""
+    # blank out fenced code blocks (they hold shell sessions and
+    # pseudo-code), keeping their lines so reported line numbers hold
+    text = re.sub(
+        r"```.*?```", lambda m: "\n" * m.group(0).count("\n"), text, flags=re.DOTALL
+    )
     checked = 0
     for match in INLINE_CODE.finditer(text):
         # an inline span may wrap lines, inside a blockquote too
         code = re.sub(r"\n\s*>?", " ", match.group(1)).strip()
-        if "Config(" in code:
-            checked += check_config_calls(source, code, fields, failures)
+        if any(f"{name}(" in code for name in fields):
+            line = first_line + text.count("\n", 0, match.start())
+            checked += check_config_calls(source, code, fields, failures, line)
     seen = set()
     for match in BACKTICK.finditer(text):
         # strip the Sphinx short-name marker (``~repro.spack.store.SolveCache``)
@@ -236,25 +250,58 @@ CONFIG_CLASSES = {
     "SolverConfig": SRC / "repro" / "asp" / "configs.py",
 }
 
+#: Front-end classes whose constructor keywords docs and examples must keep
+#: valid: the module defining each, and the classes whose keywords its
+#: ``**kwargs`` forwards.
+FRONT_END_CLASSES = {
+    "ConcretizationSession": (SRC / "repro" / "spack" / "concretize" / "session.py", ()),
+    "AsyncConcretizationSession": (
+        SRC / "repro" / "spack" / "concretize" / "async_session.py",
+        ("ConcretizationSession",),
+    ),
+    "ConcretizationService": (SRC / "repro" / "spack" / "service" / "app.py", ()),
+}
+
+
+def find_class(path: pathlib.Path, name: str) -> ast.ClassDef:
+    """The one class ``name`` in ``path`` (a class that moved fails here,
+    instead of silently checking nothing)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (cls,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name]
+    return cls
+
 
 def load_config_fields() -> dict:
-    """``{class name: set(field names)}`` for :data:`CONFIG_CLASSES` (a
-    class that moved fails here, instead of silently checking nothing)."""
+    """``{class name: set(keyword names)}``: the fields of
+    :data:`CONFIG_CLASSES` and the constructor parameters of
+    :data:`FRONT_END_CLASSES`."""
     fields = {}
     for name, path in CONFIG_CLASSES.items():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        (cls,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name]
         fields[name] = {
             statement.target.id
-            for statement in cls.body
+            for statement in find_class(path, name).body
             if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
         }
+    for name, (path, _) in FRONT_END_CLASSES.items():
+        (init,) = [
+            n
+            for n in find_class(path, name).body
+            if isinstance(n, ast.FunctionDef) and n.name == "__init__"
+        ]
+        arguments = init.args.posonlyargs + init.args.args[1:] + init.args.kwonlyargs
+        fields[name] = {argument.arg for argument in arguments}
+    for name, (_, forwarded) in FRONT_END_CLASSES.items():
+        for target in forwarded:
+            fields[name] |= fields[target]
     return fields
 
 
-def check_config_calls(source: pathlib.Path, code: str, fields: dict, failures: list) -> int:
-    """Every keyword of a config-class call in ``code`` must name one of its
-    fields; returns the count of keywords checked (0 if ``code`` does not
+def check_config_calls(
+    source: pathlib.Path, code: str, fields: dict, failures: list, first_line: int = 1
+) -> int:
+    """Every keyword of a config-class or front-end call in ``code`` (whose
+    first line is line ``first_line`` of ``source``) must name one it
+    accepts; returns the count of keywords checked (0 if ``code`` does not
     parse as Python)."""
     try:
         tree = ast.parse(code)
@@ -270,20 +317,26 @@ def check_config_calls(source: pathlib.Path, code: str, fields: dict, failures: 
                 continue
             checked += 1
             if keyword.arg not in fields[name]:
+                line = first_line + keyword.lineno - 1
                 failures.append(
-                    (source.relative_to(REPO_ROOT), f"{name}({keyword.arg}=...)",
-                     f"{name} has no field {keyword.arg!r}")
+                    (f"{source.relative_to(REPO_ROOT)}:{line}",
+                     f"{name}({keyword.arg}=...)",
+                     f"{name} takes no keyword {keyword.arg!r}")
                 )
     return checked
 
 
-def example_docstring(path: pathlib.Path) -> str:
-    """The module docstring of one example (empty when absent/unparsable)."""
+def example_docstring(path: pathlib.Path):
+    """The module docstring of one example and the line it starts on
+    (empty when absent/unparsable)."""
     try:
         module = ast.parse(path.read_text(encoding="utf-8"))
     except SyntaxError:
-        return ""
-    return ast.get_docstring(module) or ""
+        return "", 1
+    docstring = ast.get_docstring(module)
+    if docstring is None:
+        return "", 1
+    return docstring, module.body[0].lineno
 
 
 def main() -> int:
@@ -298,11 +351,13 @@ def main() -> int:
         text = doc.read_text(encoding="utf-8")
         checked += scan_text(doc, text, corpus, fields, failures)
         checked += check_imports(doc, text, exports, failures)
-        for block in FENCED_BLOCK.findall(text):
-            checked += check_config_calls(doc, block, fields, failures)
+        for block in FENCED_BLOCK.finditer(text):
+            line = text.count("\n", 0, block.start(1)) + 1
+            checked += check_config_calls(doc, block.group(1), fields, failures, line)
     for example in EXAMPLE_FILES:
         source = example.read_text(encoding="utf-8")
-        checked += scan_text(example, example_docstring(example), corpus, fields, failures)
+        docstring, line = example_docstring(example)
+        checked += scan_text(example, docstring, corpus, fields, failures, line)
         checked += check_imports(example, source, exports, failures)
         checked += check_config_calls(example, source, fields, failures)
 

@@ -44,6 +44,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.spack.concretize import SessionConfig
 from repro.spack.concretize.session import ConcretizationSession
 from repro.spack.service import ConcretizationServer, ConcretizationService
 
@@ -70,7 +71,9 @@ def main() -> int:
         if not condition:
             failures.append(label)
 
-    service = ConcretizationService(max_concurrency=2, default_deadline_s=60.0)
+    service = ConcretizationService(
+        default_deadline_s=60.0, session_config=SessionConfig(max_concurrency=2)
+    )
     with service, ConcretizationServer(service, port=0) as server:
         status, body = request(f"{server.url}/v1/healthz")
         check("healthz answers ok", status == 200 and body.get("status") == "ok",
