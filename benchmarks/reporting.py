@@ -45,7 +45,6 @@ QUICK_BENCHMARKS = (
     "bench_batch_session.py",
     "bench_warm_start.py",
     "bench_sharded_repo.py",
-    "bench_async_session.py",
     "bench_service.py",
     "bench_unsat.py",
     "bench_snapshot.py",

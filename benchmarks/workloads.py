@@ -8,7 +8,7 @@ Everything the benchmarks agree on lives here, in one place:
 * the builtin-catalog package samples (``PACKAGE_SAMPLE`` /
   ``SMALL_SAMPLE``) the paper-figure benchmarks sweep over;
 * the 16-spec overlapping spec family (``FAMILY_WORKLOAD_16``) the
-  warm-start and async-session benchmarks batch.
+  warm-start and service benchmarks batch.
 """
 
 from __future__ import annotations

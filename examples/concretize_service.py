@@ -6,9 +6,9 @@ real HTTP server on an ephemeral port, then plays the roles of several
 clients against it.
 
 1. **The service core** (:class:`repro.spack.service.app.ConcretizationService`)
-   owns a private asyncio loop and one
-   :class:`repro.spack.concretize.async_session.AsyncConcretizationSession`
-   per tenant.  Tenant catalogs are composed with
+   owns one :class:`repro.spack.concretize.session.ConcretizationSession`
+   and one pool of solver threads per tenant; the request's own thread
+   answers cache hits.  Tenant catalogs are composed with
    ``ShardedRepository.compose(overlay, base)`` — overlay shards layer
    *after* the base, so every tenant shares the base ground layers and a
    tenant edit re-grounds exactly one layer.
@@ -18,8 +18,7 @@ clients against it.
    ``GET /v1/healthz``, and ``GET /v1/stats``.
 3. **Deadlines**: each request carries ``deadline_s`` (or an
    ``X-Deadline-Seconds`` header); a request that cannot finish in time is
-   answered **504** and its solve is *cancelled* through the async session
-   — its semaphore permits come back immediately.
+   answered **504**, and its solves that had not started are *cancelled*.
 4. **Backpressure**: at most ``max_concurrency + queue_limit`` requests are
    in flight; the next one is shed with **429** and a ``Retry-After`` hint
    instead of queueing without bound.

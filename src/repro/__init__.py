@@ -17,7 +17,6 @@ The package is organised in two layers:
 from repro.asp.configs import SolverConfig
 from repro.asp.control import Control, PreparedProgram, SolveResult
 from repro.spack.concretize import (
-    AsyncConcretizationSession,
     ConcretizationResult,
     ConcretizationSession,
     Concretizer,
@@ -26,10 +25,9 @@ from repro.spack.concretize import (
 )
 from repro.spack.store import Database, SolveCache
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
-    "AsyncConcretizationSession",
     "ConcretizationResult",
     "ConcretizationSession",
     "Concretizer",

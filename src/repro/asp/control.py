@@ -242,7 +242,7 @@ class PreparedProgram:
     is the base's :class:`~repro.asp.completion.BaseCompletion`: the first
     solve on a fork builds the base's completion template, under the
     completion's own lock, so solves forking one base concurrently on
-    threads (the async session's solver threads) build it once; solves
+    threads (a service tenant's solver threads) build it once; solves
     count what they skipped there, and the ``forks`` counter is the other,
     benign exception.  The persistent ground cache
     (:class:`repro.spack.store.PersistentGroundCache`) pickles prepared

@@ -26,7 +26,6 @@ error hierarchy, and :func:`~repro.spack.concretize.explain.explain_unsat`.
 """
 
 from repro.spack.concretize import (
-    AsyncConcretizationSession,
     ConcretizationResult,
     ConcretizationSession,
     SessionConfig,
@@ -43,7 +42,6 @@ from repro.spack.spec_parser import parse_spec
 from repro.spack.version import Version, VersionList, VersionRange, ver
 
 __all__ = [
-    "AsyncConcretizationSession",
     "ConcretizationResult",
     "ConcretizationSession",
     "SessionConfig",

@@ -18,23 +18,16 @@ original greedy baseline.
   mmap-able ground *snapshots* that a second process attaches near
   zero-copy — on disk across processes (see ``docs/ARCHITECTURE.md`` and
   ``docs/CACHING.md``).
-* :class:`repro.spack.concretize.async_session.AsyncConcretizationSession` —
-  the ``asyncio`` front-end over the same machinery: ``await
-  session.concretize(spec)``, ``concretize_batch()``, and an
-  ``as_completed()`` streaming API that yields results in completion order,
-  solving cache misses on one set of solver threads with bounded
-  concurrency and clean cancellation.
+  Serving is :class:`repro.spack.service.app.ConcretizationService`, which
+  answers cache hits on its request threads and solves each distinct miss
+  on a tenant's solver threads through the same session.
 * :func:`repro.spack.concretize.explain.explain_unsat` — the minimal
   conflict core behind every
   :class:`~repro.spack.errors.UnsatisfiableSpecError`.
 """
 
-from repro.spack.concretize.async_session import (
-    AsyncConcretizationSession,
-    default_worker_count,
-)
 from repro.spack.concretize.concretizer import ConcretizationResult, Concretizer
-from repro.spack.concretize.config import SessionConfig
+from repro.spack.concretize.config import SessionConfig, default_worker_count
 from repro.spack.concretize.criteria import CRITERIA, Criterion, describe_costs
 from repro.spack.concretize.explain import ConstraintProvenance, explain_unsat
 from repro.spack.concretize.original import OriginalConcretizer
@@ -46,7 +39,6 @@ from repro.spack.concretize.session import (
 
 __all__ = [
     "CRITERIA",
-    "AsyncConcretizationSession",
     "ConcretizationResult",
     "ConcretizationSession",
     "Concretizer",

@@ -1,9 +1,9 @@
 """The public session configuration: one frozen object, every knob.
 
-Every concretization front-end (sync session, async session, HTTP service,
-CLI) takes its execution knobs — the async front-end's and the service's
-concurrency, the cache directory and its disk budgets — from a single
-frozen :class:`SessionConfig` passed as ``session_config=``::
+Every concretization front-end (session, HTTP service, CLI) takes its
+execution knobs — the service's concurrency, the cache directory and its
+disk budgets — from a single frozen :class:`SessionConfig` passed as
+``session_config=``::
 
     config = SessionConfig(cache_dir="/var/cache/concretize")
     session = ConcretizationSession(repo, session_config=config)
@@ -16,7 +16,8 @@ gone since 3.0.0 (passing either raises :class:`TypeError` too): a session
 solves in input order, and ``python -m repro.spack.service --workers N``
 serves from N processes.  4.0.0 removed the ``profile``, ``snapshots`` and
 ``share_ground_cache`` fields and the front-ends' own ``max_concurrency``
-keywords, leaving only settings a deployment changes.
+keywords, leaving only settings a deployment changes.  5.0.0 removed the
+event-loop session: the service solves on threads.
 The solver's own search knobs live on
 :class:`~repro.asp.configs.SolverConfig` (the session's ``config=``).
 
@@ -27,10 +28,19 @@ instance across sessions, services, and threads; derive variants with
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-__all__ = ["SessionConfig"]
+__all__ = ["SessionConfig", "default_worker_count"]
+
+
+def default_worker_count() -> int:
+    """The scheduler-visible CPU count (what ``max_concurrency=None`` means)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -39,10 +49,9 @@ class SessionConfig:
 
     *Concurrency*
 
-    * ``max_concurrency`` — the async session's and the service's bound on
-      simultaneous solves, and the size of the async session's solver
-      thread pool (``None``: the scheduler-visible CPU count, on every
-      front-end).
+    * ``max_concurrency`` — the service's bound on simultaneous solves per
+      tenant: the size of each tenant's solver thread pool (``None``: the
+      scheduler-visible CPU count, :func:`default_worker_count`).
 
     *Persistence*
 

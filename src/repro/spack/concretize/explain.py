@@ -59,8 +59,8 @@ def explain_unsat(
     ``provenance`` the concatenated provenance of the encoders that produced
     it.  Returns the provenance entries of a MUS over the retractable
     constraint groups, ordered deterministically (by package, kind,
-    directive, when) so every entry point — one-shot, session, worker pool,
-    async — produces an identical explanation for the same problem.
+    directive, when) so every entry point — one-shot, session, service —
+    produces an identical explanation for the same problem.
     Returns ``[]`` when the program is satisfiable with all constraints
     active (no diagnosis to give) or unsatisfiable even with every suspect
     constraint relaxed (the cause lies outside the retractable constraints).

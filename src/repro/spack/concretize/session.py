@@ -44,19 +44,22 @@ near-zero-copy instead of unpickling an object graph where possible.  All
 layers are keyed by the same content hashes as the in-memory caches, so
 repo/preset/store changes invalidate disk entries exactly like memory ones.
 
-Every execution knob (the cache directory and its budgets, the async
-front-end's concurrency) lives on one frozen
+Every execution knob (the cache directory and its budgets, the service's
+concurrency) lives on one frozen
 :class:`~repro.spack.concretize.config.SessionConfig` accepted by all
 front-ends via ``session_config=``; the solver's search knobs live on the
 session's :class:`~repro.asp.configs.SolverConfig` (``config=``).
 
-For *serving* concretizations instead of batching them, the
-:class:`~repro.spack.concretize.async_session.AsyncConcretizationSession`
-front-end wraps a session in ``asyncio``: awaitable solves, an
-``as_completed()`` streaming API whose cache misses solve concurrently on
-one set of solver threads, bounded concurrency, and clean cancellation —
-sharing this module's caches and statistics, and element-wise identical to
-:meth:`ConcretizationSession.solve`.
+One solve is two halves: a solve-cache lookup (``_lookup``) and, on a miss,
+``_solve_miss`` — find or ground the base under the process-wide ground
+lock, solve on it, write the outcome to the cache.  :meth:`solve` runs
+both per spec, in input order; the HTTP service
+(:class:`~repro.spack.service.app.ConcretizationService`) runs a batch's
+lookups on its request thread with ``_cache_pass``, which also folds
+in-batch duplicates into one miss, and each distinct miss on a tenant's
+solver threads, so the two share one implementation of a miss.  The
+counters are updated under a lock, and both halves may run on several
+threads at once.
 """
 
 from __future__ import annotations
@@ -370,6 +373,11 @@ def _discard_fact(fact) -> None:
     """Null encoder sink for snapshot-attached bases (grounding is on disk)."""
 
 
+#: Held while a base is found or ground, by every session in the process:
+#: two sessions over the same inputs ground a shared base once, and the
+#: process-wide memos below only change under it.
+_GROUND_LOCK = threading.Lock()
+
 #: Process-wide memo of grounded bases, keyed by
 #: (content hash, frozenset of possible packages).
 _SHARED_BASES: "OrderedDict[Tuple, _GroundedBase]" = OrderedDict()
@@ -389,8 +397,9 @@ def clear_shared_bases() -> None:
     """Drop all memoized grounded bases, so the next session grounds (or
     loads from disk) its own; tests and benchmarks call it to isolate
     their measurements."""
-    _SHARED_BASES.clear()
-    _SHARED_LAYERS.clear()
+    with _GROUND_LOCK:
+        _SHARED_BASES.clear()
+        _SHARED_LAYERS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +482,9 @@ class ConcretizationSession:
 
     Grounded bases are memoized process-wide, so a later session over the
     same inputs reuses them; :func:`clear_shared_bases` drops that memo.
-    Finding or grounding a base holds the session's ground lock, so calls
-    from several threads (the async session's solver threads, or a sync
-    caller beside them) ground each base once.
+    Finding or grounding a base holds one process-wide ground lock, so
+    calls from several threads and sessions (a service's solver threads,
+    its tenants, or a sync caller beside them) ground each base once.
     """
 
     def __init__(
@@ -527,8 +536,8 @@ class ConcretizationSession:
                 max_bytes=cfg.cache_max_bytes,
             )
         self.stats = SessionStatistics()
-        # held by _base_for on whichever thread runs it
-        self._ground_lock = threading.Lock()
+        # lookups and misses update the counters from several threads
+        self._stats_lock = threading.Lock()
         self._content_hash: Optional[str] = None
         self._context_token: Optional[str] = None
         self._last_base: Optional[_GroundedBase] = None
@@ -719,11 +728,12 @@ class ConcretizationSession:
         exactly as large as a standalone concretizer's, so sharing never
         slows the search down.
 
-        Runs under the session's ground lock, held on the calling thread:
-        a caller that stops waiting (a cancelled async call) cannot let
-        another call ground the same base beside this one.
+        Runs under the process-wide ground lock, held on the calling
+        thread: a caller that stops waiting (a request whose deadline
+        passed) cannot let another call, of this session or another one,
+        ground the same base beside this one.
         """
-        with self._ground_lock:
+        with _GROUND_LOCK:
             key = self._base_key(abstract)
             sharded = isinstance(self.repo, ShardedRepository)
             base = self._local_bases.get(key)
@@ -845,15 +855,20 @@ class ConcretizationSession:
 
     # ------------------------------------------------------------------
 
+    def _count(self, **deltas: int) -> None:
+        """Add ``deltas`` to the named :class:`SessionStatistics` counters."""
+        with self._stats_lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
+
     def _solve_uncached(self, spec: Spec, base: _GroundedBase) -> ConcretizationResult:
         """One full solve on ``base``, bypassing the solve cache.
 
         ``base`` is the grounded base of ``spec``'s family
-        (:meth:`_base_for`).  It is only forked, never mutated, so the async
-        session runs several of these at once on its solver threads; the
-        first solve on a base builds its completion template under the
-        base's lock.  Cache lookups, cache writes and statistics stay with
-        the caller.
+        (:meth:`_base_for`).  It is only forked, never mutated, so several
+        threads may solve on it at once; the first solve on a base builds
+        its completion template under the base's lock.  Cache lookups,
+        cache writes and statistics stay with the caller.
         """
         encoder = base.encoder.fork()
 
@@ -890,31 +905,81 @@ class ConcretizationSession:
 
         return result_from_solve([spec], result, statistics, explainer=explainer)
 
-    def _solve_one(self, spec: Spec) -> ConcretizationResult:
-        self.stats.specs_solved += 1
-        key = self._solve_key(spec)
+    def _lookup(
+        self, key: Tuple
+    ) -> Union[ConcretizationResult, UnsatisfiableSpecError, None]:
+        """The cache half of one solve, counted: a replayed result, the
+        cached unsat error, or None on a miss."""
+        # cache first, base lazily: a fully-cached batch never encodes or
+        # grounds anything at all
         cached = self.solve_cache.get(key)
-        if cached is not None:
-            # cache first, base lazily: a fully-cached batch never encodes
-            # or grounds anything at all
-            self.stats.solve_cache_hits += 1
-            if isinstance(cached, UnsatOutcome):
-                raise cached.to_error()
-            return self._replay(cached)
-        self.stats.solve_cache_misses += 1
+        if cached is None:
+            self._count(specs_solved=1, solve_cache_misses=1)
+            return None
+        self._count(specs_solved=1, solve_cache_hits=1)
+        if isinstance(cached, UnsatOutcome):
+            return cached.to_error()
+        return self._replay(cached)
 
+    def _cache_pass(
+        self, specs: Sequence[Spec]
+    ) -> Tuple[
+        List[Tuple[int, ConcretizationResult]],
+        List[Tuple[int, UnsatisfiableSpecError]],
+        Dict[Tuple, List[int]],
+    ]:
+        """The cache half of a batch, counted: ``(hits, failures, misses)``.
+
+        ``hits`` and ``failures`` pair an input index with its replayed
+        result or its cached unsat error; ``misses`` maps each distinct
+        missing solve key to the input indices that ask for it, first one
+        first, so the caller solves it once (:meth:`_solve_miss`) and
+        replays it for the rest.  A repeat of a missing key counts as a
+        cache hit, as in :meth:`solve`, where the first copy fills the
+        cache before the repeat looks.
+        """
+        hits: List[Tuple[int, ConcretizationResult]] = []
+        failures: List[Tuple[int, UnsatisfiableSpecError]] = []
+        misses: Dict[Tuple, List[int]] = {}
+        for index, spec in enumerate(specs):
+            key = self._solve_key(spec)
+            if key in misses:
+                self._count(specs_solved=1, solve_cache_hits=1)
+                misses[key].append(index)
+                continue
+            found = self._lookup(key)
+            if found is None:
+                misses[key] = [index]
+            elif isinstance(found, UnsatisfiableSpecError):
+                failures.append((index, found))
+            else:
+                hits.append((index, found))
+        return hits, failures, misses
+
+    def _solve_miss(self, key: Tuple, spec: Spec) -> ConcretizationResult:
+        """The miss half of one solve: find or ground the base, solve on it,
+        and write the outcome to the solve cache under ``key``."""
         try:
             concretization = self._solve_uncached(spec, self._base_for([spec]))
         except UnsatisfiableSpecError as error:
             # unsat outcomes (message + minimal core) are cached under the
             # same content-hash key, so warm replays raise identically
-            self.stats.delta_groundings += 1
+            self._count(delta_groundings=1)
             self.solve_cache.put(key, UnsatOutcome.from_error(error))
             raise
-        self.stats.delta_groundings += 1
+        self._count(delta_groundings=1)
         # cache a pristine copy: callers may freely mutate the returned DAG
         self.solve_cache.put(key, self._copy_result(concretization))
         return concretization
+
+    def _solve_one(self, spec: Spec) -> ConcretizationResult:
+        key = self._solve_key(spec)
+        found = self._lookup(key)
+        if isinstance(found, UnsatisfiableSpecError):
+            raise found
+        if found is not None:
+            return found
+        return self._solve_miss(key, spec)
 
     @staticmethod
     def _copy_specs(result: ConcretizationResult) -> Tuple[List[Spec], Dict[str, Spec]]:

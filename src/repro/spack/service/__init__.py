@@ -1,11 +1,11 @@
-"""Concretization-as-a-service: an HTTP front end over async sessions.
+"""Concretization-as-a-service: an HTTP front end over sessions, on threads.
 
 Two layers:
 
 * :mod:`repro.spack.service.app` — :class:`ConcretizationService`, the
   transport-independent core: per-tenant catalogs (composed over a shared
   base via :meth:`~repro.spack.repo.ShardedRepository.compose`), request
-  deadlines enforced through async-session cancellation, and a bounded
+  deadlines that cancel the solves not yet started, and a bounded
   admission queue that sheds load instead of queueing without bound;
 * :mod:`repro.spack.service.http` — a stdlib ``http.server``-on-threads
   transport exposing ``POST /v1/concretize``, ``POST /v1/concretize_batch``
@@ -25,10 +25,11 @@ quickstart), or embed the pieces directly::
         ...
         server.stop()
 
-No third-party dependencies: the transport is the standard library's
-threading HTTP server, and all solving happens on the service's private
-asyncio loop through :class:`~repro.spack.concretize.async_session.\
-AsyncConcretizationSession`.
+No third-party dependencies and no event loop: the transport is the
+standard library's threading HTTP server, each request's thread answers
+cache hits itself, and every distinct cache miss solves on its tenant's
+pool of ``SessionConfig.max_concurrency`` threads through the tenant's
+:class:`~repro.spack.concretize.session.ConcretizationSession`.
 """
 
 from repro.spack.service.app import (

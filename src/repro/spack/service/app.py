@@ -1,19 +1,19 @@
 """The transport-independent core of the concretization service.
 
 :class:`ConcretizationService` fronts one
-:class:`~repro.spack.concretize.async_session.AsyncConcretizationSession`
-per tenant with the three behaviors a real multi-user deployment needs:
+:class:`~repro.spack.concretize.session.ConcretizationSession` per tenant
+with the three behaviors a real multi-user deployment needs:
 
 * **deadlines** — every request carries a deadline in seconds (its own, or
-  the service default).  The solve runs under ``asyncio.wait_for``; hitting
-  the deadline *cancels* the in-flight work through the async session's
-  cancellation machinery (semaphore permits are returned, queued solves
-  dropped — nothing leaks) and surfaces as
-  :class:`DeadlineExceededError` (HTTP 504);
+  the service default).  The request's thread waits on its solves with
+  :func:`concurrent.futures.as_completed` for the time that is left; when
+  the deadline passes first it *cancels* every solve not yet started (a
+  solve already running finishes on its thread and still fills the cache)
+  and surfaces as :class:`DeadlineExceededError` (HTTP 504);
 * **backpressure** — a bounded admission queue maps onto the session
   config's ``max_concurrency``: at most ``max_concurrency + queue_limit``
   requests may be in flight (admitted requests beyond ``max_concurrency``
-  wait on the session semaphore); one more is shed immediately with
+  wait for a solver thread); one more is shed immediately with
   :class:`OverloadedError` (HTTP 429 + ``Retry-After``) instead of queueing
   without bound;
 * **per-tenant catalogs** — each registered tenant gets its own composed
@@ -25,28 +25,27 @@ per tenant with the three behaviors a real multi-user deployment needs:
   exactly one layer — warm per-tenant state stays cheap (see
   ``docs/CACHING.md``).
 
-The service owns a private asyncio event loop on a daemon thread; transport
-handlers (one thread per HTTP request in
-:mod:`repro.spack.service.http`) submit coroutines to it with
-``asyncio.run_coroutine_threadsafe`` and block on the result.  All session
-state therefore mutates on a single loop thread, exactly like a normal
-async-session consumer.
+The service runs on threads only.  The calling thread (one per HTTP
+request in :mod:`repro.spack.service.http`) parses, admits, and answers
+cache hits and in-batch duplicates itself; each distinct miss runs on its
+tenant's one :class:`~concurrent.futures.ThreadPoolExecutor` of
+``max_concurrency`` threads, which finds or grounds the base, solves, and
+writes the cache (``ConcretizationSession._solve_miss``, the same code a
+sequential ``solve`` runs).  A hit crosses no thread; a miss crosses two.
 """
 
 from __future__ import annotations
 
-import asyncio
-import queue
-import threading
-from contextlib import aclosing
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import as_completed
+from contextlib import closing
+from threading import Lock, Semaphore
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
-from repro.spack.concretize.async_session import (
-    AsyncConcretizationSession,
-    default_worker_count,
-)
 from repro.spack.concretize.concretizer import ConcretizationResult
-from repro.spack.concretize.config import SessionConfig
+from repro.spack.concretize.config import SessionConfig, default_worker_count
 from repro.spack.concretize.session import ConcretizationSession
 from repro.spack.errors import (
     SpackError,
@@ -74,14 +73,14 @@ def error_body(
 ) -> Dict[str, object]:
     """The one error envelope every service response uses.
 
-    All error bodies — every 400/404/422/429/499/500/504 JSON response and
+    All error bodies — every 400/404/422/429/500/504 JSON response and
     every terminal NDJSON error record — have exactly this shape::
 
         {"status": <int>, "error": {"code": ..., "message": ..., "detail": {...}}}
 
     ``code`` is a stable machine-readable identifier (``bad_request``,
     ``unknown_tenant``, ``unsolvable``, ``overloaded``,
-    ``deadline_exceeded``, ``not_found``, ``cancelled``, ``internal``);
+    ``deadline_exceeded``, ``not_found``, ``internal``);
     ``message`` is human-readable and may change; ``detail`` carries
     error-specific structured fields (possibly empty, never absent).  See
     ``docs/SERVICE.md``.
@@ -194,13 +193,17 @@ class UnsolvableError(ServiceError):
 
 
 class TenantState:
-    """One tenant's composed catalog and its (async) session."""
+    """One tenant's composed catalog, its session and its solver threads."""
 
     def __init__(self, name: str, repo: Repository, *, session_config: SessionConfig):
         self.name = name
         self.repo = repo
         self.session = ConcretizationSession(repo=repo, session_config=session_config)
-        self.async_session = AsyncConcretizationSession(session=self.session)
+        #: each distinct cache miss solves on one of these threads
+        self.pool = ThreadPoolExecutor(
+            session_config.max_concurrency or default_worker_count(),
+            thread_name_prefix=f"repro-solve-{name}",
+        )
         self.overlay: Optional[ShardedRepository] = None
         self.requests = 0
 
@@ -231,12 +234,12 @@ class ConcretizationService:
     * ``default_deadline_s`` — deadline applied when a request carries none;
     * ``retry_after_s`` — the hint returned with 429 responses;
     * ``session_config`` — a :class:`~repro.spack.concretize.SessionConfig`
-      applied to every tenant session: its ``max_concurrency`` bounds each
-      tenant's simultaneous solves (the async session's semaphore; ``None``
-      means the scheduler-visible CPU count), ``cache_dir`` enables warm
-      restarts and shared snapshots.  Each tenant session solves on its
-      async session's threads; process parallelism comes from serving with
-      ``--workers N`` (:func:`~repro.spack.service.http.serve`).
+      applied to every tenant session: its ``max_concurrency`` sizes each
+      tenant's solver thread pool, and so bounds its simultaneous solves
+      (``None`` means the scheduler-visible CPU count), ``cache_dir``
+      enables warm restarts and shared snapshots.  Process parallelism
+      comes from serving with ``--workers N``
+      (:func:`~repro.spack.service.http.serve`).
 
     Use as a context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -260,8 +263,8 @@ class ConcretizationService:
         self.retry_after_s = float(retry_after_s)
         self.session_config = config
 
-        self._admission = threading.Semaphore(self.max_concurrency + self.queue_limit)
-        self._lock = threading.Lock()
+        self._admission = Semaphore(self.max_concurrency + self.queue_limit)
+        self._lock = Lock()
         self.counters: Dict[str, int] = {
             "requests": 0,
             "admitted": 0,
@@ -275,8 +278,6 @@ class ConcretizationService:
         }
 
         self._tenants: Dict[str, TenantState] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
         self._started = False
         self._closed = False
         self.add_tenant(DEFAULT_TENANT)
@@ -284,49 +285,22 @@ class ConcretizationService:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "ConcretizationService":
-        """Start the private event-loop thread (idempotent)."""
-        if self._started and not self._closed:
-            return self
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(loop)
-            loop.call_soon(ready.set)
-            loop.run_forever()
-            # drain: close abandoned async generators before the loop dies
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-        self._loop = loop
-        self._thread = threading.Thread(
-            target=run, name="repro-service-loop", daemon=True
-        )
-        self._thread.start()
-        ready.wait()
+        """Accept requests (idempotent); a closed service cannot restart."""
+        if self._closed:
+            raise RuntimeError("service is closed")
         self._started = True
-        self._closed = False
         return self
 
     def close(self) -> None:
-        """Stop the loop thread and release every tenant session."""
-        if not self._started or self._closed:
-            self._closed = True
-            return
-        loop = self._loop
+        """Stop accepting requests and release every tenant's solver threads.
 
-        async def shutdown():
-            for state in self._tenants.values():
-                await state.async_session.aclose()
-
-        try:
-            asyncio.run_coroutine_threadsafe(shutdown(), loop).result(timeout=10)
-        except Exception:
-            pass  # best effort: closing must never raise
-        loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        Solves not yet started are dropped; a solve already running
+        finishes on its thread.  A closed service stays closed: build a
+        new one to serve again.
+        """
         self._closed = True
+        for state in self._tenants.values():
+            state.pool.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "ConcretizationService":
         return self.start()
@@ -413,12 +387,25 @@ class ConcretizationService:
             raise BadRequestError(f"deadline must be > 0 seconds, got {deadline!r}")
         return deadline
 
-    def _admit(self) -> None:
+    def _admit(
+        self, texts: Sequence[str], tenant: Optional[str], deadline_s: Optional[float]
+    ) -> Tuple[TenantState, List[Spec], float]:
+        """Count, parse and admit one request; every failure here is a plain
+        error, raised before anything is solved.  An admitted request must
+        reach :meth:`_release` on every exit."""
+        self._check_running()
+        self._count("requests")
+        state = self._tenant(tenant)
+        specs = self._parse_specs(texts)
+        deadline = self._deadline(deadline_s)
         if not self._admission.acquire(blocking=False):
             self._count("rejected_overload")
             raise OverloadedError(self.retry_after_s)
-        self._count("admitted")
-        self._count("in_flight")
+        with self._lock:
+            self.counters["admitted"] += 1
+            self.counters["in_flight"] += 1
+            state.requests += 1
+        return state, specs, deadline
 
     def _release(self) -> None:
         self._admission.release()
@@ -471,33 +458,53 @@ class ConcretizationService:
 
     # -- solving --------------------------------------------------------
 
-    async def _run_batch(
-        self,
-        state: TenantState,
-        specs: List[Spec],
-        deadline_s: float,
-    ) -> List[ConcretizationResult]:
-        try:
-            return await asyncio.wait_for(
-                state.async_session.concretize_batch(specs),
-                timeout=deadline_s,
-            )
-        except asyncio.TimeoutError:
-            # wait_for cancelled the batch task before raising: the async
-            # session's cleanup already returned its permits
-            raise DeadlineExceededError(deadline_s) from None
-
     def _check_running(self) -> None:
         if not self._started or self._closed:
             raise RuntimeError("service is not running (call start() first)")
 
-    def _submit(self, coro) -> object:
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+    @staticmethod
+    def _solve(
+        state: TenantState, specs: List[Spec], deadline_s: float
+    ) -> Iterator[Tuple[int, ConcretizationResult]]:
+        """Yield ``(input index, result)`` pairs in completion order.
+
+        Cache hits and in-batch duplicates of them are answered on the
+        calling thread and yield first; each distinct miss solves on the
+        tenant's threads and yields, with its in-batch duplicates, the
+        moment it finishes.  An unsatisfiable spec does not end the
+        stream: after the last result, the error of the earliest
+        unsatisfiable *input* is raised, the one
+        ``ConcretizationSession.solve`` would raise first.  When
+        ``deadline_s`` passes first, :class:`DeadlineExceededError` is
+        raised; on that and every other exit, solves not yet started are
+        cancelled.
+        """
+        session = state.session
+        deadline_at = time.monotonic() + deadline_s
+        hits, failures, misses = session._cache_pass(specs)
+        futures = {
+            state.pool.submit(session._solve_miss, key, specs[indices[0]]): indices
+            for key, indices in misses.items()
+        }
         try:
-            return future.result()
-        except BaseException:
-            future.cancel()
-            raise
+            yield from hits
+            for future in as_completed(futures, max(0.0, deadline_at - time.monotonic())):
+                indices = futures[future]
+                try:
+                    result = future.result()
+                except UnsatisfiableSpecError as error:
+                    failures.append((indices[0], error))
+                    continue
+                # duplicates replay before the first copy leaves this frame
+                replays = [session._replay(result) for _ in indices[1:]]
+                yield from zip(indices, [result, *replays])
+        except FuturesTimeoutError:
+            raise DeadlineExceededError(deadline_s) from None
+        finally:
+            for future in futures:
+                future.cancel()
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
 
     def concretize(
         self,
@@ -518,16 +525,13 @@ class ConcretizationService:
         deadline_s: Optional[float] = None,
     ) -> Dict[str, object]:
         """Concretize a batch (input order); ``POST /v1/concretize_batch``."""
-        self._check_running()
-        self._count("requests")
-        state = self._tenant(tenant)
-        parsed = self._parse_specs(list(specs))
-        deadline = self._deadline(deadline_s)
-        self._admit()
+        texts = list(specs)
+        state, parsed, deadline = self._admit(texts, tenant, deadline_s)
         try:
-            state.requests += 1
+            results: List[Optional[ConcretizationResult]] = [None] * len(parsed)
             try:
-                results = self._submit(self._run_batch(state, parsed, deadline))
+                for index, result in self._solve(state, parsed, deadline):
+                    results[index] = result
             except DeadlineExceededError:
                 self._count("deadline_exceeded")
                 raise
@@ -541,7 +545,7 @@ class ConcretizationService:
                 "tenant": state.name,
                 "deadline_s": deadline,
                 "results": [
-                    self._result_payload(index, str(specs[index]), result)
+                    self._result_payload(index, str(texts[index]), result)
                     for index, result in enumerate(results)
                 ],
             }
@@ -549,48 +553,6 @@ class ConcretizationService:
             self._release()
 
     # -- streaming ------------------------------------------------------
-
-    async def _pump(
-        self,
-        state: TenantState,
-        texts: List[str],
-        specs: List[Spec],
-        deadline_s: float,
-        out: "queue.Queue",
-    ) -> None:
-        """Drive ``as_completed`` on the loop, feeding a thread-safe queue.
-
-        The stream is consumed under ``aclosing`` so *any* exit — deadline
-        cancellation, a solver error, the transport dropping the connection
-        — deterministically closes the generator and returns its permits.
-        """
-        try:
-            async def consume():
-                async with aclosing(state.async_session.as_completed(specs)) as stream:
-                    async for index, result in stream:
-                        self._count("specs_concretized")
-                        out.put(
-                            ("result", self._result_payload(index, texts[index], result))
-                        )
-
-            await asyncio.wait_for(consume(), timeout=deadline_s)
-        except asyncio.TimeoutError:
-            self._count("deadline_exceeded")
-            out.put(("error", DeadlineExceededError(deadline_s).payload()))
-        except asyncio.CancelledError:
-            out.put(("error", error_body(499, "cancelled", "stream cancelled")))
-            raise
-        except Exception as exc:  # solver/encode errors end the stream
-            try:
-                mapped = self._map_solve_error(exc)
-            except BaseException:
-                out.put(("error", error_body(500, "internal", f"internal error: {exc}")))
-            else:
-                self._count("unsolvable")
-                out.put(("error", mapped.payload()))
-        else:
-            self._count("completed")
-            out.put(("end", {"status": "ok", "results": len(specs)}))
 
     def stream_batch(
         self,
@@ -601,40 +563,40 @@ class ConcretizationService:
     ) -> Iterator[Dict[str, object]]:
         """Yield per-result records in *completion* order, then a summary.
 
-        Admission and parsing happen before the first record (so overload
-        and bad requests surface as plain error responses); afterwards the
-        caller receives ``{"index", "spec", "concrete", ...}`` records as
-        solves finish, terminated by either ``{"status": "ok"}`` or an
-        error record (e.g. a mid-stream deadline).  Abandoning the iterator
-        cancels the in-flight work.
+        A plain generator: nothing happens until the first record is asked
+        for.  Parsing and admission happen then, and fail as plain errors
+        (so a transport that takes the first record before writing its
+        header answers overload and bad requests as plain error
+        responses); afterwards the caller receives ``{"index", "spec",
+        "concrete", ...}`` records as solves finish, terminated by either
+        ``{"status": "ok"}`` or an error record (e.g. a mid-stream
+        deadline).  Every exit after admission — the last record, or
+        closing the generator early — releases the admission slot and
+        cancels the solves not yet started.
         """
-        self._check_running()
-        self._count("requests")
-        state = self._tenant(tenant)
-        texts = [str(text) for text in specs]
-        parsed = self._parse_specs(texts)
-        deadline = self._deadline(deadline_s)
-        self._admit()
-
-        def generate() -> Iterator[Dict[str, object]]:
-            out: "queue.Queue" = queue.Queue()
-            state.requests += 1
-            future = asyncio.run_coroutine_threadsafe(
-                self._pump(state, texts, parsed, deadline, out),
-                self._loop,
-            )
+        texts = list(specs)
+        state, parsed, deadline = self._admit(texts, tenant, deadline_s)
+        try:
+            with closing(self._solve(state, parsed, deadline)) as outcomes:
+                for index, result in outcomes:
+                    self._count("specs_concretized")
+                    yield self._result_payload(index, str(texts[index]), result)
+        except DeadlineExceededError as exc:
+            self._count("deadline_exceeded")
+            yield exc.payload()
+        except Exception as exc:  # solver/encode errors end the stream
             try:
-                while True:
-                    kind, payload = out.get()
-                    yield payload
-                    if kind != "result":
-                        break
-                future.result(timeout=10)
-            finally:
-                future.cancel()
-                self._release()
-
-        return generate()
+                mapped = self._map_solve_error(exc)
+            except Exception:
+                yield error_body(500, "internal", f"internal error: {exc}")
+            else:
+                self._count("unsolvable")
+                yield mapped.payload()
+        else:
+            self._count("completed")
+            yield {"status": "ok", "results": len(parsed)}
+        finally:
+            self._release()
 
     # -- introspection --------------------------------------------------
 

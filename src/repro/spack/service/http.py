@@ -33,11 +33,13 @@ solver configuration is the server's, never the request's.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.spack.service.app import (
     BadRequestError,
@@ -112,25 +114,30 @@ class ConcretizationRequestHandler(BaseHTTPRequestHandler):
 
     # -- streaming ------------------------------------------------------
 
-    def _stream_ndjson(self, records) -> None:
-        """Write an iterator of dicts as chunked NDJSON; closing the iterator
-        on a broken pipe cancels the in-flight work server-side."""
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
+    def _stream_ndjson(self, records: Iterator[Dict]) -> None:
+        """Write a generator of dicts as chunked NDJSON.
+
+        The first record is taken before the header goes out, so an error
+        raised on the way to it (a bad spec, a full admission queue) is
+        still a plain error response.  Every exit closes the generator: a
+        client that went away, at the header or mid-stream, releases the
+        request's admission slot and cancels its solves not yet started.
+        """
         try:
-            for record in records:
+            first = next(records)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            for record in itertools.chain([first], records):
                 line = json.dumps(record).encode("utf-8") + b"\n"
                 self.wfile.write(b"%x\r\n" % len(line) + line + b"\r\n")
                 self.wfile.flush()
             self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
+        except ConnectionError:
             pass  # client went away; the finally below cancels the work
         finally:
-            close = getattr(records, "close", None)
-            if close is not None:
-                close()
+            records.close()
 
     # -- routes ---------------------------------------------------------
 
@@ -244,20 +251,23 @@ class ConcretizationServer:
 
 
 def _serve_process(
-    httpd: ThreadingHTTPServer, service_factory, verbose: bool
+    httpd: ThreadingHTTPServer, service_factory, verbose: bool, ready: Optional[str] = None
 ) -> None:
     """Serve forever on an already-bound listener with a process-local service.
 
     The service is created *after* any fork: each worker process owns its
-    event loop and sessions, while warm state is shared through the ground
-    snapshot files on disk (``SessionConfig(cache_dir=...)``) rather than
-    through memory.
+    sessions and solver threads, while warm state is shared through the
+    ground snapshot files on disk (``SessionConfig(cache_dir=...)``) rather
+    than through memory.  ``ready`` is printed once the service is built
+    and started.
     """
     service = service_factory()
     service.start()
     httpd.daemon_threads = True
     httpd.service = service
     httpd.verbose = verbose
+    if ready is not None:
+        print(ready, flush=True)
     try:
         httpd.serve_forever()
     finally:
@@ -268,59 +278,35 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
-    service: Optional[ConcretizationService] = None,
     verbose: bool = True,
     workers: int = 1,
     service_factory=None,
 ) -> None:
     """Run a server until interrupted (the ``python -m`` entry point).
 
-    With ``workers > 1`` the listener socket is bound once, then the
-    process forks: every worker process ``accept()``\\ s on the shared
-    socket (the kernel load-balances connections) and builds its *own*
-    :class:`ConcretizationService` from ``service_factory``.  Point the
-    factory's :class:`~repro.spack.concretize.SessionConfig` at a shared
+    The listener socket is bound once, then the process forks ``workers -
+    1`` children: every process ``accept()``\\ s on the shared socket (the
+    kernel load-balances connections) and builds its *own*
+    :class:`ConcretizationService` from ``service_factory``; this process
+    serves too.  Point the factory's
+    :class:`~repro.spack.concretize.SessionConfig` at a shared
     ``cache_dir`` and the first worker to ground a base publishes an mmap
     snapshot that every other worker attaches — N processes, one warm
     base, near-zero-copy startup (``GET /v1/stats`` →
     ``service.snapshot`` shows attaches vs cold grounds per worker).
-    Requires :func:`os.fork`; on platforms without it the worker count
-    falls back to 1.
+    Requires :func:`os.fork` for ``workers > 1``; on platforms without it
+    the worker count falls back to 1.
     """
     workers = int(workers)
     if workers > 1 and not hasattr(os, "fork"):
         print("os.fork is unavailable on this platform; serving with 1 worker")
         workers = 1
-    if workers <= 1:
-        own_service = service is None
-        if service is None:
-            factory = service_factory or ConcretizationService
-            service = factory()
-        service.start()
-        server = ConcretizationServer(service, host, port, verbose=verbose)
-        server.start()
-        print(f"concretization service listening on {server.url}")
-        try:
-            while True:
-                server._thread.join(timeout=1)
-        except KeyboardInterrupt:
-            print("shutting down")
-        finally:
-            server.stop()
-            if own_service:
-                service.close()
-        return
-
-    import signal
-
-    if service is not None:
-        raise ValueError(
-            "workers > 1 needs a per-process service_factory, not a shared "
-            "service instance"
-        )
     factory = service_factory or ConcretizationService
     httpd = ThreadingHTTPServer((host, port), ConcretizationRequestHandler)
-    bound_port = httpd.server_address[1]
+    bound_host, bound_port = httpd.server_address[:2]
+    ready = f"concretization service listening on http://{bound_host}:{bound_port}"
+    if workers > 1:
+        ready += f" ({workers} worker processes)"
     children = []
     for _ in range(1, workers):
         pid = os.fork()
@@ -331,12 +317,8 @@ def serve(
             finally:
                 os._exit(0)
         children.append(pid)
-    print(
-        f"concretization service listening on http://{host}:{bound_port} "
-        f"({workers} worker processes)"
-    )
     try:
-        _serve_process(httpd, factory, verbose)
+        _serve_process(httpd, factory, verbose, ready)
     except KeyboardInterrupt:
         print("shutting down")
     finally:

@@ -206,8 +206,8 @@ class SolveCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         # Guards the LRU dict and counters: concretization sessions may be
-        # driven from several threads at once (thread workers, the async
-        # session's executor threads), and an OrderedDict ``move_to_end``
+        # driven from several threads at once (a service's request and
+        # solver threads), and an OrderedDict ``move_to_end``
         # racing a ``popitem`` corrupts the dict.  Critical sections are
         # memory-only — disk I/O in the persistent flavors happens outside
         # the lock — so the lock is cheap and (nearly) fork-safe.

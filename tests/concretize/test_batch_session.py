@@ -22,6 +22,7 @@ import pytest
 from repro.asp.configs import SolverConfig
 from repro.spack.concretize import ConcretizationSession, Concretizer
 from repro.spack.concretize.encoder import ProblemEncoder
+from repro.spack.concretize.session import _GroundedBase
 from repro.spack.directives import depends_on, provides, variant, version
 from repro.spack.errors import UnsatisfiableSpecError
 from repro.spack.package import Package
@@ -136,7 +137,7 @@ def test_shared_base_is_grounded_once_per_spec_family(micro_repo, session):
 
 def test_concurrent_base_lookups_ground_once(session):
     """More threads than CPUs ask one session for the same family's base at
-    once, switching threads every microsecond: the session's ground lock
+    once, switching threads every microsecond: the ground lock
     lets one of them ground it and hands every other the same base."""
     workers = (os.cpu_count() or 1) + 2
     abstract = session._as_specs(["example"])
@@ -162,6 +163,32 @@ def test_concurrent_base_lookups_ground_once(session):
     assert all(base is bases[0] for base in bases)
     assert session.stats.base_groundings == 1
     assert session.stats.base_cache_hits == workers - 1
+
+
+def test_two_sessions_ground_a_shared_base_once(micro_repo, monkeypatch):
+    """Two sessions over the same inputs solve one family on two threads
+    while the first grounding is slow: the ground lock is process-wide, so
+    one session grounds the base and the other reuses it from the memo."""
+    original = _GroundedBase.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.3)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_GroundedBase, "__init__", slow_init)
+    sessions = [ConcretizationSession(repo=micro_repo) for _ in range(2)]
+    threads = [
+        threading.Thread(target=session.solve, args=([spec],), daemon=True)
+        for session, spec in zip(sessions, ["example", "example+bzip"])
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(session.stats.base_groundings for session in sessions) == 1
+    assert sum(session.stats.base_cache_hits for session in sessions) == 1
+    assert all(session.stats.delta_groundings == 1 for session in sessions)
 
 
 def test_second_pass_hits_cache_without_regrounding(micro_repo, session):

@@ -12,9 +12,10 @@ The contract under test:
   ``profile`` / ``snapshots`` / ``share_ground_cache`` fields, the async
   session's and the service's own ``max_concurrency`` and the stores'
   ``persist`` — fail with a plain ``TypeError`` instead of being silently
-  accepted;
-* the async session and the HTTP service accept the same object, and take
-  their concurrency from it.
+  accepted; the async session itself is gone since 5.0.0, and its
+  keywords fail the same way on the session its callers move to;
+* the HTTP service accepts the same object, and sizes every tenant's
+  solver threads from it.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ import warnings
 
 import pytest
 
-from repro.spack.concretize import SessionConfig
-from repro.spack.concretize.async_session import (
-    AsyncConcretizationSession,
-    default_worker_count,
-)
+import repro.spack.concretize
+from repro.spack.concretize import SessionConfig, default_worker_count
 from repro.spack.concretize.session import ConcretizationSession
 from repro.spack.service.app import ConcretizationService
 from repro.spack.store import PersistentSolveCache
@@ -85,7 +83,8 @@ REMOVED_SURFACES = {
         base_repo=repo, worker_backend="thread"
     ),
     "session-kwarg": lambda repo, tmp: ConcretizationSession(repo=repo, workers=2),
-    "async-session-kwarg": lambda repo, tmp: AsyncConcretizationSession(
+    # the deleted async session's keywords, on the session that replaces it
+    "async-session-kwarg": lambda repo, tmp: ConcretizationSession(
         repo=repo, cache_dir=str(tmp)
     ),
     "service-session-kwargs": lambda repo, tmp: ConcretizationService(
@@ -99,7 +98,7 @@ REMOVED_SURFACES = {
     "config-share-ground-cache": lambda repo, tmp: SessionConfig(
         share_ground_cache=False
     ),
-    "async-session-max-concurrency": lambda repo, tmp: AsyncConcretizationSession(
+    "async-session-max-concurrency": lambda repo, tmp: ConcretizationSession(
         repo=repo, max_concurrency=2
     ),
     "service-max-concurrency": lambda repo, tmp: ConcretizationService(
@@ -134,20 +133,30 @@ def test_config_only_construction_emits_no_warnings(micro_repo):
 
 
 def test_async_session_inherits_config_max_concurrency(micro_repo):
-    async_session = AsyncConcretizationSession(
-        repo=micro_repo, session_config=SessionConfig(max_concurrency=3)
-    )
-    assert async_session.max_concurrency == 3
+    """The async session's place in the service is each tenant's pool of
+    solver threads: ``SessionConfig.max_concurrency`` sizes it, for a
+    tenant added later too, and the tenant's session gets the same config."""
+    config = SessionConfig(max_concurrency=3)
+    with ConcretizationService(base_repo=micro_repo, session_config=config) as service:
+        late = service.add_tenant("late")
+        for state in (service._tenant(None), late):
+            assert state.pool._max_workers == 3
+            assert state.session.session_config is config
+
+
+def test_async_session_is_gone():
+    """5.0.0 deleted the ``asyncio`` session: the service solves on threads,
+    and an ``asyncio`` caller awaits ``asyncio.to_thread`` instead."""
+    assert not hasattr(repro.spack.concretize, "AsyncConcretizationSession")
+    with pytest.raises(ModuleNotFoundError):
+        __import__("repro.spack.concretize.async_session")
 
 
 def test_every_front_end_defaults_to_the_cpu_count(micro_repo):
-    """``max_concurrency=None`` means the scheduler-visible CPU count on
-    the async session and the service alike."""
-    async_session = AsyncConcretizationSession(repo=micro_repo)
-    assert async_session.max_concurrency == default_worker_count()
+    """``max_concurrency=None`` means the scheduler-visible CPU count."""
     service = ConcretizationService(base_repo=micro_repo)
     assert service.max_concurrency == default_worker_count()
+    assert service._tenant(None).pool._max_workers == default_worker_count()
     config = SessionConfig(max_concurrency=3)
     service = ConcretizationService(base_repo=micro_repo, session_config=config)
     assert service.max_concurrency == 3
-    assert service._tenant(None).async_session.max_concurrency == 3

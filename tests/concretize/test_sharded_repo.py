@@ -17,13 +17,10 @@ The contract under test (ISSUE 3 tentpole):
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.asp.control import PreparedProgram
 from repro.spack.concretize import (
-    AsyncConcretizationSession,
     ConcretizationSession,
     Concretizer,
     SessionConfig,
@@ -33,6 +30,7 @@ from repro.spack.directives import depends_on, version
 from repro.spack.errors import PackageError
 from repro.spack.package import Package
 from repro.spack.repo import Repository, RepositoryShard, ShardedRepository
+from repro.spack.service import ConcretizationService
 from repro.spack.store import Database, SolveCache
 
 from tests.conftest import MICRO_PACKAGES
@@ -81,10 +79,10 @@ def signature(result):
     )
 
 
-def fresh_session(repo, cache_dir=None, max_concurrency=None, **kwargs):
+def fresh_session(repo, cache_dir=None, **kwargs):
     """A session with an empty process-wide memo, as a new process has."""
     clear_shared_bases()
-    config = SessionConfig(cache_dir=cache_dir, max_concurrency=max_concurrency)
+    config = SessionConfig(cache_dir=cache_dir)
     return ConcretizationSession(repo=repo, session_config=config, **kwargs)
 
 
@@ -143,20 +141,18 @@ def test_dependency_on_a_later_shard_is_complete():
 
 
 def test_sharded_parallel_solve_matches_sequential():
-    """Concurrent misses on a layered base: an async batch solves two spec
-    families at once on the session's threads."""
+    """Concurrent misses on a layered base: a service batch solves two spec
+    families at once on the tenant's threads."""
     specs = FAMILY_BATCH + ["minitool"]
     sequential = fresh_session(micro_sharded()).solve(specs)
-
-    async def solve_concurrently():
-        async with AsyncConcretizationSession(
-            session=fresh_session(micro_sharded(), max_concurrency=2)
-        ) as session:
-            return await session.concretize_batch(specs)
-
-    concurrent = asyncio.run(solve_concurrently())
-    for spec, a, b in zip(specs, concurrent, sequential):
-        assert signature(a) == signature(b), spec
+    clear_shared_bases()
+    with ConcretizationService(
+        base_repo=micro_sharded(), session_config=SessionConfig(max_concurrency=2)
+    ) as service:
+        concurrent = service.concretize_batch(specs)["results"]
+    for spec, payload, result in zip(specs, concurrent, sequential):
+        assert payload["concrete"] == str(result.spec), spec
+        assert payload["dag_hash"] == result.spec.dag_hash(), spec
 
 
 @pytest.mark.slow

@@ -10,8 +10,9 @@ The contract under test (ISSUE 7 tentpole):
   conflict core (removing any single member makes the problem satisfiable);
 * the explanation is *identical* — element-wise, and in the rendered
   message — across every entry point: one-shot :class:`Concretizer`,
-  sequential :class:`ConcretizationSession`, the async session, and warm
-  replays from both the in-memory and the persistent solve cache; it
+  sequential :class:`ConcretizationSession`, the HTTP service's batches and
+  streams, and warm replays from both the in-memory and the persistent
+  solve cache; it
   survives pickling, so it crosses process boundaries intact;
 * against seeded synthetic catalogs with planted conflicts
   (:class:`~repro.spack.generator.SyntheticRepoBuilder`), the extracted
@@ -21,18 +22,17 @@ The contract under test (ISSUE 7 tentpole):
 
 from __future__ import annotations
 
-import asyncio
 import pickle
 
 import pytest
 
 from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
-from repro.spack.concretize.async_session import AsyncConcretizationSession
 from repro.spack.errors import ConstraintProvenance, UnsatisfiableSpecError
 from repro.spack.generator import SyntheticRepoBuilder
+from repro.spack.service import ConcretizationService, UnsolvableError
 from repro.spack.spec_parser import parse_spec
 
-#: async sessions here solve on two threads
+#: services here solve each tenant's misses on two threads
 TWO_SOLVERS = SessionConfig(max_concurrency=2)
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,22 @@ def unsat_error(callable_):
     with pytest.raises(UnsatisfiableSpecError) as info:
         callable_()
     return info.value
+
+
+def service_error(repo, batch):
+    """The unsat error a service batch fails with (the cause of its 422)."""
+    with ConcretizationService(base_repo=repo, session_config=TWO_SOLVERS) as service:
+        with pytest.raises(UnsolvableError) as info:
+            service.concretize_batch(batch)
+    return info.value.__cause__
+
+
+def service_stream_error(repo, batch):
+    """The terminal error record of a streamed service batch."""
+    with ConcretizationService(base_repo=repo, session_config=TWO_SOLVERS) as service:
+        records = list(service.stream_batch(batch))
+    assert records[-1]["error"]["code"] == "unsolvable"
+    return records[-1]["error"]["detail"]
 
 
 def test_conflict_core_names_the_guilty_directives(micro_repo):
@@ -98,25 +114,17 @@ def test_provenance_roundtrips_through_dict_and_pickle(micro_repo):
 MIXED_BATCH = ["zlib", "example %intel", "minitool"]
 
 
-def test_async_session_matches_sequential(micro_repo):
+def test_service_matches_sequential(micro_repo):
     sequential = unsat_error(
         lambda: ConcretizationSession(repo=micro_repo).solve(MIXED_BATCH)
     )
-
-    async def solve_async():
-        async with AsyncConcretizationSession(
-            repo=micro_repo, session_config=TWO_SOLVERS
-        ) as session:
-            await session.concretize_batch(MIXED_BATCH)
-
-    asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
-
+    served = service_error(micro_repo, MIXED_BATCH)
     one_shot = unsat_error(
         lambda: Concretizer(repo=micro_repo).concretize("example %intel")
     )
-    assert asynchronous.explanation == sequential.explanation
-    assert str(asynchronous) == str(sequential)
-    assert asynchronous.specs == sequential.specs
+    assert served.explanation == sequential.explanation
+    assert str(served) == str(sequential)
+    assert served.specs == sequential.specs
     # the one-shot concretizer encodes in a different fact order; the
     # explanation is the same constraints regardless
     assert one_shot.explanation == sequential.explanation
@@ -129,15 +137,26 @@ def test_earliest_input_index_failure_wins(micro_repo):
     sequential = unsat_error(lambda: ConcretizationSession(repo=micro_repo).solve(batch))
     assert sequential.specs == ["zlib @99.99"]
 
-    async def solve_async():
-        async with AsyncConcretizationSession(
-            repo=micro_repo, session_config=TWO_SOLVERS
-        ) as session:
-            await session.concretize_batch(batch)
+    served = service_error(micro_repo, batch)
+    assert served.specs == sequential.specs
+    assert served.explanation == sequential.explanation
 
-    asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
-    assert asynchronous.specs == sequential.specs
-    assert asynchronous.explanation == sequential.explanation
+    streamed = service_stream_error(micro_repo, batch)
+    assert streamed["specs"] == sequential.specs
+    assert [entry["constraint"] for entry in streamed["conflict_core"]] == [
+        entry.describe() for entry in sequential.explanation
+    ]
+
+
+def test_earliest_input_index_failure_wins_over_a_cached_failure(micro_repo):
+    """The cache pass meets the later input's cached failure before the
+    earlier input's miss is solved; the earlier input still wins."""
+    with ConcretizationService(base_repo=micro_repo, session_config=TWO_SOLVERS) as service:
+        with pytest.raises(UnsolvableError):
+            service.concretize("example %intel")  # cache the later input's outcome
+        with pytest.raises(UnsolvableError) as info:
+            service.concretize_batch(["zlib", "zlib@99.99", "example %intel"])
+    assert info.value.__cause__.specs == ["zlib @99.99"]
 
 
 def test_warm_in_memory_cache_replays_the_same_explanation(micro_repo):
@@ -235,15 +254,11 @@ def test_scenario_explanations_agree_across_paths():
     sequential = unsat_error(lambda: ConcretizationSession(repo=repo).concretize(spec))
     batch = unsat_error(lambda: ConcretizationSession(repo=repo).solve(["synth-0000", spec]))
 
-    async def solve_async():
-        async with AsyncConcretizationSession(repo=repo, session_config=TWO_SOLVERS) as session:
-            await session.concretize_batch(["synth-0000", spec])
-
-    asynchronous = unsat_error(lambda: asyncio.run(solve_async()))
+    served = service_error(repo, ["synth-0000", spec])
 
     expected = sorted(f"{planted.package}: {d}" for d in planted.directives)
     assert one_shot.core() == expected
-    for error in (sequential, batch, asynchronous):
+    for error in (sequential, batch, served):
         assert error.explanation == one_shot.explanation
 
 

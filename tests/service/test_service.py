@@ -1,13 +1,20 @@
 """Concretization-as-a-service: deadlines, backpressure, tenants, transport.
 
-The contract under test (ISSUE 6 tentpole):
+The contract under test:
 
 * ``POST /v1/concretize`` / ``/v1/concretize_batch`` solve through the
-  per-tenant async session; batch results come back in input order, the
-  streamed variant in completion order as NDJSON;
-* a request's deadline is enforced through async-session cancellation: the
-  response is 504, the leased workers come back immediately (asserted on
-  the semaphore), nothing leaks;
+  per-tenant session; batch results come back in input order, the
+  streamed variant in completion order as NDJSON, and both are identical
+  to ``ConcretizationSession.solve``;
+* the request thread answers cache hits and in-batch duplicates itself
+  (a stream yields them first) and solves each distinct miss once, on the
+  tenant's ``max_concurrency`` solver threads — which that many solves
+  fill, and no more;
+* a request's deadline cancels every solve not yet started: the response
+  is 504 (or a terminal 504 record), the admission slot comes back, and
+  the next solves run at full concurrency; a stream closed early — before
+  its first record, or by a client that disconnects mid-batch — does the
+  same;
 * once ``max_concurrency + queue_limit`` requests are in flight, the next
   one is shed with 429 + ``Retry-After`` instead of queueing;
 * per-tenant catalogs compose overlay shards over the shared base: a
@@ -17,15 +24,24 @@ The contract under test (ISSUE 6 tentpole):
   422 — a malformed request never kills a worker thread;
 * every error body — HTTP responses and streamed terminal records alike —
   uses the one envelope ``{"status": ..., "error": {"code", "message",
-  "detail"}}`` (ISSUE 9), and the service accepts a ``SessionConfig``
-  instead of loose session kwargs.
+  "detail"}}``, and ``/v1/stats`` counts every request exactly, also under
+  concurrent clients.
 """
 
 from __future__ import annotations
 
+import contextlib
 import http.client
+import itertools
 import json
+import os
+import re
+import signal
+import socket
 import statistics
+import struct
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -34,8 +50,9 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.spack.concretize.config import SessionConfig
-from repro.spack.concretize.session import ConcretizationSession
+from repro.spack.concretize.session import ConcretizationSession, _GroundedBase
 from repro.spack.directives import depends_on, version
 from repro.spack.package import Package
 from repro.spack.service import (
@@ -48,6 +65,26 @@ from repro.spack.service import (
     UnsolvableError,
 )
 
+#: overlapping single-family batch: six distinct solves, two exact repeats
+BATCH = [
+    "example",
+    "example+bzip",
+    "example~bzip",
+    "example@1.0.0",
+    "example@1.1.0",
+    "example ^zlib~pic",
+    "example",
+    "example+bzip",
+]
+
+#: 24 distinct specs of the ``example`` family
+FAMILY = [
+    f"example@{version}{bzip} ^zlib@{zlib}{pic}"
+    for version, bzip, zlib, pic in itertools.product(
+        ("1.0.0", "1.1.0"), ("+bzip", "~bzip"), ("1.3", "1.2.11", "1.2.8"), ("+pic", "~pic")
+    )
+]
+
 
 class TenantTool(Package):
     """A tenant-private package over the shared base catalog."""
@@ -57,16 +94,69 @@ class TenantTool(Package):
     depends_on("zlib")
 
 
-@pytest.fixture()
-def service(micro_repo):
-    with ConcretizationService(
-        base_repo=micro_repo,
-        queue_limit=1,
+def make_service(repo, max_concurrency=2, queue_limit=1):
+    return ConcretizationService(
+        base_repo=repo,
+        queue_limit=queue_limit,
         default_deadline_s=60.0,
         retry_after_s=0.25,
-        session_config=SessionConfig(max_concurrency=2),
-    ) as svc:
+        session_config=SessionConfig(max_concurrency=max_concurrency),
+    )
+
+
+@pytest.fixture()
+def service(micro_repo):
+    with make_service(micro_repo) as svc:
         yield svc
+
+
+def signature(payload):
+    """What must match between a service payload and a session result."""
+    return payload["concrete"], payload["dag_hash"], payload["built"], payload["reused"]
+
+
+def result_signature(result):
+    return str(result.spec), result.spec.dag_hash(), sorted(result.built), sorted(result.reused)
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+class SolveProbe:
+    """Counts the calls of ``ConcretizationSession._solve_uncached`` — the
+    solves started, running, and the peak running at once — and holds each
+    for ``delay`` seconds first."""
+
+    def __init__(self, monkeypatch, delay=0.0):
+        self.delay = delay
+        self.started = 0
+        self.running = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+        original = ConcretizationSession._solve_uncached
+        probe = self
+
+        def solve(session, spec, base):
+            with probe._lock:
+                probe.started += 1
+                probe.running += 1
+                probe.peak = max(probe.peak, probe.running)
+            try:
+                time.sleep(probe.delay)
+                return original(session, spec, base)
+            finally:
+                with probe._lock:
+                    probe.running -= 1
+
+        monkeypatch.setattr(ConcretizationSession, "_solve_uncached", solve)
+
+    def settle(self, started):
+        """Wait until ``started`` solves have started and none is running."""
+        wait_until(lambda: self.started >= started and not self.running)
 
 
 def http_json(url, payload=None, headers=None):
@@ -94,6 +184,133 @@ def test_concretize_single_spec(service):
     assert payload["concrete"].startswith("example @1.0.0")
     assert payload["nodes"] >= 3  # example + zlib + an mpi provider
     assert payload["dag_hash"]
+    assert payload["solve_cache"] == "miss"
+    again = service.concretize("example@1.0.0")
+    assert again["solve_cache"] == "hit"
+    assert signature(again) == signature(payload)
+    stats = service.statistics()["tenants"]["default"]
+    assert stats["solve_cache_hits"] == 1  # the repeat never solved again
+    assert stats["delta_groundings"] == 1
+
+
+def test_batch_and_stream_match_sequential_solves(micro_repo):
+    """Both request shapes answer exactly what ``ConcretizationSession.solve``
+    answers, spec by spec, and a stream yields every input index once."""
+    expected = [
+        result_signature(result)
+        for result in ConcretizationSession(repo=micro_repo).solve(BATCH)
+    ]
+    with make_service(micro_repo) as service:
+        batch = service.concretize_batch(BATCH)["results"]
+    assert [signature(payload) for payload in batch] == expected
+    with make_service(micro_repo) as service:
+        records = list(service.stream_batch(BATCH))
+    assert records[-1] == {"status": "ok", "results": len(BATCH)}
+    assert sorted(record["index"] for record in records[:-1]) == list(range(len(BATCH)))
+    by_index = {record["index"]: signature(record) for record in records[:-1]}
+    assert [by_index[index] for index in range(len(BATCH))] == expected
+
+
+def test_stream_yields_cache_hits_and_duplicates_first(service):
+    service.concretize("example")  # warm exactly one spec
+    records = list(
+        service.stream_batch(
+            ["example+bzip", "example", "example~bzip", "example", "example+bzip"]
+        )
+    )
+    indices = [record["index"] for record in records[:-1]]
+    assert sorted(indices) == [0, 1, 2, 3, 4]
+    # the warm spec and its in-batch duplicate stream out before any solve
+    assert set(indices[:2]) == {1, 3}
+    # a duplicate of a miss follows the result it replays
+    assert indices.index(4) == indices.index(0) + 1
+
+
+def test_concurrent_batches_share_one_session(service):
+    """Two batches in flight at once on one tenant both get their own
+    answers: the session's caches and counters are shared, not its
+    requests."""
+    batches = {
+        "lo": ["example@1.0.0", "example@1.0.0+bzip"],
+        "hi": ["example@1.1.0", "example@1.1.0+bzip"],
+    }
+    outcomes = {}
+
+    def run(name):
+        outcomes[name] = service.concretize_batch(batches[name])["results"]
+
+    threads = [threading.Thread(target=run, args=(name,), daemon=True) for name in batches]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    for name, specs in batches.items():
+        version = specs[0].split("@")[1]
+        assert [r["concrete"].split()[1] for r in outcomes[name]] == [f"@{version}"] * 2
+    assert service.statistics()["tenants"]["default"]["delta_groundings"] == 4
+
+
+def test_in_batch_duplicates_are_solved_once(service):
+    service.concretize_batch(BATCH)
+    stats = service.statistics()["tenants"]["default"]
+    assert stats["delta_groundings"] == 6  # distinct specs only
+    assert stats["solve_cache_hits"] == 2  # the two in-batch repeats
+    assert stats["solve_cache_misses"] == 6
+    assert stats["specs_solved"] == len(BATCH)
+    assert stats["base_groundings"] == 1  # grounded once, under the ground lock
+
+
+@pytest.mark.parametrize("max_concurrency", [1, 2])
+def test_solver_threads_bound_inflight_solves(micro_repo, monkeypatch, max_concurrency):
+    """A tenant's solver threads are the only bound on its solves in flight:
+    a batch of six distinct misses runs exactly ``max_concurrency`` solves
+    at its peak."""
+    expected = [
+        result_signature(result)
+        for result in ConcretizationSession(repo=micro_repo).solve(BATCH)
+    ]
+    probe = SolveProbe(monkeypatch, delay=0.05)
+    with make_service(micro_repo, max_concurrency=max_concurrency) as service:
+        results = service.concretize_batch(BATCH)["results"]
+    assert [signature(payload) for payload in results] == expected
+    assert probe.peak == max_concurrency
+
+
+def test_concurrent_requests_race_for_one_completion_template(micro_repo):
+    """More concurrent single-spec requests than CPUs, switching threads
+    every microsecond, solve distinct specs over one grounded base on the
+    tenant's solver threads.  Nothing builds the completion template ahead
+    of the solves: the first solve builds it while the others wait for it
+    under the base's lock, every result matches sequential solving, and the
+    template is built exactly once."""
+    workers = min((os.cpu_count() or 1) + 2, len(FAMILY))
+    specs = FAMILY[:workers]
+    expected = [
+        result_signature(result)
+        for result in ConcretizationSession(repo=micro_repo).solve(specs)
+    ]
+    service = make_service(micro_repo, max_concurrency=workers, queue_limit=0)
+    payloads = {}
+
+    def request(spec):
+        payloads[spec] = service.concretize(spec)
+
+    threads = [threading.Thread(target=request, args=(spec,), daemon=True) for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with service:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+            stats = service.statistics()["tenants"]["default"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [signature(payloads[spec]) for spec in specs] == expected
+    assert stats["delta_groundings"] == len(specs)
+    assert stats["base"]["template_builds"] == 1
 
 
 def test_batch_preserves_input_order(service):
@@ -110,6 +327,33 @@ def test_stream_batch_completion_order_and_summary(service):
     assert records[-1] == {"status": "ok", "results": 2}
     indices = sorted(r["index"] for r in records[:-1])
     assert indices == [0, 1]
+
+
+def test_closing_a_stream_mid_batch_cancels_unstarted_solves(micro_repo, monkeypatch):
+    """Closing a stream after its first record releases the admission slot
+    at once and cancels every solve not yet started; at most the one
+    running on the single solver thread goes on."""
+    with make_service(micro_repo, max_concurrency=1, queue_limit=0) as service:
+        service.concretize("example")  # ground the base and build its template
+        probe = SolveProbe(monkeypatch, delay=0.1)
+        stream = service.stream_batch(FAMILY[:6])
+        assert next(stream)["index"] in range(6)
+        stream.close()
+        assert service.counters["in_flight"] == 0
+        probe.settle(1)
+        time.sleep(0.3)
+        assert probe.started <= 2
+        assert service.concretize(FAMILY[-1])["spec"] == FAMILY[-1]
+
+
+def test_stream_closed_before_its_first_record_releases_its_slot(micro_repo):
+    """A stream is a plain generator: one closed before it started was never
+    admitted, so it cannot hold the one admission slot there is."""
+    with make_service(micro_repo, max_concurrency=1, queue_limit=0) as service:
+        service.stream_batch(["example"]).close()
+        assert service.counters["in_flight"] == 0
+        assert service.concretize("example")["concrete"]  # admitted, not 429
+        assert service.counters["rejected_overload"] == 0
 
 
 def test_parse_errors_are_bad_requests(service):
@@ -190,45 +434,56 @@ def test_streamed_batch_error_record_carries_the_conflict_core(service):
 
 
 def test_deadline_exceeded_cancels_and_releases_workers(service, monkeypatch):
-    original = ConcretizationSession._solve_uncached
-    slow = [True]
-
-    def maybe_slow(self, spec, base):
-        if slow[0]:
-            time.sleep(1.0)
-        return original(self, spec, base)
-
-    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", maybe_slow)
-
+    """The deadline fires while both solver threads are busy: the solves not
+    yet started are cancelled and never run, the request's slot comes back,
+    and once the running solves end the next two solves run side by side."""
+    service.concretize("example")  # ground the base and build its template
+    probe = SolveProbe(monkeypatch, delay=0.5)
     with pytest.raises(DeadlineExceededError):
-        service.concretize_batch(
-            ["example@1.0.0", "example@1.1.0", "example+bzip"], deadline_s=0.2
-        )
-    # the solve was cancelled, not leaked: every semaphore permit is back
-    state = service._tenant(None)
-    assert state.async_session._semaphore._value == service.max_concurrency
+        service.concretize_batch(FAMILY[:6], deadline_s=0.15)
     assert service.counters["deadline_exceeded"] == 1
     assert service.counters["in_flight"] == 0
-    # and the session still answers at full speed afterwards
-    slow[0] = False
-    assert service.concretize("example@1.0.0", deadline_s=30)["concrete"]
+    probe.settle(service.max_concurrency)
+    time.sleep(0.2)
+    assert probe.started == service.max_concurrency  # the other four never ran
+    probe.delay, probe.peak = 0.1, 0
+    results = service.concretize_batch(FAMILY[6:8], deadline_s=30)["results"]
+    assert [r["concrete"].split()[1] for r in results] == ["@1.0.0", "@1.0.0"]
+    assert probe.peak == service.max_concurrency
+
+
+def test_deadline_during_grounding_is_not_repeated(service, monkeypatch):
+    """A deadline fires while the first request's base is being ground.  The
+    grounding goes on, on its solver thread, and keeps the ground lock
+    until it ends, so the next request of the same family waits for it and
+    reuses the base instead of grounding a second copy beside it."""
+    original = _GroundedBase.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.5)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_GroundedBase, "__init__", slow_init)
+    started = time.perf_counter()
+    with pytest.raises(DeadlineExceededError):
+        service.concretize("example", deadline_s=0.1)
+    waited = time.perf_counter() - started
+    payload = service.concretize("example+bzip")
+    assert waited < 0.3  # the deadline fired on time
+    assert "+bzip" in payload["concrete"]
+    stats = service.statistics()["tenants"]["default"]
+    assert stats["base_groundings"] == 1
+    assert stats["base_cache_hits"] == 1
 
 
 def test_mid_stream_deadline_ends_stream_with_504_record(service, monkeypatch):
-    original = ConcretizationSession._solve_uncached
-
-    def slow(self, spec, base):
-        time.sleep(1.0)
-        return original(self, spec, base)
-
-    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", slow)
-    records = list(
-        service.stream_batch(["example@1.0.0", "example@1.1.0"], deadline_s=0.2)
-    )
+    service.concretize("example")  # ground the base and build its template
+    probe = SolveProbe(monkeypatch, delay=1.0)
+    records = list(service.stream_batch(FAMILY[:3], deadline_s=0.2))
     assert records[-1]["status"] == 504
-    state = service._tenant(None)
-    assert state.async_session._semaphore._value == service.max_concurrency
     assert service.counters["in_flight"] == 0
+    probe.settle(service.max_concurrency)
+    assert probe.started == service.max_concurrency  # the third never ran
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +674,14 @@ def test_http_batch_and_header_options(server):
 
 def test_http_deadline_maps_to_504(server, service, monkeypatch):
     original = ConcretizationSession._solve_uncached
+    slow = [True]
 
-    def slow(self, spec, base):
-        time.sleep(1.0)
+    def maybe_slow(self, spec, base):
+        if slow[0]:
+            time.sleep(1.0)
         return original(self, spec, base)
 
-    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", slow)
+    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", maybe_slow)
     status, body, _ = http_json(
         f"{server.url}/v1/concretize",
         {"spec": "example@1.0.0", "deadline_s": 0.2},
@@ -433,8 +690,11 @@ def test_http_deadline_maps_to_504(server, service, monkeypatch):
     assert body["error"]["code"] == "deadline_exceeded"
     assert "deadline" in body["error"]["message"]
     assert body["error"]["detail"]["deadline_s"] == pytest.approx(0.2)
-    state = service._tenant(None)
-    assert state.async_session._semaphore._value == service.max_concurrency
+    assert service.counters["in_flight"] == 0
+    # the solve already running ends on its thread, then the next is served
+    slow[0] = False
+    status, body, _ = http_json(f"{server.url}/v1/concretize", {"spec": "example@1.1.0"})
+    assert status == 200
 
 
 def test_http_429_carries_retry_after(server, service, monkeypatch):
@@ -513,6 +773,177 @@ def test_http_streamed_unsat_ndjson_carries_conflict_core(server):
     assert [r["index"] for r in delivered] == [0]
 
 
+def test_http_stream_errors_before_the_first_record_are_plain_responses(server):
+    """The handler takes a stream's first record before it writes the
+    header, so a request that fails on the way there is a plain JSON
+    error response, not a 200 stream."""
+    status, body, headers = http_json(
+        f"{server.url}/v1/concretize_batch", {"specs": ["example", "++"], "stream": True}
+    )
+    assert status == 400
+    assert headers["Content-Type"] == "application/json"
+    assert body["error"]["code"] == "bad_request"
+    status, body, _ = http_json(
+        f"{server.url}/v1/concretize_batch",
+        {"specs": ["example"], "stream": True, "tenant": "nobody"},
+    )
+    assert status == 404
+    assert body["error"]["code"] == "unknown_tenant"
+
+
+def test_http_stream_client_disconnect_mid_batch(micro_repo, monkeypatch):
+    """A streaming client reads the first NDJSON record and hangs up.  The
+    server's next write fails, which closes the stream: the slot comes
+    back, the solves still queued never run, and the next request is
+    served."""
+    specs = FAMILY[:12]
+    with make_service(micro_repo, max_concurrency=1) as service, \
+            ConcretizationServer(service, port=0) as server:
+        service.concretize("example")  # ground the base and build its template
+        probe = SolveProbe(monkeypatch, delay=0.2)
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        connection.request(
+            "POST",
+            "/v1/concretize_batch",
+            body=json.dumps({"specs": specs, "stream": True}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        assert response.status == 200
+        first = json.loads(response.readline())
+        assert first["index"] in range(len(specs))
+        # hang up with a reset, as a client that went away does
+        connection.sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        response.close()
+        connection.close()
+
+        wait_until(lambda: service.counters["in_flight"] == 0)
+        probe.settle(1)
+        started = probe.started
+        time.sleep(0.5)  # longer than two solves
+        assert probe.started == started < len(specs)
+        probe.delay = 0.0
+        status, body, _ = http_json(f"{server.url}/v1/concretize", {"spec": specs[-1]})
+        assert status == 200
+        assert body["result"]["spec"] == specs[-1]
+
+
+def test_http_stats_stay_exact_under_concurrent_requests(micro_repo):
+    """Four clients, switching threads every microsecond, send cache hits,
+    batches with in-batch duplicates and misses at once; ``/v1/stats``
+    counts every request and spec exactly, and each answer is right."""
+    clients = 4
+    with make_service(micro_repo, max_concurrency=2, queue_limit=clients) as service, \
+            ConcretizationServer(service, port=0) as server:
+        warm = ["example@1.0.0", "example@1.1.0"]
+        status, _, _ = http_json(f"{server.url}/v1/concretize_batch", {"specs": warm})
+        assert status == 200
+        plans = [
+            [
+                {"spec": warm[client % 2]},
+                {"specs": [FAMILY[client], warm[0], FAMILY[client], FAMILY[client + 4]]},
+                {"spec": FAMILY[client + 8]},
+                {"specs": [warm[1], warm[1]]},
+            ]
+            for client in range(clients)
+        ]
+        answers = []
+
+        def run(plan):
+            for body in plan:
+                route = "/v1/concretize" if "spec" in body else "/v1/concretize_batch"
+                answers.append((body, http_json(f"{server.url}{route}", body)))
+
+        threads = [threading.Thread(target=run, args=(plan,), daemon=True) for plan in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        status, stats, _ = http_json(f"{server.url}/v1/stats")
+
+    assert status == 200
+    for body, (status, answer, _) in answers:
+        assert status == 200
+        asked = [body["spec"]] if "spec" in body else body["specs"]
+        got = [answer["result"]] if "spec" in body else answer["results"]
+        assert [result["spec"] for result in got] == asked
+        for spec, result in zip(asked, got):
+            version = spec.split("@")[1][:5]  # every spec here is example@X.Y.Z...
+            assert result["concrete"].startswith(f"example @{version}")
+    requests = 1 + sum(len(plan) for plan in plans)
+    specs = len(warm) + sum(
+        len(body.get("specs", [None])) for plan in plans for body in plan
+    )
+    counters = stats["service"]
+    assert counters["requests"] == counters["admitted"] == counters["completed"] == requests
+    assert counters["specs_concretized"] == specs
+    assert counters["in_flight"] == counters["rejected_overload"] == 0
+    tenant = stats["tenants"]["default"]
+    assert tenant["requests"] == requests
+    assert tenant["specs_solved"] == specs
+    assert tenant["solve_cache_hits"] + tenant["solve_cache_misses"] == specs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_prints_its_ready_line_and_stops_on_sigint(workers, tmp_path):
+    """``python -m repro.spack.service`` prints exactly ``concretization
+    service listening on URL`` once its service is up (tools that start it
+    parse the URL from that line; with ``--workers N`` > 1 it adds ``(N
+    worker processes)``), answers on that URL, and returns from ``main()``
+    on SIGINT.  With two workers this process forked one child that
+    accepts on the same listener; SIGINT ends and reaps it too, so once
+    ``main()`` has returned nothing accepts on the port any more."""
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("serving with several workers needs os.fork")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.spack.service",
+            "--port", "0", "--quiet", "--workers", str(workers),
+            "--cache-dir", str(tmp_path),
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    rest = None
+    try:
+        line = proc.stdout.readline().rstrip("\n")
+        suffix = "" if workers == 1 else re.escape(f" ({workers} worker processes)")
+        ready = re.fullmatch(
+            r"concretization service listening on (http://127\.0\.0\.1:(\d+))" + suffix, line
+        )
+        assert ready, line
+        status, body, _ = http_json(f"{ready.group(1)}/v1/healthz")
+        assert status == 200 and body["status"] == "ok"
+        status, body, _ = http_json(
+            f"{ready.group(1)}/v1/concretize", {"spec": "zlib"}
+        )
+        assert status == 200 and body["result"]["concrete"].startswith("zlib")
+        proc.send_signal(signal.SIGINT)
+        rest, _ = proc.communicate(timeout=60)
+    finally:
+        # whatever failed above, no process of the server outlives the test
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        if rest is None:
+            proc.communicate()
+    assert proc.returncode == 0
+    assert rest == "shutting down\n"
+    # every process that held the listener has exited
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", int(ready.group(2))), timeout=5).close()
+
+
 def test_server_start_stop_is_clean(micro_repo):
     service = ConcretizationService(base_repo=micro_repo)
     with service, ConcretizationServer(service, port=0) as server:
@@ -522,3 +953,7 @@ def test_server_start_stop_is_clean(micro_repo):
     assert service.healthz()["status"] == "stopped"
     with pytest.raises(RuntimeError):
         service.concretize("example")
+    # and stays closed: its solver threads are gone, so it cannot restart
+    with pytest.raises(RuntimeError, match="service is closed"):
+        service.start()
+    assert service.healthz()["status"] == "stopped"

@@ -24,10 +24,9 @@ supported API), and every ``__all__`` entry must itself resolve in ``src/``
 And it holds them to the configuration objects and the front-ends that
 take them: every keyword of a ``SessionConfig(...)`` or
 ``SolverConfig(...)`` call must name a field of that dataclass, and every
-keyword of a ``ConcretizationSession(...)``, ``AsyncConcretizationSession(...)``
-or ``ConcretizationService(...)`` call must name a parameter of its
-``__init__`` (the async session also takes the session's, which it
-forwards).  Both are read from ``src/`` with :mod:`ast`, so a removed knob
+keyword of a ``ConcretizationSession(...)`` or ``ConcretizationService(...)``
+call must name a parameter of its ``__init__``.  Both are read from
+``src/`` with :mod:`ast`, so a removed knob
 cannot linger in a doc.  Checked: fenced code blocks, example scripts
 (whole), and backtick references of that shape; code that does not parse
 as Python is skipped.
@@ -251,15 +250,10 @@ CONFIG_CLASSES = {
 }
 
 #: Front-end classes whose constructor keywords docs and examples must keep
-#: valid: the module defining each, and the classes whose keywords its
-#: ``**kwargs`` forwards.
+#: valid, and the module defining each.
 FRONT_END_CLASSES = {
-    "ConcretizationSession": (SRC / "repro" / "spack" / "concretize" / "session.py", ()),
-    "AsyncConcretizationSession": (
-        SRC / "repro" / "spack" / "concretize" / "async_session.py",
-        ("ConcretizationSession",),
-    ),
-    "ConcretizationService": (SRC / "repro" / "spack" / "service" / "app.py", ()),
+    "ConcretizationSession": SRC / "repro" / "spack" / "concretize" / "session.py",
+    "ConcretizationService": SRC / "repro" / "spack" / "service" / "app.py",
 }
 
 
@@ -282,7 +276,7 @@ def load_config_fields() -> dict:
             for statement in find_class(path, name).body
             if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
         }
-    for name, (path, _) in FRONT_END_CLASSES.items():
+    for name, path in FRONT_END_CLASSES.items():
         (init,) = [
             n
             for n in find_class(path, name).body
@@ -290,9 +284,6 @@ def load_config_fields() -> dict:
         ]
         arguments = init.args.posonlyargs + init.args.args[1:] + init.args.kwonlyargs
         fields[name] = {argument.arg for argument in arguments}
-    for name, (_, forwarded) in FRONT_END_CLASSES.items():
-        for target in forwarded:
-            fields[name] |= fields[target]
     return fields
 
 
