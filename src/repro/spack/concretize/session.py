@@ -13,8 +13,11 @@ store.  A :class:`ConcretizationSession` exploits that:
   (:meth:`~repro.spack.concretize.encoder.ProblemEncoder.encode_delta`);
 * the base is parsed and grounded exactly once per content hash (a digest of
   repository + compiler registry + platform + solver/criteria preset) via
-  :class:`repro.asp.control.PreparedProgram`, and memoized process-wide so
-  later sessions over the same inputs skip straight to forking;
+  :class:`repro.asp.control.PreparedProgram` — in one step for a
+  :class:`~repro.spack.repo.Repository`, as a chain of one step per shard
+  layer for a :class:`~repro.spack.repo.ShardedRepository` — and memoized
+  process-wide so later sessions over the same inputs skip straight to
+  forking;
 * every solve forks the base grounding and grounds only its delta facts
   (semi-naive incremental grounding, see
   :meth:`repro.asp.grounder.Grounder.ground_delta`);
@@ -39,10 +42,13 @@ in-memory :class:`~repro.spack.store.SolveCache` for a
 :class:`~repro.spack.store.PersistentGroundCache` plus a flat mmap-able
 :class:`~repro.spack.store.SnapshotStore` under ``_base_for``, so a second
 process pointed at the same directory replays a warm batch with zero
-grounding and zero solver calls — attaching the shared ground snapshot
-near-zero-copy instead of unpickling an object graph where possible.  All
-layers are keyed by the same content hashes as the in-memory caches, so
-repo/preset/store changes invalidate disk entries exactly like memory ones.
+grounding and zero solver calls.  Both hold each chain step of a base as
+its ground :class:`~repro.asp.control.PreparedProgram` alone (a snapshot is
+attached near-zero-copy, and preferred over the pickle); a base found on
+disk runs its encoder again, which is cheap, for the provenance its
+explanations need.  All layers are keyed by the same content hashes as the
+in-memory caches, so repo/preset/store changes invalidate disk entries
+exactly like memory ones.
 
 Every execution knob (the cache directory and its budgets, the service's
 concurrency) lives on one frozen
@@ -51,8 +57,9 @@ front-ends via ``session_config=``; the solver's search knobs live on the
 session's :class:`~repro.asp.configs.SolverConfig` (``config=``).
 
 One solve is two halves: a solve-cache lookup (``_lookup``) and, on a miss,
-``_solve_miss`` — find or ground the base under the process-wide ground
-lock, solve on it, write the outcome to the cache.  :meth:`solve` runs
+``_solve_miss`` — find the base in the process-wide memo or, on a memo
+miss, under the process-wide ground lock, solve on it, write the outcome to
+the cache.  :meth:`solve` runs
 both per spec, in input order; the HTTP service
 (:class:`~repro.spack.service.app.ConcretizationService`) runs a batch's
 lookups on its request thread with ``_cache_pass``, which also folds
@@ -222,25 +229,33 @@ def _canonical_spec(spec: Spec) -> str:
 
 
 class _GroundedBase:
-    """One spec-independent fact layer, encoded and grounded once.
+    """One spec-independent fact layer: its encoder and its grounding.
 
     Holds the base :class:`ProblemEncoder` (forked per solve to continue its
     condition-id sequence) and the :class:`PreparedProgram` whose grounding is
     forked per solve.
 
-    For a monolithic :class:`Repository` the whole base is encoded and
-    grounded in one shot.  For a :class:`~repro.spack.repo.ShardedRepository`
-    it is built as a *chain* of prepared programs — a context layer plus one
-    layer per shard (:meth:`ProblemEncoder.encode_base_layers`), each
-    ``extend``-ed incrementally onto the previous one and cached per chain
-    prefix (in memory and, with a ``cache_dir``, on disk) — so a session
-    over an edited shard replays every unaffected prefix and re-grounds only
-    the layers from the edited shard on.  The encoder always re-runs in full
-    (fact generation is cheap and deterministic); only *grounding* is
-    skipped on warm prefixes.
+    The grounding is a *chain* of steps, each a :class:`PreparedProgram`
+    found under its own key (:meth:`ConcretizationSession._find`).  A
+    monolithic :class:`Repository` is a one-step chain keyed by its base key
+    and grounded in one shot.  A :class:`~repro.spack.repo.ShardedRepository`
+    is a context layer plus one layer per shard
+    (:meth:`ProblemEncoder.encode_base_layers`), each ``extend``-ed onto the
+    previous one and keyed per chain prefix, so a session over an edited
+    shard replays every unaffected prefix and grounds only the layers from
+    the edited shard on.  The deepest step found wins; the steps above it
+    are ground.  The encoder always runs in full (fact generation is cheap
+    and deterministic): a grounding found in memory or on disk still gets
+    the encoder's provenance log, condition-id sequence and possible-package
+    set, and only grounding is skipped.
+
+    ``steps`` pairs the key and program of every step this base found or
+    ground; each session that uses the base writes them through to disk.
     """
 
-    def __init__(self, session: "ConcretizationSession", abstract: Sequence[Spec]):
+    def __init__(
+        self, session: "ConcretizationSession", abstract: Sequence[Spec], key: Tuple
+    ):
         self.encoder = ProblemEncoder(
             session.repo,
             platform=session.platform,
@@ -248,158 +263,162 @@ class _GroundedBase:
             store=session.store,
             reuse=session.reuse,
         )
-        #: layer bookkeeping (all zero on the monolithic path)
-        self.layers_total = 0
-        self.layers_grounded = 0
-        self.layers_replayed_memory = 0
-        self.layers_replayed_disk = 0
-        #: True when the grounding came from an mmap-attached snapshot
-        self.snapshot_attached = False
-        if isinstance(session.repo, ShardedRepository):
-            self._build_layered(session, abstract)
-        else:
-            self._build_monolithic(session, abstract)
+        self.sharded = isinstance(session.repo, ShardedRepository)
+        layers: Optional[List[EncodedLayer]] = None
+        keys = [key]
+        if self.sharded:
+            layers = self.encoder.encode_base_layers(abstract)
+            keys = session._layer_keys(layers, self.encoder)
 
-    def _build_monolithic(self, session: "ConcretizationSession", abstract: Sequence[Spec]):
-        encoder = self.encoder
-
-        # Stream encoder -> grounder: every emitted fact is interned into
-        # the ground state as soon as `_fact` produces it, so no
-        # intermediate base-fact list is materialized on the hot path (the
-        # encoder still records facts for provenance/explanations).  The
-        # source *returns* the root-possibility hints because
-        # `possible_packages` is only known once encoding ran: grounding
-        # the base as if any possible package could be a root lets every
-        # node/version/variant rule instantiate once, up front, so
-        # per-spec deltas only ground the input conditions themselves.
-        # Hinted-but-unsupported atoms are forced false by completion, so
-        # solves stay exact.
-        def stream_base(write):
-            encoder.encode_base(abstract, sink=write)
-            return [("root", name) for name in sorted(encoder.possible_packages)]
-
-        self.prepared = PreparedProgram(
-            logic_program(), config=session.config, fact_source=stream_base
-        )
-
-    def _build_layered(self, session: "ConcretizationSession", abstract: Sequence[Spec]):
-        layers = self.encoder.encode_base_layers(abstract)
-        self.layers_total = len(layers)
-        keys = session._layer_keys(layers, self.encoder)
-
-        # Longest warm prefix first (deepest key wins; a fully warm chain is
-        # one lookup), then extend with the remaining layers, registering and
-        # persisting every freshly grounded prefix.
+        # deepest step first (a fully warm chain is one lookup), then ground
+        # the steps above it, each into the process-wide memo
         prepared: Optional[PreparedProgram] = None
-        start = 0
-        for index in range(len(layers) - 1, -1, -1):
-            found = session._lookup_layer(keys[index])
-            if found is None:
-                continue
-            prepared, source = found
-            start = index + 1
-            if source == "disk":
-                self.layers_replayed_disk = start
-            else:
-                self.layers_replayed_memory = start
-            # write-through, so warm starts find the replayed prefix on disk
-            session._persist_layer(keys[index], prepared)
-            break
-        for index in range(start, len(layers)):
-            layer = layers[index]
-            if prepared is None:
-                prepared = PreparedProgram(
-                    logic_program(),
-                    layer.facts,
-                    config=session.config,
-                    possible_hints=layer.hints,
-                )
-            else:
-                prepared = prepared.extend(layer.facts, possible_hints=layer.hints)
-            self.layers_grounded += 1
-            session._remember_layer(keys[index], prepared)
-            session._persist_layer(keys[index], prepared)
+        source, start = None, 0
+        for index in range(len(keys) - 1, -1, -1):
+            found = session._find(keys[index])
+            if found is not None:
+                (prepared, source), start = found, index + 1
+                break
+        self.steps: List[Tuple[Tuple, PreparedProgram]] = (
+            [(keys[start - 1], prepared)] if start else []
+        )
+        for index in range(start, len(keys)):
+            prepared = self._ground(session, abstract, layers, index, prepared)
+            _remember(_SHARED_STEPS, _SHARED_STEPS_LIMIT, keys[index], prepared)
+            self.steps.append((keys[index], prepared))
+        if start and not self.sharded:
+            # the grounding was found whole: run the encoder for its state
+            self.encoder.encode_base(abstract, sink=_discard_fact)
         self.prepared = prepared
+        self.layers = {"total": len(keys), "grounded": len(keys) - start}
+        self.layers["replayed_memory"] = start if source == "memory" else 0
+        self.layers["replayed_disk"] = start if source in ("snapshot", "pickle") else 0
+        #: True when no grounder ran: the grounding came from an mmap snapshot
+        self.snapshot_attached = source == "snapshot" and start == len(keys)
 
-    @classmethod
-    def from_snapshot(
-        cls,
+    def _ground(
+        self,
         session: "ConcretizationSession",
         abstract: Sequence[Spec],
-        prepared: PreparedProgram,
-    ) -> "_GroundedBase":
-        """A base whose *grounding* was attached from a flat mmap snapshot.
+        layers: Optional[List[EncodedLayer]],
+        index: int,
+        below: Optional[PreparedProgram],
+    ) -> PreparedProgram:
+        """Ground chain step ``index`` onto ``below`` (None for the first)."""
+        if layers is None:
+            encoder = self.encoder
 
-        Only the ground state comes from disk (see
-        :mod:`repro.asp.snapshot`); the encoder re-runs over the repository
-        with a discarding sink to rebuild its provenance log, condition-id
-        sequence, and possible-package set — fact generation is cheap and
-        deterministic, the same trade the layered path makes on every warm
-        replay.  No grounder runs at all, so the session's
-        ``base_groundings`` counter stays at zero on this path.
-        """
-        base = cls.__new__(cls)
-        base.encoder = ProblemEncoder(
-            session.repo,
-            platform=session.platform,
-            compilers=session.compilers,
-            store=session.store,
-            reuse=session.reuse,
-        )
-        base.layers_total = 0
-        base.layers_grounded = 0
-        base.layers_replayed_memory = 0
-        base.layers_replayed_disk = 0
-        base.snapshot_attached = True
-        base.encoder.encode_base(abstract, sink=_discard_fact)
-        base.prepared = prepared
-        return base
+            # Stream encoder -> grounder: every emitted fact is interned
+            # into the ground state as soon as `_fact` produces it, so no
+            # intermediate base-fact list is materialized on the hot path
+            # (the encoder still records facts for provenance/explanations).
+            # The source *returns* the root-possibility hints because
+            # `possible_packages` is only known once encoding ran: grounding
+            # the base as if any possible package could be a root lets every
+            # node/version/variant rule instantiate once, up front, so
+            # per-spec deltas only ground the input conditions themselves.
+            # Hinted-but-unsupported atoms are forced false by completion,
+            # so solves stay exact.
+            def stream_base(write):
+                encoder.encode_base(abstract, sink=write)
+                return [("root", name) for name in sorted(encoder.possible_packages)]
+
+            return PreparedProgram(
+                logic_program(), config=session.config, fact_source=stream_base
+            )
+        layer = layers[index]
+        if below is None:
+            return PreparedProgram(
+                logic_program(),
+                layer.facts,
+                config=session.config,
+                possible_hints=layer.hints,
+            )
+        return below.extend(layer.facts, possible_hints=layer.hints)
+
+    def counters(self) -> Dict[str, int]:
+        """What finding or grounding this base adds to the
+        :class:`SessionStatistics` of the session that built it: a
+        grounding if any step was ground, else a disk hit if the chain came
+        from disk, else a memo hit; layer counts for sharded bases only."""
+        layers = self.layers
+        if layers["grounded"]:
+            counts = {"base_groundings": 1}
+        elif layers["replayed_disk"]:
+            counts = {"base_disk_hits": 1}
+        else:
+            counts = {"base_cache_hits": 1}
+        if self.sharded:
+            counts.update(
+                shard_layers_grounded=layers["grounded"],
+                shard_layers_replayed=layers["replayed_memory"],
+                shard_layers_disk=layers["replayed_disk"],
+            )
+        return counts
 
     def statistics(self) -> Dict[str, object]:
         stats = self.prepared.statistics()
-        if self.layers_total:
-            stats["layers"] = {
-                "total": self.layers_total,
-                "grounded": self.layers_grounded,
-                "replayed_memory": self.layers_replayed_memory,
-                "replayed_disk": self.layers_replayed_disk,
-            }
+        if self.sharded:
+            stats["layers"] = dict(self.layers)
         if self.snapshot_attached:
             stats["snapshot_attached"] = True
         return stats
 
 
 def _discard_fact(fact) -> None:
-    """Null encoder sink for snapshot-attached bases (grounding is on disk)."""
+    """Null encoder sink for bases whose grounding was found whole."""
 
 
-#: Held while a base is found or ground, by every session in the process:
-#: two sessions over the same inputs ground a shared base once, and the
-#: process-wide memos below only change under it.
+#: Held while a base is found on disk or ground, by every session in the
+#: process, so callers of one family ground its base once.  Only a miss in
+#: the base memo takes it; a memo hit never waits for another grounding.
 _GROUND_LOCK = threading.Lock()
 
-#: Process-wide memo of grounded bases, keyed by
-#: (content hash, frozenset of possible packages).
+#: Held for each read or write of the two memos below, never for longer.
+_MEMO_LOCK = threading.Lock()
+
+#: Process-wide memo of grounded bases, keyed by (content hash, store
+#: token, frozenset of possible packages).
 _SHARED_BASES: "OrderedDict[Tuple, _GroundedBase]" = OrderedDict()
 _SHARED_BASES_LIMIT = 8
 
-#: Process-wide memo of layered base *prefixes* (sharded repositories only),
-#: keyed by (context token, store token, providers digest, possible-package
-#: family, chain of (layer name, shard hash) pairs).  Editing one shard
-#: leaves every shorter prefix key valid, so rebuilding a base after the
-#: edit replays the longest warm prefix and grounds only the layers above
-#: it.  Sized for several families x ~9 layers each.
-_SHARED_LAYERS: "OrderedDict[Tuple, PreparedProgram]" = OrderedDict()
-_SHARED_LAYERS_LIMIT = 64
+#: Process-wide memo of chain steps: a monolithic base's one step under its
+#: base key, and every prefix of a sharded base's layer chain under (context
+#: token, store token, providers digest, possible-package family, chain of
+#: (layer name, shard hash) pairs).  Editing one shard leaves every shorter
+#: prefix key valid, so rebuilding a base after the edit replays the longest
+#: warm prefix and grounds only the layers above it.  Sized for several
+#: families x ~9 layers each.
+_SHARED_STEPS: "OrderedDict[Tuple, PreparedProgram]" = OrderedDict()
+_SHARED_STEPS_LIMIT = 64
+
+
+def _recall(memo: OrderedDict, key: Tuple):
+    """``memo[key]``, now the most recently used entry, or None."""
+    with _MEMO_LOCK:
+        value = memo.get(key)
+        if value is not None:
+            memo.move_to_end(key)
+        return value
+
+
+def _remember(memo: OrderedDict, limit: int, key: Tuple, value) -> None:
+    """Store ``value`` under ``key``, dropping the least recently used
+    entries beyond ``limit``."""
+    with _MEMO_LOCK:
+        memo[key] = value
+        memo.move_to_end(key)
+        while len(memo) > limit:
+            memo.popitem(last=False)
 
 
 def clear_shared_bases() -> None:
-    """Drop all memoized grounded bases, so the next session grounds (or
-    loads from disk) its own; tests and benchmarks call it to isolate
-    their measurements."""
-    with _GROUND_LOCK:
+    """Drop all memoized grounded bases and chain steps, so the next session
+    grounds (or loads from disk) its own; tests and benchmarks call it to
+    isolate their measurements."""
+    with _MEMO_LOCK:
         _SHARED_BASES.clear()
-        _SHARED_LAYERS.clear()
+        _SHARED_STEPS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +430,8 @@ def clear_shared_bases() -> None:
 class SessionStatistics:
     """Counters proving (or disproving) that work was shared."""
 
-    #: how many spec-independent layers this session encoded+grounded itself
+    #: how many bases this session grounded itself (a sharded base once,
+    #: however many of its layers it ground)
     base_groundings: int = 0
     #: how many times a memoized grounded base was reused instead
     base_cache_hits: int = 0
@@ -475,16 +495,20 @@ class ConcretizationSession:
       ``session_config.cache_dir`` is given).
 
     With a ``cache_dir``, solved results are written through as versioned
-    JSON, grounded bases as versioned pickles, and additionally as flat
-    mmap-able ground snapshots
-    (:class:`repro.spack.store.SnapshotStore`) that later *processes*
-    attach near-zero-copy instead of unpickling; see ``docs/CACHING.md``.
+    JSON, and every chain step of a grounded base as a versioned
+    :class:`~repro.asp.control.PreparedProgram` pickle and as a flat
+    mmap-able ground snapshot (:class:`repro.spack.store.SnapshotStore`)
+    that later *processes* attach near-zero-copy instead of unpickling; a
+    base this session took from the memo is written too.  See
+    ``docs/CACHING.md``.
 
     Grounded bases are memoized process-wide, so a later session over the
     same inputs reuses them; :func:`clear_shared_bases` drops that memo.
-    Finding or grounding a base holds one process-wide ground lock, so
-    calls from several threads and sessions (a service's solver threads,
-    its tenants, or a sync caller beside them) ground each base once.
+    A memo hit takes one short lock; only a memo miss takes the
+    process-wide ground lock, so calls from several threads and sessions
+    (a service's solver threads, its tenants, or a sync caller beside them)
+    ground each base once, and none waits for another family's grounding
+    when its own base is in the memo.
     """
 
     def __init__(
@@ -536,17 +560,14 @@ class ConcretizationSession:
                 max_bytes=cfg.cache_max_bytes,
             )
         self.stats = SessionStatistics()
-        # lookups and misses update the counters from several threads
-        self._stats_lock = threading.Lock()
+        # lookups and misses update the counters and the write-through sets
+        # below from several threads
+        self._lock = threading.Lock()
         self._content_hash: Optional[str] = None
         self._context_token: Optional[str] = None
         self._last_base: Optional[_GroundedBase] = None
-        self._local_bases: "OrderedDict[Tuple, _GroundedBase]" = OrderedDict()
-        # session-local memo of layered base prefixes (sharded repositories);
-        # the process-wide _SHARED_LAYERS is consulted after it
-        self._local_layers: "OrderedDict[Tuple, PreparedProgram]" = OrderedDict()
-        # base keys known to have a valid disk ground-cache entry (avoids a
-        # probe per solve)
+        # chain-step keys this session found in, or wrote through to, the
+        # pickle ground cache (avoids a probe per solve)
         self._ground_persisted: set = set()
         # likewise for the flat snapshot layer
         self._snapshot_persisted: set = set()
@@ -586,7 +607,7 @@ class ConcretizationSession:
             )
         return self._context_token
 
-    # -- layered bases (sharded repositories) ---------------------------
+    # -- base chains: step keys, lookup, write-through ------------------
 
     def _layer_keys(
         self, layers: Sequence[EncodedLayer], encoder: ProblemEncoder
@@ -617,84 +638,64 @@ class ConcretizationSession:
             keys.append(prefix + (tuple(chain),))
         return keys
 
-    def _lookup_layer(self, key: Tuple) -> Optional[Tuple[PreparedProgram, str]]:
-        """A memoized or persisted prefix program: (program, source) or None."""
-        prepared = self._local_layers.get(key)
+    def _find(self, key: Tuple) -> Optional[Tuple[PreparedProgram, str]]:
+        """The ground program of one chain step and where it came from: the
+        process-wide memo (``"memory"``), an attached flat snapshot
+        (``"snapshot"``, tried first on disk: attaching is O(header) plus a
+        lazy decode, cheaper than walking a pickled object graph) or the
+        pickle ground cache (``"pickle"``); None when none has it.  A step
+        found on disk joins the memo and is not written back to where it
+        was found; an attached one is on disk in its preferred form, so its
+        pickle write-through is skipped as well."""
+        prepared = _recall(_SHARED_STEPS, key)
         if prepared is not None:
-            self._local_layers.move_to_end(key)
             return prepared, "memory"
-        prepared = _SHARED_LAYERS.get(key)
-        if prepared is not None:
-            _SHARED_LAYERS.move_to_end(key)
-            self._local_layers[key] = prepared
-            return prepared, "memory"
+        source = snapshot = None
         if self.snapshot_store is not None:
-            # flat snapshot first (same preference as the monolithic path);
-            # an attached layer is already on disk in its preferred form, so
-            # the pickle write-through is skipped for it as well
-            prepared = self._materialize_snapshot(key)
-            if prepared is not None:
-                self._snapshot_persisted.add(key)
-                self._ground_persisted.add(key)
-                self._remember_layer(key, prepared)
-                return prepared, "disk"
-        if self.ground_cache is not None:
+            snapshot = self.snapshot_store.load(key)
+        if snapshot is not None:
+            try:
+                prepared, source = snapshot.materialize(), "snapshot"
+            except SnapshotError:
+                # corrupt past its valid header (tallied as a load error and
+                # deleted): the cold ground that follows writes it anew
+                self.snapshot_store.note_load_error(key)
+                snapshot.close()
+            else:
+                self._count(snapshot_attaches=1)
+                self._claim(self._snapshot_persisted, key)
+        if prepared is None and self.ground_cache is not None:
             loaded = self.ground_cache.get(key)
             if isinstance(loaded, PreparedProgram):  # reject foreign payloads
-                self._ground_persisted.add(key)
-                self._remember_layer(key, loaded)
-                return loaded, "disk"
-        return None
-
-    def _remember_layer(self, key: Tuple, prepared: PreparedProgram) -> None:
-        self._local_layers[key] = prepared
-        while len(self._local_layers) > _SHARED_LAYERS_LIMIT:
-            self._local_layers.popitem(last=False)
-        _SHARED_LAYERS[key] = prepared
-        while len(_SHARED_LAYERS) > _SHARED_LAYERS_LIMIT:
-            _SHARED_LAYERS.popitem(last=False)
-
-    def _persist_layer(self, key: Tuple, prepared: PreparedProgram) -> None:
-        """Write a prefix program through to disk (validated, self-healing).
-
-        Mirrors the monolithic write-through: even a prefix replayed from a
-        process-wide memo is persisted if the directory lacks a valid entry,
-        so warm starts always find every prefix this session used — as a
-        flat snapshot (preferred) and as a pickle.
-        """
-        self._persist_snapshot(key, prepared)
-        if self.ground_cache is None or key in self._ground_persisted:
-            return
-        if not isinstance(self.ground_cache.get(key), PreparedProgram):
-            self.ground_cache.put(key, prepared)
-        self._ground_persisted.add(key)
-
-    def _persist_snapshot(self, key: Tuple, prepared: PreparedProgram) -> None:
-        """Write a flat snapshot through to disk (validated, self-healing)."""
-        if self.snapshot_store is None or key in self._snapshot_persisted:
-            return
-        if not self.snapshot_store.has_valid(key):
-            if self.snapshot_store.put(key, prepared):
-                self.stats.snapshot_writes += 1
-        self._snapshot_persisted.add(key)
-
-    def _materialize_snapshot(self, key: Tuple) -> Optional[PreparedProgram]:
-        """Attach + materialize the snapshot for ``key``, or None on any
-        miss.  A snapshot that attaches but turns out corrupt during the
-        lazy decode degrades to None too (tallied as a load error on the
-        store) — the caller then grounds cold and the subsequent
-        write-through replaces the damaged file."""
-        snapshot = self.snapshot_store.load(key)
-        if snapshot is None:
+                prepared, source = loaded, "pickle"
+        if prepared is None:
             return None
-        try:
-            prepared = snapshot.materialize()
-        except SnapshotError:
-            self.snapshot_store.note_load_error(key)
-            snapshot.close()
-            return None
-        self.stats.snapshot_attaches += 1
-        return prepared
+        self._claim(self._ground_persisted, key)
+        _remember(_SHARED_STEPS, _SHARED_STEPS_LIMIT, key, prepared)
+        return prepared, source
+
+    def _claim(self, persisted: set, key: Tuple) -> bool:
+        """Add ``key`` to ``persisted``; True if it was not there yet."""
+        with self._lock:
+            if key in persisted:
+                return False
+            persisted.add(key)
+            return True
+
+    def _write_through(self, key: Tuple, prepared: PreparedProgram) -> None:
+        """Write one chain step through to disk, at most once per key per
+        session: a flat snapshot and a pickle, each behind a validated probe
+        (an attach or a load, not a bare existence check), so a valid entry
+        is left alone and a damaged or version-skewed one is overwritten —
+        the cache self-heals.  Steps that came from the memo are written
+        too, so warm starts find on disk every step this session used."""
+        if self.snapshot_store is not None and self._claim(self._snapshot_persisted, key):
+            if not self.snapshot_store.has_valid(key):
+                if self.snapshot_store.put(key, prepared):
+                    self._count(snapshot_writes=1)
+        if self.ground_cache is not None and self._claim(self._ground_persisted, key):
+            if not isinstance(self.ground_cache.get(key), PreparedProgram):
+                self.ground_cache.put(key, prepared)
 
     def statistics(self) -> Dict[str, object]:
         """Session counters plus the active base's grounder statistics."""
@@ -728,103 +729,29 @@ class ConcretizationSession:
         exactly as large as a standalone concretizer's, so sharing never
         slows the search down.
 
-        Runs under the process-wide ground lock, held on the calling
-        thread: a caller that stops waiting (a request whose deadline
-        passed) cannot let another call, of this session or another one,
-        ground the same base beside this one.
+        A hit in the process-wide memo takes no ground lock, so it never
+        waits for another family's grounding.  A miss takes the ground lock
+        on the calling thread and looks again once it holds it: callers of
+        one family, from any session, ground its base once, and a caller
+        that stops waiting (a request whose deadline passed) cannot let
+        another call ground the same base beside this one.  Every step of
+        the base is then written through to disk (:meth:`_write_through`).
         """
-        with _GROUND_LOCK:
-            key = self._base_key(abstract)
-            sharded = isinstance(self.repo, ShardedRepository)
-            base = self._local_bases.get(key)
-            if base is not None:
-                self._local_bases.move_to_end(key)
-                self.stats.base_cache_hits += 1
-                self._last_base = base
-                return base
-            base = _SHARED_BASES.get(key)
-            if base is not None:
-                _SHARED_BASES.move_to_end(key)
-                self.stats.base_cache_hits += 1
-            from_snapshot = False
-            if base is None and self.snapshot_store is not None and not sharded:
-                # flat snapshots first: attaching is O(header) + a lazy
-                # decode, cheaper than walking a pickled object graph of the
-                # same base
-                base = self._attach_snapshot(key, abstract)
-                if base is not None:
-                    from_snapshot = True
-                    self.stats.base_disk_hits += 1
-                    self._snapshot_persisted.add(key)
-            probed_disk = False
-            if base is None and self.ground_cache is not None and not sharded:
-                probed_disk = True
-                loaded = self.ground_cache.get(key)
-                if isinstance(loaded, _GroundedBase):  # reject foreign payloads
-                    base = loaded
-                    self.stats.base_disk_hits += 1
-                    self._ground_persisted.add(key)
-            if base is None:
-                base = _GroundedBase(self, abstract)
-                if base.layers_total:
-                    # layered construction (sharded repository): account at
-                    # layer granularity — a fully replayed chain grounds
-                    # nothing
-                    self.stats.shard_layers_grounded += base.layers_grounded
-                    self.stats.shard_layers_replayed += base.layers_replayed_memory
-                    self.stats.shard_layers_disk += base.layers_replayed_disk
-                    if base.layers_grounded:
-                        self.stats.base_groundings += 1
-                    elif base.layers_replayed_disk:
-                        self.stats.base_disk_hits += 1
-                    else:
-                        self.stats.base_cache_hits += 1
-                else:
-                    self.stats.base_groundings += 1
-            if (
-                self.ground_cache is not None
-                and not sharded
-                and not from_snapshot
-                and key not in self._ground_persisted
-            ):
-                # Write through even when the base came from the in-memory
-                # memo (e.g. grounded by a cache_dir-less session): warm
-                # starts must find every base this session used on disk.
-                # The probe is a *validated* load (not a bare existence
-                # check), so corrupted or version-skewed entries get
-                # overwritten — the cache self-heals.  (Sharded bases
-                # persist per chain prefix instead, inside
-                # _GroundedBase._build_layered; snapshot-attached bases are
-                # already on disk in their preferred form.)
-                if probed_disk or not isinstance(
-                    self.ground_cache.get(key), _GroundedBase
-                ):
-                    self.ground_cache.put(key, base)
-                self._ground_persisted.add(key)
-            if not sharded:
-                # Same write-through contract for the flat snapshot beside
-                # the pickle: a validated attach probe, so damaged or skewed
-                # files are overwritten and the layer self-heals.  (Sharded
-                # bases snapshot per chain prefix inside _persist_layer.)
-                self._persist_snapshot(key, base.prepared)
-            _SHARED_BASES[key] = base
-            while len(_SHARED_BASES) > _SHARED_BASES_LIMIT:
-                _SHARED_BASES.popitem(last=False)
-            self._local_bases[key] = base
-            while len(self._local_bases) > _SHARED_BASES_LIMIT:
-                self._local_bases.popitem(last=False)
-            self._last_base = base
-            return base
-
-    def _attach_snapshot(
-        self, key: Tuple, abstract: Sequence[Spec]
-    ) -> Optional[_GroundedBase]:
-        """A monolithic base materialized from an mmap-attached ground
-        snapshot, or None on any miss (see :meth:`_materialize_snapshot`)."""
-        prepared = self._materialize_snapshot(key)
-        if prepared is None:
-            return None
-        return _GroundedBase.from_snapshot(self, abstract, prepared)
+        key = self._base_key(abstract)
+        base = _recall(_SHARED_BASES, key)
+        counts: Dict[str, int] = {"base_cache_hits": 1}
+        if base is None:
+            with _GROUND_LOCK:
+                base = _recall(_SHARED_BASES, key)
+                if base is None:
+                    base = _GroundedBase(self, abstract, key)
+                    _remember(_SHARED_BASES, _SHARED_BASES_LIMIT, key, base)
+                    counts = base.counters()
+        self._count(**counts)
+        for step_key, prepared in base.steps:
+            self._write_through(step_key, prepared)
+        self._last_base = base
+        return base
 
     def _base_key(self, abstract: Sequence[Spec]) -> Tuple:
         return (
@@ -857,7 +784,7 @@ class ConcretizationSession:
 
     def _count(self, **deltas: int) -> None:
         """Add ``deltas`` to the named :class:`SessionStatistics` counters."""
-        with self._stats_lock:
+        with self._lock:
             for name, delta in deltas.items():
                 setattr(self.stats, name, getattr(self.stats, name) + delta)
 

@@ -86,10 +86,18 @@ class ConcretizationRequestHandler(BaseHTTPRequestHandler):
         headers = {}
         if isinstance(exc, OverloadedError):
             headers["Retry-After"] = f"{exc.retry_after_s:g}"
+        if self.close_connection:
+            headers["Connection"] = "close"
         self._send_json(exc.status, exc.payload(), headers)
 
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # where the body ends is unknown, so no later request on this
+            # connection can be read: answer, then close it
+            self.close_connection = True
+            raise BadRequestError(f"invalid Content-Length: {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise BadRequestError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""

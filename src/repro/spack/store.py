@@ -53,7 +53,7 @@ from repro.spack.spec_parser import parse_spec
 #: serialized layout (or the semantics of what is cached) changes; readers
 #: treat any other version as a miss, so old and new code can share one cache
 #: directory without ever exchanging garbage.
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 #: Age after which an orphaned ``.tmp`` file (an interrupted writer's
 #: leftover) may be reaped by budgeted pruning; generous enough that no
@@ -672,8 +672,13 @@ class PersistentGroundCache:
         self._lock = threading.RLock()
 
     def get(self, key: Hashable):
-        """The cached object for ``key``, or None (on any miss or error)."""
-        status, payload = self._disk.load(cache_key_token(key))
+        """The cached object for ``key``, or None (on any miss or error).
+
+        A damaged entry is deleted once counted, as a damaged snapshot is
+        (:meth:`SnapshotStore.note_load_error`), so the probe before the
+        write that replaces it reads a plain miss."""
+        token = cache_key_token(key)
+        status, payload = self._disk.load(token)
         with self._lock:
             if status == "hit":
                 self.hits += 1
@@ -681,7 +686,12 @@ class PersistentGroundCache:
             if status == "error":
                 self.load_errors += 1
             self.misses += 1
-            return None
+        if status == "error":
+            try:
+                os.unlink(self._disk.path_for(token))
+            except OSError:
+                pass
+        return None
 
     def put(self, key: Hashable, value) -> None:
         """Persist ``value`` under ``key`` (best effort; never raises)."""

@@ -20,7 +20,8 @@ import time
 import pytest
 
 from repro.asp.configs import SolverConfig
-from repro.spack.concretize import ConcretizationSession, Concretizer
+from repro.asp.control import PreparedProgram
+from repro.spack.concretize import ConcretizationSession, Concretizer, SessionConfig
 from repro.spack.concretize.encoder import ProblemEncoder
 from repro.spack.concretize.session import _GroundedBase
 from repro.spack.directives import depends_on, provides, variant, version
@@ -28,6 +29,8 @@ from repro.spack.errors import UnsatisfiableSpecError
 from repro.spack.package import Package
 from repro.spack.repo import Repository
 from repro.spack.store import Database, SolveCache
+
+from tests.concretize.test_sharded_repo import micro_sharded
 
 #: an overlapping batch: three distinct solves, two repeats, two spec families
 BATCH = ["example", "example+bzip", "minitool", "example", "example+bzip"]
@@ -165,6 +168,39 @@ def test_concurrent_base_lookups_ground_once(session):
     assert session.stats.base_cache_hits == workers - 1
 
 
+def test_concurrent_memo_hits_write_a_base_through_once(micro_repo, tmp_path):
+    """More threads than CPUs reuse one memoized base in a persisting session
+    at once, switching threads every microsecond, and none holds the ground
+    lock: the session still probes and writes the base to disk once."""
+    ConcretizationSession(repo=micro_repo).solve(["example"])  # memoize it
+    session = ConcretizationSession(
+        repo=micro_repo, session_config=SessionConfig(cache_dir=str(tmp_path))
+    )
+    workers = (os.cpu_count() or 1) + 2
+    abstract = session._as_specs(["example"])
+    start = threading.Barrier(workers)
+
+    def lookup():
+        start.wait()
+        session._base_for(abstract)
+
+    threads = [threading.Thread(target=lookup, daemon=True) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert session.stats.base_cache_hits == workers
+    assert session.ground_cache.statistics()["misses"] == 1  # one probe
+    assert session.ground_cache.writes == 1
+    assert session.stats.snapshot_writes == 1
+
+
 def test_two_sessions_ground_a_shared_base_once(micro_repo, monkeypatch):
     """Two sessions over the same inputs solve one family on two threads
     while the first grounding is slow: the ground lock is process-wide, so
@@ -189,6 +225,48 @@ def test_two_sessions_ground_a_shared_base_once(micro_repo, monkeypatch):
     assert sum(session.stats.base_groundings for session in sessions) == 1
     assert sum(session.stats.base_cache_hits for session in sessions) == 1
     assert all(session.stats.delta_groundings == 1 for session in sessions)
+
+
+def test_memo_hit_does_not_wait_for_another_familys_grounding(micro_repo, monkeypatch):
+    """One session's base is in the memo while another session grounds a
+    cold family and holds the ground lock: the memo hit takes no ground
+    lock, so the first session's next solve returns while the grounding is
+    still blocked."""
+    warm = ConcretizationSession(repo=micro_repo)
+    warm.solve(["example"])
+
+    grounding, release = threading.Event(), threading.Event()
+    original = PreparedProgram.__init__
+
+    def blocked_init(self, *args, **kwargs):
+        grounding.set()
+        release.wait(timeout=120)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedProgram, "__init__", blocked_init)
+    cold = ConcretizationSession(repo=micro_sharded())
+    answers = []
+    threads = [
+        threading.Thread(target=cold.solve, args=(["zlib"],), daemon=True),
+        threading.Thread(
+            target=lambda: answers.extend(warm.solve(["example+bzip"])), daemon=True
+        ),
+    ]
+    try:
+        threads[0].start()
+        assert grounding.wait(timeout=60)
+        threads[1].start()
+        threads[1].join(timeout=30)
+        assert answers, "the memo hit waited for another family's grounding"
+        assert not release.is_set() and threads[0].is_alive()
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert "+bzip" in str(answers[0].spec)
+    assert warm.stats.base_cache_hits == 1
+    assert cold.stats.base_groundings == 1
 
 
 def test_second_pass_hits_cache_without_regrounding(micro_repo, session):

@@ -30,6 +30,8 @@ from repro.spack.store import (
     SolveCache,
 )
 
+from tests.concretize.test_sharded_repo import FAMILY_LAYERS, micro_flat, micro_sharded
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 BATCH = ["example", "example+bzip", "example@1.0.0", "example"]
@@ -133,23 +135,39 @@ def test_ground_cache_warms_base_for_new_specs(micro_repo, tmp_path):
     assert two.stats.delta_groundings == 1
 
 
-def test_memo_hit_bases_are_still_written_to_disk(micro_repo, tmp_path):
+@pytest.mark.parametrize(
+    ("make_repo", "steps"),
+    [(micro_flat, 1), (micro_sharded, FAMILY_LAYERS)],
+    ids=["micro_repo", "micro_sharded_repo"],
+)
+def test_memo_hit_bases_are_still_written_to_disk(make_repo, steps, tmp_path):
     """A base grounded by a cache-less session and then *reused* (via the
     process-wide memo) by a persisting session must still land on disk —
-    warm starts have to find every base the persisting session used."""
-    warmup = ConcretizationSession(repo=micro_repo)  # no cache_dir, shared memo
+    warm starts have to find every base the persisting session used, and
+    every step of a sharded base's layer chain."""
+    repo = make_repo()
+    warmup = ConcretizationSession(repo=repo)  # no cache_dir, shared memo
     warmup.solve(["example"])
 
     session = ConcretizationSession(
-        repo=micro_repo, session_config=SessionConfig(cache_dir=str(tmp_path))
+        repo=repo, session_config=SessionConfig(cache_dir=str(tmp_path))
     )
     session.solve(["example~bzip"])
     assert session.stats.base_groundings == 0  # reused the memoized base
-    assert len(ground_files(tmp_path)) == 1  # ...but persisted it anyway
-    assert session.ground_cache.writes == 1
+    assert len(ground_files(tmp_path)) == steps  # ...but persisted it anyway
+    assert len(snapshot_files(tmp_path)) == steps
+    assert session.ground_cache.writes == steps
     # and a repeat solve does not re-probe or re-write
+    probed = session.ground_cache.statistics()
     session.solve(["example@1.0.0"])
-    assert session.ground_cache.writes == 1
+    assert session.ground_cache.statistics() == probed
+
+    # a restart, with an empty memo and no solve cache, grounds nothing
+    restart = fresh_session(repo, tmp_path, solve_cache=SolveCache())
+    restart.solve(["example+bzip"])
+    assert restart.stats.base_groundings == 0
+    assert restart.stats.shard_layers_grounded == 0
+    assert restart.stats.snapshot_attaches == 1
 
 
 def test_disk_replayed_results_are_fully_usable(micro_repo, tmp_path):

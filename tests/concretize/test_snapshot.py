@@ -16,6 +16,8 @@ The contract under test (ISSUE 9 tentpole):
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.asp.grounder import Grounder
@@ -121,7 +123,13 @@ def test_warm_base_still_solves_new_specs(micro_repo, tmp_path):
     assert fresh_result == signature(reference.solve(["example~bzip"])[0])
 
 
-def test_unsat_cores_identical_across_snapshot_warm_start(micro_repo, tmp_path):
+@pytest.mark.parametrize("warm_from", ["snapshot", "pickle"])
+def test_unsat_cores_identical_across_snapshot_warm_start(micro_repo, tmp_path, warm_from):
+    """A base found on disk carries the ground program alone, so the warm
+    session's conflict core comes from the encoder it ran again: the same
+    core as the cold one's, whether the base was attached from its snapshot
+    or, with ``snapshot/`` removed, loaded from its pickle."""
+
     def core(session):
         with pytest.raises(UnsatisfiableSpecError) as excinfo:
             session.solve(["example %intel"])
@@ -133,10 +141,13 @@ def test_unsat_cores_identical_across_snapshot_warm_start(micro_repo, tmp_path):
     assert cold_core  # non-empty: the conflict is explained
 
     clear_solve_cache(tmp_path)
+    if warm_from == "pickle":
+        shutil.rmtree(tmp_path / "snapshot")
     warm = fresh_session(micro_repo, tmp_path)
     assert core(warm) == cold_core
     assert warm.stats.base_groundings == 0
-    assert warm.stats.snapshot_attaches == 1
+    assert warm.stats.base_disk_hits == 1
+    assert warm.stats.snapshot_attaches == (1 if warm_from == "snapshot" else 0)
 
 
 # ---------------------------------------------------------------------------

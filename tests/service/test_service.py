@@ -661,6 +661,32 @@ def test_http_concretize_and_errors(server):
     assert body["error"]["detail"]["path"] == "/v1/nothing"
 
 
+@pytest.mark.parametrize("declared", ["abc", "-1"])
+def test_http_malformed_content_length_is_a_bad_request(server, declared):
+    """A Content-Length that is not a non-negative integer is answered 400
+    in the error envelope, and the connection is closed: where the body
+    ends is unknown.  Reading it as given would answer 500 for ``abc`` and
+    wait for the client to close for ``-1``."""
+    with socket.create_connection((server.host, server.port), timeout=10) as connection:
+        connection.sendall(
+            b"POST /v1/concretize HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+        )
+        received = b""
+        while True:  # a socket timeout here fails the test
+            chunk = connection.recv(65536)
+            if not chunk:
+                break  # the server closed the connection
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    error = json.loads(body)["error"]
+    assert error["code"] == "bad_request"
+    assert "Content-Length" in error["message"]
+
+
 def test_http_batch_and_header_options(server):
     status, body, _ = http_json(
         f"{server.url}/v1/concretize_batch",
