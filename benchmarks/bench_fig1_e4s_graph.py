@@ -29,17 +29,11 @@ def graph_stats(repo):
     return stats
 
 
-def test_fig1_dependencies_outnumber_roots(graph_stats, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig1_dependencies_outnumber_roots(graph_stats):
     assert graph_stats["num_dependencies"] > 2 * graph_stats["num_roots"]
 
 
-def test_fig1_graph_is_connected_to_roots(graph_stats, repo, benchmark):
+def test_fig1_graph_is_connected_to_roots(graph_stats, repo):
     """Every dependency in the graph is reachable from at least one root."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     reachable = repo.possible_dependencies(*graph_stats["roots"])
     assert graph_stats["num_packages"] == len(reachable)
-
-
-def test_fig1_graph_statistics_benchmark(repo, benchmark):
-    benchmark.pedantic(lambda: e4s_graph_statistics(repo), rounds=1, iterations=1)

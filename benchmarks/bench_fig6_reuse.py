@@ -54,15 +54,13 @@ def reuse_comparison(repo, populated_store):
     return hash_based, solver_based, partial
 
 
-def test_fig6a_hash_based_reuse_misses_everything(reuse_comparison, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig6a_hash_based_reuse_misses_everything(reuse_comparison):
     hash_based, _, _ = reuse_comparison
     assert hash_based.number_reused == 0
     assert hash_based.number_of_builds == len(hash_based.specs)
 
 
-def test_fig6b_solver_reuse_reuses_most_packages(reuse_comparison, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig6b_solver_reuse_reuses_most_packages(reuse_comparison):
     _, solver_based, partial = reuse_comparison
     assert solver_based.number_reused >= 0.8 * len(solver_based.specs)
     # the partially-matching request rebuilds only the changed root
@@ -70,18 +68,12 @@ def test_fig6b_solver_reuse_reuses_most_packages(reuse_comparison, benchmark):
     assert partial.number_reused >= 0.8 * len(partial.specs)
 
 
-def test_fig6_reused_packages_keep_installed_configuration(repo, populated_store, benchmark):
+def test_fig6_reused_packages_keep_installed_configuration(repo, populated_store):
     """Reuse takes priority over the defaults for already-installed software
     (the cmake 3.21.1 vs 3.21.4 point in the paper): the reused packages keep
     their gcc 10.3.1 build instead of triggering gcc 11.2.0 rebuilds."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     result = Concretizer(repo=repo, store=populated_store, reuse=True).concretize(REQUEST)
     reused_compilers = {
         str(result.specs[name].compiler_versions) for name in result.reused
     }
     assert "10.3.1" in reused_compilers
-
-
-def test_fig6_benchmark_reuse_solve(repo, populated_store, benchmark):
-    concretizer = Concretizer(repo=repo, store=populated_store, reuse=True)
-    benchmark.pedantic(lambda: concretizer.concretize(REQUEST), rounds=1, iterations=1)

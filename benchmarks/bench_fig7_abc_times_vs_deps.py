@@ -40,8 +40,7 @@ def series(repo):
     return rows
 
 
-def test_fig7a_ground_time_grows_with_possible_dependencies(series, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig7a_ground_time_grows_with_possible_dependencies(series):
     small = [r for r in series if r["possible_deps"] < 10]
     large = [r for r in series if r["possible_deps"] > 40]
     assert small and large
@@ -49,17 +48,15 @@ def test_fig7a_ground_time_grows_with_possible_dependencies(series, benchmark):
     assert avg(large, "ground") > avg(small, "ground")
 
 
-def test_fig7b_solve_time_grows_with_possible_dependencies(series, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig7b_solve_time_grows_with_possible_dependencies(series):
     small = [r for r in series if r["possible_deps"] < 10]
     large = [r for r in series if r["possible_deps"] > 40]
     avg = lambda rows, key: sum(r[key] for r in rows) / len(rows)  # noqa: E731
     assert avg(large, "solve") > avg(small, "solve")
 
 
-def test_fig7c_two_clusters_in_possible_dependencies(series, benchmark, repo):
+def test_fig7c_two_clusters_in_possible_dependencies(series, repo):
     """The gap between packages that can reach MPI and those that cannot."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     counts = sorted(repo.possible_dependency_count(name) for name in repo)
     low_cluster = [c for c in counts if c < 20]
     high_cluster = [c for c in counts if c > 40]
@@ -68,9 +65,3 @@ def test_fig7c_two_clusters_in_possible_dependencies(series, benchmark, repo):
     assert len(high_cluster) > 30
     # the gap: far fewer packages live between the clusters than inside them
     assert len(middle) < min(len(low_cluster), len(high_cluster))
-
-
-def test_fig7_benchmark_one_medium_solve(repo, benchmark):
-    """A real pytest-benchmark measurement of one representative solve."""
-    concretizer = Concretizer(repo=repo)
-    benchmark.pedantic(lambda: concretizer.concretize("sz"), rounds=1, iterations=1)

@@ -54,24 +54,21 @@ def preset_times(repo):
     return times, costs
 
 
-def test_fig7d_all_presets_solve_everything(preset_times, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig7d_all_presets_solve_everything(preset_times):
     times, _ = preset_times
     for preset in PRESETS:
         assert len(times[preset]) == len(SMALL_SAMPLE)
 
 
-def test_fig7d_presets_agree_on_optima(preset_times, benchmark):
+def test_fig7d_presets_agree_on_optima(preset_times):
     """Optimality is preset-independent; only performance differs."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     _, costs = preset_times
     for name, by_preset in costs.items():
         assert len(set(by_preset.values())) == 1, name
 
 
-def test_fig7d_default_preset_is_competitive(preset_times, benchmark):
+def test_fig7d_default_preset_is_competitive(preset_times):
     """tweety (the paper's choice) must not be the slowest preset overall."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     times, _ = preset_times
     totals = {preset: sum(values) for preset, values in times.items()}
     assert totals["tweety"] <= max(totals.values())

@@ -46,27 +46,15 @@ def comparison(repo):
     return rows
 
 
-def test_fig7h_both_concretizers_handle_the_sample(comparison, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig7h_both_concretizers_handle_the_sample(comparison):
     assert len(comparison) == len(SMALL_SAMPLE)
 
 
-def test_fig7h_gap_grows_with_possible_dependencies(comparison, benchmark):
+def test_fig7h_gap_grows_with_possible_dependencies(comparison):
     """The deviation from the greedy baseline is largest for packages with the
     biggest possible dependency trees (the second cluster in the paper)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     smallest = comparison[0]
     largest = comparison[-1]
     gap_small = smallest["new"] - smallest["old"]
     gap_large = largest["new"] - largest["old"]
     assert gap_large > gap_small
-
-
-def test_fig7h_benchmark_old_concretizer(repo, benchmark):
-    concretizer = OriginalConcretizer(repo=repo)
-    benchmark.pedantic(lambda: concretizer.concretize("hdf5"), rounds=1, iterations=1)
-
-
-def test_fig7h_benchmark_new_concretizer(repo, benchmark):
-    concretizer = Concretizer(repo=repo)
-    benchmark.pedantic(lambda: concretizer.concretize("hdf5"), rounds=1, iterations=1)

@@ -624,9 +624,8 @@ class ConcretizationService:
             stats = state.session.stats
             snapshot["attaches"] += stats.snapshot_attaches
             snapshot["writes"] += stats.snapshot_writes
-            snapshot["cold_grounds"] += (
-                stats.base_groundings + stats.shard_layers_grounded
-            )
+            # one per base, however many layers a sharded base is ground in
+            snapshot["cold_grounds"] += stats.base_groundings
         return {
             "service": {
                 **counters,

@@ -91,14 +91,20 @@ class ConcretizationRequestHandler(BaseHTTPRequestHandler):
         self._send_json(exc.status, exc.payload(), headers)
 
     def _read_body(self) -> Dict:
+        # a body refused before it is read stays on the connection, where no
+        # later request can be found after it: answer, then close it
+        if self.headers.get("Transfer-Encoding"):
+            self.close_connection = True
+            raise BadRequestError(
+                "chunked request bodies are not supported (send a Content-Length)"
+            )
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
-            # where the body ends is unknown, so no later request on this
-            # connection can be read: answer, then close it
             self.close_connection = True
             raise BadRequestError(f"invalid Content-Length: {declared!r}")
         length = int(declared)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise BadRequestError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""
         if not raw:

@@ -374,6 +374,19 @@ def cost_vector(model, levels):
     )
 
 
+#: (rules, choices, constraints, levels, facts) of "c :- not b. { b }." with
+#: b costing 1 and c costing 5 at one level: the solver decides the minimize
+#: variable b false first, so its first model is {c} at cost 5, and
+#: branch-and-bound has to go on to the optimum {b} at cost 1
+FIRST_MODEL_NOT_OPTIMAL = (
+    [("c", [], ["b"])],
+    [(["b"], [], [], None, None)],
+    [],
+    [[(1, ["b"], []), (5, ["c"], [])], [(1, ["a"], [])]],
+    {},
+)
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.lists(rule_strategy, max_size=4),
@@ -382,6 +395,7 @@ def cost_vector(model, levels):
     levels_strategy,
     facts_strategy,
 )
+@example(*FIRST_MODEL_NOT_OPTIMAL)
 @example(
     # a <-> b is a positive loop whose external support is the choice of c;
     # the delta fact d forces a, and minimizing c at the top level first
@@ -409,6 +423,17 @@ def test_optimum_is_the_lexicographic_minimum_over_stable_models(
         assert cost_vector(model, levels) == best
         reported = tuple(result.costs.get(priority, 0) for priority in range(len(levels), 0, -1))
         assert reported == best
+
+
+def test_branch_and_bound_improves_on_a_first_model_that_is_not_optimal():
+    """Every path finds the non-optimal model first and improves on it, so
+    the optimum it reports is its second model at least."""
+    rules, choices, constraints, levels, facts = FIRST_MODEL_NOT_OPTIMAL
+    text = optimization_text(rules, choices, constraints, levels)
+    for result in solve_both_paths(text, facts):
+        assert {atom[0] for atom in result.model.atoms()} == {"b"}
+        assert result.costs == {1: 1}
+        assert result.statistics["optimization"]["models_found"] >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,9 @@ from repro.spack.service import (
     UnknownTenantError,
     UnsolvableError,
 )
+from repro.spack.service.http import MAX_BODY_BYTES
+
+from tests.concretize.test_multi_catalog import SHARD_LAYOUT, micro_builtin
 
 #: overlapping single-family batch: six distinct solves, two exact repeats
 BATCH = [
@@ -258,6 +261,21 @@ def test_in_batch_duplicates_are_solved_once(service):
     assert stats["solve_cache_misses"] == 6
     assert stats["specs_solved"] == len(BATCH)
     assert stats["base_groundings"] == 1  # grounded once, under the ground lock
+
+
+@pytest.mark.parametrize("catalog", ["flat", "sharded"])
+def test_stats_count_one_cold_ground_per_base(micro_repo, catalog):
+    """``service.snapshot.cold_grounds`` counts bases ground cold: a sharded
+    base is ground as one layer per shard it reaches, and still counts
+    once, as a flat one does."""
+    repo = micro_repo if catalog == "flat" else micro_builtin()
+    with make_service(repo, max_concurrency=1) as service:
+        service.concretize("example")
+        stats = service.statistics()
+    assert stats["tenants"]["default"]["shard_layers_grounded"] == (
+        0 if catalog == "flat" else len(SHARD_LAYOUT)
+    )
+    assert stats["service"]["snapshot"]["cold_grounds"] == 1
 
 
 @pytest.mark.parametrize("max_concurrency", [1, 2])
@@ -661,30 +679,64 @@ def test_http_concretize_and_errors(server):
     assert body["error"]["detail"]["path"] == "/v1/nothing"
 
 
+def post_headers_until_close(server, headers, timeout):
+    """Send the head of a ``POST /v1/concretize`` with ``headers`` and no
+    body, then read until the server closes the connection (a socket
+    timeout fails the test); returns the response's head and body.  No body
+    bytes go out: bytes the server leaves unread can turn its close into a
+    reset."""
+    with socket.create_connection((server.host, server.port), timeout=timeout) as connection:
+        connection.sendall(
+            b"POST /v1/concretize HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n" + headers + b"\r\n\r\n"
+        )
+        received = b""
+        while True:
+            chunk = connection.recv(65536)
+            if not chunk:
+                break  # the server closed the connection
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    return head, body
+
+
 @pytest.mark.parametrize("declared", ["abc", "-1"])
 def test_http_malformed_content_length_is_a_bad_request(server, declared):
     """A Content-Length that is not a non-negative integer is answered 400
     in the error envelope, and the connection is closed: where the body
     ends is unknown.  Reading it as given would answer 500 for ``abc`` and
     wait for the client to close for ``-1``."""
-    with socket.create_connection((server.host, server.port), timeout=10) as connection:
-        connection.sendall(
-            b"POST /v1/concretize HTTP/1.1\r\nHost: localhost\r\n"
-            b"Content-Type: application/json\r\n"
-            b"Content-Length: " + declared.encode() + b"\r\n\r\n"
-        )
-        received = b""
-        while True:  # a socket timeout here fails the test
-            chunk = connection.recv(65536)
-            if not chunk:
-                break  # the server closed the connection
-            received += chunk
-    head, _, body = received.partition(b"\r\n\r\n")
+    head, body = post_headers_until_close(
+        server, b"Content-Length: " + declared.encode(), timeout=10
+    )
     assert head.startswith(b"HTTP/1.1 400 ")
     assert b"\r\nConnection: close" in head
     error = json.loads(body)["error"]
     assert error["code"] == "bad_request"
     assert "Content-Length" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"Content-Length: %d" % (MAX_BODY_BYTES + 12), "request body too large"),
+        (b"Transfer-Encoding: chunked", "chunked request bodies are not supported"),
+    ],
+    ids=["too-large", "chunked"],
+)
+def test_http_unread_body_is_refused_and_closes_the_connection(server, header, message):
+    """A body the server will not read is answered once, 400 in the error
+    envelope, and the connection is closed.  Kept open, the unread bytes
+    would be parsed as the next request: an HTML 414 after a body over
+    ``MAX_BODY_BYTES``, an HTML 400 for a chunked body's first size line."""
+    head, body = post_headers_until_close(server, header, timeout=2)
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    declared = re.search(rb"\r\nContent-Length: (\d+)", head)
+    assert len(body) == int(declared.group(1))  # one envelope, nothing after it
+    error = json.loads(body)["error"]
+    assert error["code"] == "bad_request"
+    assert message in error["message"]
 
 
 def test_http_batch_and_header_options(server):

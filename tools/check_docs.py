@@ -68,8 +68,6 @@ STDLIB_ALLOWLIST = {
 #: Environment variables the docs may reference. They look like constants
 #: but are read via ``os.environ``, so the assignment check cannot see them.
 ENV_ALLOWLIST = {
-    "BENCH_NOISE_BAND",
-    "BENCH_TREND_NUMBER",
     "PYTHONPATH",
 }
 

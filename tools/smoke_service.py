@@ -18,7 +18,8 @@ drives the request lifecycle end to end:
 
 With ``--workers N`` it instead exercises the multi-process warm-start
 contract (ISSUE 9 tentpole): N server processes share one ``cache_dir``;
-the first request grounds cold and publishes an mmap ground snapshot, and
+the first request grounds its one base cold (``service.snapshot.cold_grounds
+== 1`` on the first worker) and publishes an mmap ground snapshot, and
 every later worker reaches warm state by *attaching* it — asserted as
 ``service.snapshot.cold_grounds == 0`` with ``attaches >= 1`` on the
 second worker's ``/v1/stats``.
@@ -209,8 +210,8 @@ def multi_worker_main(workers: int) -> int:
               f"status={status} body={body}")
         status, body = request(f"{urls[0]}/v1/stats")
         snap = body.get("service", {}).get("snapshot", {})
-        check("worker 0 ground cold and wrote the snapshot",
-              status == 200 and snap.get("cold_grounds", 0) >= 1
+        check("worker 0 ground its one base cold and wrote the snapshot",
+              status == 200 and snap.get("cold_grounds") == 1
               and snap.get("writes", 0) >= 1,
               f"snapshot={snap}")
 
