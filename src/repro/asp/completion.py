@@ -19,7 +19,9 @@ its supporting bodies"): a delta fact makes a base atom true without
 support, and a delta rule adds a support.  :class:`BaseCompletion` therefore
 loads each base once, without its closures, and keeps the result as a
 :class:`CompletionTemplate` of flat arrays; every solve loads the template
-into a fresh solver and adds only its delta and every closure.  A delta the
+into a fresh solver and adds only its delta and every closure.  The arrays
+travel in the base's ground snapshot, so a process that attaches the base
+never loads it again.  A delta the
 template cannot serve (the grounder upgraded a base choice instance in place,
 or a delta minimize element shares a base element's key) is completed whole,
 by the same :class:`CompletionBuilder` over an empty base.
@@ -58,7 +60,6 @@ class ObjectiveTerm(NamedTuple):
 
     weight: int
     variable: int
-    key: Tuple = ()
 
 
 class CompletedProgram:
@@ -217,18 +218,24 @@ class CompletionTemplate:
 
 
 class BaseCompletion:
-    """The completion side of one grounded base: its template, built by the
-    first solve that asks for it, and what solves on the base counted.
+    """The completion side of one grounded base: its template and what
+    solves on the base counted.
 
-    Solves on several threads share one instance: the first caller builds
-    the template under a lock, later ones wait for it and read it.  The
-    template is process-local state, rebuilt rather than persisted.
+    The template is either handed in, decoded from the ground snapshot the
+    base was attached from (:mod:`repro.asp.snapshot`), or built by the
+    first caller that asks for it: the first solve on the base, or the
+    snapshot writer that persists it.  Solves on several threads share one
+    instance: the first caller builds the template under a lock, later ones
+    wait for it and read it.  ``template_builds`` counts the builds in this
+    process only.
     """
 
-    def __init__(self, base_program: GroundProgram):
+    def __init__(
+        self, base_program: GroundProgram, template: Optional[CompletionTemplate] = None
+    ):
         self.base_program = base_program
         self._lock = threading.Lock()
-        self._template: Optional[CompletionTemplate] = None
+        self._template = template
         self.template_builds = 0
         self.skipped_checks = 0
 
@@ -549,7 +556,7 @@ class CompletionBuilder:
         for literal in minimize_literals:
             grouped.setdefault(literal.key, []).append(literal)
 
-        for key, elements in grouped.items():
+        for elements in grouped.values():
             priority = elements[0].priority
             weight = elements[0].weight
             if weight < 0:
@@ -574,7 +581,7 @@ class CompletionBuilder:
             self._clauses.append([-objective_var] + condition_literals)
 
             self.completed.objectives.setdefault(priority, []).append(
-                ObjectiveTerm(weight=weight, variable=objective_var, key=key)
+                ObjectiveTerm(weight=weight, variable=objective_var)
             )
 
 

@@ -21,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.asp.completion import BaseCompletion, CompletedProgram, complete
+from repro.asp.completion import (
+    BaseCompletion,
+    CompletedProgram,
+    CompletionTemplate,
+    complete,
+)
 from repro.asp.configs import SolverConfig
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
@@ -240,15 +245,18 @@ class PreparedProgram:
     state of a prepared program is only ever *read*: :meth:`fork` clones it
     and mutates the clone, never the base.  The one thing that changes later
     is the base's :class:`~repro.asp.completion.BaseCompletion`: the first
-    solve on a fork builds the base's completion template, under the
-    completion's own lock, so solves forking one base concurrently on
-    threads (a service tenant's solver threads) build it once; solves
-    count what they skipped there, and the ``forks`` counter is the other,
-    benign exception.  The persistent ground cache
+    solve on a fork (or the snapshot writer, :mod:`repro.asp.snapshot`)
+    builds the base's completion template, under the completion's own
+    lock, so solves forking one base concurrently on threads (a service
+    tenant's solver threads) build it once; solves count what they skipped
+    there, and the ``forks`` counter is the other, benign exception.  The
+    persistent ground cache
     (:class:`repro.spack.store.PersistentGroundCache`) pickles prepared
     programs to disk for later processes.  Pickling keeps only the parsed
     program and the ground state: templates and counters are per-process and
-    start afresh.
+    start afresh.  A ground snapshot of a base's last step carries its
+    template, so a program attached from it starts with the template and
+    builds none.
     """
 
     def __init__(
@@ -288,10 +296,11 @@ class PreparedProgram:
             self._base.ground()
         self._reset_solve_state()
 
-    def _reset_solve_state(self) -> None:
-        """Fresh per-process solve state: no forks yet, no template."""
+    def _reset_solve_state(self, template: Optional[CompletionTemplate] = None) -> None:
+        """Fresh per-process solve state: no forks yet, and ``template`` (or
+        none, to be built by the first solve)."""
         self.forks = 0
-        self._completion = BaseCompletion(self.base_ground_program)
+        self._completion = BaseCompletion(self.base_ground_program, template)
 
     def __getstate__(self):
         state = dict(self.__dict__)

@@ -20,15 +20,25 @@ component plan is recomputed from the reparsed source text
 (:meth:`~repro.asp.grounder.Grounder.restore_setup`), so forking per-spec
 deltas off a snapshot-restored base does *zero* base grounding work.
 
+A snapshot may also carry the base's completion template
+(:class:`~repro.asp.completion.CompletionTemplate`: the solver image, the
+support offsets, the tightness ranks and the objective terms, all flat
+arrays), which :meth:`GroundSnapshot.materialize` hands to the restored
+program's :class:`~repro.asp.completion.BaseCompletion`, so the first solve
+on an attached base starts from it instead of building it.
+
 File layout::
 
     magic (8 bytes)  |  header length (uint64 LE)  |  JSON header
     symbol blob (JSON list, or pickle for exotic values)
     padding to 8-byte alignment
     int64 payload (native byte order; sections indexed by the header)
+    template sections, optional (raw native arrays, each padded to 8 bytes;
+    typecodes and byte spans in the header's ``template`` entry)
 
 The header carries a caller-chosen ``key`` (the cache token, which already
-encodes content hash and cache format version) and a payload SHA-256 that is
+encodes content hash and cache format version) and a payload SHA-256, over
+the symbol blob, the int64 payload and the template sections, that is
 verified on materialize — attach stays O(1), while truncation or bit rot
 surfaces as :class:`SnapshotError` and the caller degrades to a cold ground.
 """
@@ -43,8 +53,10 @@ import struct
 import sys
 from array import array
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from itertools import accumulate, chain
+from typing import Dict, List, Optional, Tuple
 
+from repro.asp.completion import CompletionTemplate, ObjectiveTerm
 from repro.asp.configs import SolverConfig
 from repro.asp.control import PreparedProgram, parse_program_cached
 from repro.asp.ground import (
@@ -55,6 +67,7 @@ from repro.asp.ground import (
     GroundRule,
 )
 from repro.asp.grounder import Grounder, _AtomDatabase, _Relation
+from repro.asp.solver import SolverImage
 from repro.asp.stats import PhaseTimer
 from repro.asp.symbols import SymbolTable
 
@@ -63,10 +76,34 @@ __all__ = ["GroundSnapshot", "SnapshotError", "snapshot_bytes", "SNAPSHOT_FORMAT
 SNAPSHOT_MAGIC = b"RASNAP01"
 #: version of the binary layout itself; bump together with
 #: ``repro.spack.store.CACHE_FORMAT_VERSION`` when the encoding changes
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 _HEADER_LEN = struct.Struct("<Q")
 _SCALAR_TYPES = (str, int, bool)
+
+#: the :class:`SolverImage` and :class:`CompletionTemplate` arrays that a
+#: snapshot's template sections hold, besides the objective arrays
+_IMAGE_ARRAYS = (
+    "values",
+    "trail",
+    "binary",
+    "long_codes",
+    "long_ends",
+    "watch_order",
+    "watch_ends",
+    "linear_codes",
+    "linear_coeffs",
+    "linear_ends",
+    "linear_bounds",
+    "linear_slacks",
+)
+_TEMPLATE_ARRAYS = (
+    "support_offsets",
+    "support_bodies",
+    "positive_offsets",
+    "positive_atoms",
+    "ranks",
+)
 
 
 class SnapshotError(Exception):
@@ -90,12 +127,16 @@ class SnapshotError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
+def snapshot_bytes(
+    prepared: PreparedProgram, *, key: str = "", with_template: bool = False
+) -> bytes:
     """Encode a grounded prepared program into the flat snapshot form.
 
     ``key`` is an opaque caller token (the ground-cache key) echoed in the
     header and checked by :meth:`GroundSnapshot.attach`, so a snapshot can
-    never be applied to the wrong catalog or cache format version.
+    never be applied to the wrong catalog or cache format version.  With
+    ``with_template``, the program's completion template goes too: the one
+    its solves use, built now (under its lock) unless it already exists.
 
     Raises :class:`SnapshotError` when the program is not snapshot-capable:
     the source text must be available for the attaching process to reparse.
@@ -235,6 +276,11 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
 
     try:
         int_data = array("q", out)
+        template, template_chunks = (
+            _template_sections(prepared._completion.template())
+            if with_template
+            else (None, [])
+        )
     except OverflowError as exc:  # a ground integer outside int64
         raise SnapshotError(f"value does not fit the int64 payload: {exc}") from None
 
@@ -254,6 +300,8 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
     digest = hashlib.sha256()
     digest.update(sym_blob)
     digest.update(int_bytes)
+    for chunk in template_chunks:
+        digest.update(chunk)
 
     header = json.dumps(
         {
@@ -268,6 +316,7 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
             "int_count": len(int_data),
             "sections": sections,
             "counts": counts,
+            "template": template,
             "payload_sha256": digest.hexdigest(),
         },
         ensure_ascii=False,
@@ -283,8 +332,86 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
             sym_blob,
             padding,
             int_bytes,
+            *template_chunks,
         )
     )
+
+
+def _template_sections(template: CompletionTemplate) -> Tuple[dict, List[bytes]]:
+    """A completion template as raw sections, each padded to 8 bytes: its
+    header entry (the scalars, and each array's typecode and byte span
+    from the end of the int64 payload) and the byte chunks."""
+    image = template.image
+    parts = {name: getattr(image, name) for name in _IMAGE_ARRAYS}
+    for name in _TEMPLATE_ARRAYS:
+        part = getattr(template, name)
+        if part is not None:  # ranks of a base that is not tight
+            parts[name] = part
+    objectives = template.objectives
+    terms = list(chain.from_iterable(objectives.values()))
+    parts["objective_priorities"] = array("q", objectives)
+    parts["objective_ends"] = array("q", accumulate(map(len, objectives.values())))
+    parts["objective_weights"] = array("q", [term.weight for term in terms])
+    parts["objective_variables"] = array("q", [term.variable for term in terms])
+    parts["base_priorities"] = array("q", template.objective_bases)
+    parts["base_weights"] = array("q", template.objective_bases.values())
+
+    spans: Dict[str, list] = {}
+    chunks: List[bytes] = []
+    offset = 0
+    for name, part in parts.items():
+        raw = part.tobytes()
+        padded = len(raw) + (-len(raw) % 8)
+        spans[name] = [part.typecode, offset, offset + len(raw)]
+        chunks.append(raw + b"\0" * (padded - len(raw)))
+        offset += padded
+    entry = {
+        "atoms": template.atoms,
+        "num_vars": image.num_vars,
+        "ok": image.ok,
+        "bytes": offset,
+        "arrays": spans,
+    }
+    return entry, chunks
+
+
+def _decode_template(entry: dict, blob: bytes) -> CompletionTemplate:
+    """The template that :func:`_template_sections` wrote into ``blob``."""
+    view = memoryview(blob)
+    parts: Dict[str, array] = {}
+    for name, (typecode, start, end) in entry["arrays"].items():
+        part = array(typecode)
+        part.frombytes(view[start:end])
+        parts[name] = part
+
+    image = SolverImage()
+    image.num_vars = entry["num_vars"]
+    image.ok = entry["ok"]
+    for name in _IMAGE_ARRAYS:
+        setattr(image, name, parts[name])
+    template = CompletionTemplate()
+    template.image = image
+    template.atoms = entry["atoms"]
+    for name in _TEMPLATE_ARRAYS:
+        setattr(template, name, parts.get(name))
+    weights = parts["objective_weights"].tolist()
+    variables = parts["objective_variables"].tolist()
+    ends = parts["objective_ends"].tolist()
+    template.objectives = {
+        priority: tuple(map(ObjectiveTerm, weights[start:end], variables[start:end]))
+        for priority, start, end in zip(
+            parts["objective_priorities"].tolist(), [0] + ends, ends
+        )
+    }
+    template.objective_bases = dict(
+        zip(parts["base_priorities"].tolist(), parts["base_weights"].tolist())
+    )
+    if (
+        len(image.values) != 2 * image.num_vars + 2
+        or len(template.support_offsets) != template.atoms + 2
+    ):
+        raise SnapshotError("template arrays disagree with its header")
+    return template
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +477,9 @@ class GroundSnapshot:
                 raise SnapshotError(f"{path}: key mismatch", kind="miss")
             sym_end = header_off + header_len + header["symbols"]["bytes"]
             int_off = sym_end + (-sym_end % 8)
-            if int_off + 8 * header["int_count"] != len(mm):
+            template = header["template"]
+            template_bytes = 0 if template is None else template["bytes"]
+            if int_off + 8 * header["int_count"] + template_bytes != len(mm):
                 raise SnapshotError(f"{path}: payload size mismatch")
         except SnapshotError:
             mm.close()
@@ -404,25 +533,29 @@ class GroundSnapshot:
         sym_blob = mm[sym_off : sym_off + sym_len]
         int_off = sym_off + sym_len
         int_off += -int_off % 8
+        int_end = int_off + 8 * header["int_count"]
 
         # the views must be released before any close(): an mmap with live
         # exported buffers refuses to close (BufferError)
-        int_view = memoryview(mm)[int_off:]
+        payload = memoryview(mm)[int_off:]
         try:
+            # the int64 payload and the template sections after it
             digest = hashlib.sha256()
             digest.update(sym_blob)
-            digest.update(int_view)
+            digest.update(payload)
             if digest.hexdigest() != header["payload_sha256"]:
                 raise SnapshotError(f"{self.path}: payload checksum mismatch")
             # one C-speed pass from the mapped page cache to Python ints;
             # every decode below slices this list
+            int_view = payload[: int_end - int_off]
             cast = int_view.cast("q")
             try:
                 data = cast.tolist()
             finally:
                 cast.release()
+                int_view.release()
         finally:
-            int_view.release()
+            payload.release()
 
         if header["symbols"]["encoding"] == "json":
             values = json.loads(sym_blob)
@@ -437,7 +570,12 @@ class GroundSnapshot:
             prepared.program = parse_program_cached(prepared.text)
         with prepared.timer.phase("attach"):
             prepared._base = self._decode_grounder(header, values, data, prepared.program)
-        prepared._reset_solve_state()
+            template = None
+            if header["template"] is not None:
+                template = _decode_template(header["template"], mm[int_end:])
+                if template.atoms != len(prepared.base_ground_program.atoms):
+                    raise SnapshotError(f"{self.path}: template is not the program's")
+        prepared._reset_solve_state(template)
         return prepared
 
     def _decode_grounder(

@@ -43,12 +43,14 @@ in-memory :class:`~repro.spack.store.SolveCache` for a
 :class:`~repro.spack.store.SnapshotStore` under ``_base_for``, so a second
 process pointed at the same directory replays a warm batch with zero
 grounding and zero solver calls.  Both hold each chain step of a base as
-its ground :class:`~repro.asp.control.PreparedProgram` alone (a snapshot is
-attached near-zero-copy, and preferred over the pickle); a base found on
-disk runs its encoder again, which is cheap, for the provenance its
-explanations need.  All layers are keyed by the same content hashes as the
-in-memory caches, so repo/preset/store changes invalidate disk entries
-exactly like memory ones.
+its ground :class:`~repro.asp.control.PreparedProgram` (a snapshot is
+attached near-zero-copy, and preferred over the pickle), and the snapshot
+of a base's last step holds its completion template as well, so a process
+that attaches the base builds none; a base found on disk runs its encoder
+again, which is cheap, for the provenance its explanations need.  All
+layers are keyed by the same content hashes as the in-memory caches, so
+repo/preset/store changes invalidate disk entries exactly like memory
+ones.
 
 Every execution knob (the cache directory and its budgets, the service's
 concurrency) lives on one frozen
@@ -498,7 +500,8 @@ class ConcretizationSession:
     JSON, and every chain step of a grounded base as a versioned
     :class:`~repro.asp.control.PreparedProgram` pickle and as a flat
     mmap-able ground snapshot (:class:`repro.spack.store.SnapshotStore`)
-    that later *processes* attach near-zero-copy instead of unpickling; a
+    that later *processes* attach near-zero-copy instead of unpickling,
+    with the base's completion template in its last step's snapshot; a
     base this session took from the memo is written too.  See
     ``docs/CACHING.md``.
 
@@ -682,16 +685,20 @@ class ConcretizationSession:
             persisted.add(key)
             return True
 
-    def _write_through(self, key: Tuple, prepared: PreparedProgram) -> None:
+    def _write_through(self, key: Tuple, prepared: PreparedProgram, last: bool) -> None:
         """Write one chain step through to disk, at most once per key per
         session: a flat snapshot and a pickle, each behind a validated probe
         (an attach or a load, not a bare existence check), so a valid entry
         is left alone and a damaged or version-skewed one is overwritten —
         the cache self-heals.  Steps that came from the memo are written
-        too, so warm starts find on disk every step this session used."""
+        too, so warm starts find on disk every step this session used.  The
+        ``last`` step, the one solves run on, is snapshotted with its
+        completion template (built now if no solve built it yet); the
+        shorter prefixes of a sharded chain are never solved on, so they
+        go without."""
         if self.snapshot_store is not None and self._claim(self._snapshot_persisted, key):
             if not self.snapshot_store.has_valid(key):
-                if self.snapshot_store.put(key, prepared):
+                if self.snapshot_store.put(key, prepared, with_template=last):
                     self._count(snapshot_writes=1)
         if self.ground_cache is not None and self._claim(self._ground_persisted, key):
             if not isinstance(self.ground_cache.get(key), PreparedProgram):
@@ -748,8 +755,9 @@ class ConcretizationSession:
                     _remember(_SHARED_BASES, _SHARED_BASES_LIMIT, key, base)
                     counts = base.counters()
         self._count(**counts)
-        for step_key, prepared in base.steps:
-            self._write_through(step_key, prepared)
+        last = len(base.steps) - 1
+        for index, (step_key, prepared) in enumerate(base.steps):
+            self._write_through(step_key, prepared, last=index == last)
         self._last_base = base
         return base
 

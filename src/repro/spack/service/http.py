@@ -310,8 +310,28 @@ def serve(
     ``service.snapshot`` shows attaches vs cold grounds per worker).
     Requires :func:`os.fork` for ``workers > 1``; on platforms without it
     the worker count falls back to 1.
+
+    Called on the main thread, it stops on SIGINT or SIGTERM, also when it
+    was started with SIGINT ignored (as a non-interactive shell starts a
+    background command): it prints ``shutting down``, closes the listener,
+    ends and reaps the workers, restores the previous handlers and returns.
     """
-    workers = int(workers)
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, _interrupt)
+    try:
+        _serve(host, port, verbose, int(workers), service_factory)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
+def _serve(host: str, port: int, verbose: bool, workers: int, service_factory) -> None:
     if workers > 1 and not hasattr(os, "fork"):
         print("os.fork is unavailable on this platform; serving with 1 worker")
         workers = 1

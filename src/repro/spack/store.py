@@ -21,8 +21,9 @@ sessions (:mod:`repro.spack.concretize.session`) layer on top of the store:
   spec-independent fact layer;
 * :class:`SnapshotStore` — flat, mmap-able ground snapshots
   (:mod:`repro.asp.snapshot`) written beside the pickle entries, so N
-  service processes *attach* one shared warm base with near-zero-copy
-  startup instead of each unpickling its own object graph.
+  service processes *attach* one shared warm base, completion template
+  included, with near-zero-copy startup instead of each unpickling its own
+  object graph.
 
 All persistent layers share the invariants documented in ``docs/CACHING.md``:
 content-hash keys (never mtimes), a :data:`CACHE_FORMAT_VERSION` field in
@@ -53,7 +54,7 @@ from repro.spack.spec_parser import parse_spec
 #: serialized layout (or the semantics of what is cached) changes; readers
 #: treat any other version as a miss, so old and new code can share one cache
 #: directory without ever exchanging garbage.
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 #: Age after which an orphaned ``.tmp`` file (an interrupted writer's
 #: leftover) may be reaped by budgeted pruning; generous enough that no
@@ -832,13 +833,17 @@ class SnapshotStore:
             except OSError:
                 pass
 
-    def put(self, key: Hashable, prepared) -> bool:
-        """Encode and persist ``prepared`` under ``key`` (best effort)."""
+    def put(self, key: Hashable, prepared, with_template: bool = False) -> bool:
+        """Encode and persist ``prepared`` under ``key`` (best effort).
+
+        With ``with_template``, its completion template goes too, built
+        here unless a solve already built it: the same build, under the
+        same lock, that the first solve on it would make."""
         from repro.asp.snapshot import SnapshotError, snapshot_bytes
 
         token = self._token(key)
         try:
-            payload = snapshot_bytes(prepared, key=token)
+            payload = snapshot_bytes(prepared, key=token, with_template=with_template)
         except SnapshotError:
             # not snapshot-capable (no source text, exotic state): not an
             # I/O failure, so it does not count against write_errors

@@ -4,14 +4,16 @@ The contract under test (ISSUE 9 tentpole):
 
 * a second session pointed at the same ``cache_dir`` reaches warm state by
   *attaching* the flat binary snapshot — no pickle object-graph walk, no
-  ``Grounder`` work at all (asserted by making grounding raise) — and its
-  results are element-wise identical to the cold path, monolithic and
-  sharded alike;
+  ``Grounder`` work and no completion template build at all (asserted by
+  making both raise) — and its results are element-wise identical to the
+  cold path, monolithic and sharded alike, down to the solver's counts:
+  the attached template is the writer's, array for array;
 * unsat answers survive the snapshot path too: the minimal conflict core a
   warm session reports is identical to the cold one's;
-* damage degrades, never breaks: a truncated or corrupted snapshot falls
-  back to the pickle cache (or a cold ground when that is damaged too), is
-  counted as a load error, and is healed by a fresh write.
+* damage degrades, never breaks: a truncated or corrupted snapshot, or one
+  with a damaged template section, falls back to the pickle cache (or a
+  cold ground when that is damaged too), is counted as a load error, and is
+  healed by a fresh write that carries the template again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import shutil
 
 import pytest
 
+from repro.asp.completion import CompletionBuilder, CompletionTemplate
 from repro.asp.grounder import Grounder
+from repro.asp.snapshot import GroundSnapshot, SnapshotError
+from repro.asp.solver import SolverImage
 from repro.spack.concretize import SessionConfig
 from repro.spack.concretize.session import ConcretizationSession, clear_shared_bases
 from repro.spack.errors import UnsatisfiableSpecError
@@ -53,14 +58,51 @@ def clear_solve_cache(cache_dir):
         path.unlink()
 
 
-def forbid_base_grounding(monkeypatch):
-    """Any full base grounding after this is a test failure (per-spec
-    *delta* grounding on top of an attached base is legitimate work)."""
+def forbid_base_work(monkeypatch):
+    """Any full base grounding or completion template build after this is
+    a test failure (per-spec *delta* grounding and completion on top of an
+    attached base are legitimate work)."""
 
     def boom(self, *args, **kwargs):
-        raise AssertionError("full base grounding ran on the warm snapshot path")
+        raise AssertionError("base work ran on the warm snapshot path")
 
     monkeypatch.setattr(Grounder, "ground", boom)
+    monkeypatch.setattr(CompletionBuilder, "build_template", boom)
+
+
+def template_state(session):
+    """Every array and scalar of the completion template of the session's
+    last base."""
+    template = session._last_base.prepared._completion.template()
+    state = {name: getattr(template.image, name) for name in SolverImage.__slots__}
+    state.update(
+        (name, getattr(template, name))
+        for name in CompletionTemplate.__slots__
+        if name != "image"
+    )
+    return state
+
+
+def search_counts(result):
+    solver = result.statistics["solver"]
+    return (
+        solver["propagations"],
+        solver["decisions"],
+        solver["conflicts"],
+        result.statistics["optimization"]["models_found"],
+    )
+
+
+def assert_solver_ready_warm_start(cold, cold_results, warm, warm_results):
+    """The warm session solved on the writer's template, built none, and
+    searched exactly as the cold writer did."""
+    assert [signature(r) for r in warm_results] == [signature(r) for r in cold_results]
+    assert [search_counts(r) for r in warm_results] == [
+        search_counts(r) for r in cold_results
+    ]
+    assert cold.statistics()["base"]["template_builds"] == 1
+    assert warm.statistics()["base"]["template_builds"] == 0
+    assert template_state(warm) == template_state(cold)
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +114,16 @@ def test_monolithic_warm_start_attaches_with_zero_grounder_work(
     micro_repo, tmp_path, monkeypatch
 ):
     cold = fresh_session(micro_repo, tmp_path)
-    cold_results = [signature(r) for r in cold.solve(BATCH)]
+    cold_results = cold.solve(BATCH)
     assert cold.stats.snapshot_writes >= 1
     assert snapshot_files(tmp_path)
 
     clear_solve_cache(tmp_path)  # make the warm run need the base for real
-    forbid_base_grounding(monkeypatch)
+    forbid_base_work(monkeypatch)
     warm = fresh_session(micro_repo, tmp_path)
-    warm_results = [signature(r) for r in warm.solve(BATCH)]
+    warm_results = warm.solve(BATCH)
 
-    assert warm_results == cold_results
+    assert_solver_ready_warm_start(cold, cold_results, warm, warm_results)
     assert warm.stats.base_groundings == 0
     assert warm.stats.snapshot_attaches == 1
     assert warm.statistics()["base"]["snapshot_attached"] is True
@@ -90,16 +132,26 @@ def test_monolithic_warm_start_attaches_with_zero_grounder_work(
 
 def test_sharded_warm_start_attaches_the_deepest_prefix(tmp_path, monkeypatch):
     cold = fresh_session(micro_sharded(), tmp_path)
-    cold_results = [signature(r) for r in cold.solve(BATCH)]
+    cold_results = cold.solve(BATCH)
     assert cold.stats.shard_layers_grounded > 0
     assert cold.stats.snapshot_writes >= 1
+    # every prefix has a snapshot, and only the deepest, which solves run
+    # on, holds a completion template
+    deepest = cold.snapshot_store.path_for(cold._last_base.steps[-1][0])
+    with_template = []
+    for path in snapshot_files(tmp_path):
+        with GroundSnapshot.attach(path) as snapshot:
+            if snapshot.header["template"] is not None:
+                with_template.append(str(path))
+    assert len(snapshot_files(tmp_path)) == len(cold._last_base.steps) > 1
+    assert with_template == [deepest]
 
     clear_solve_cache(tmp_path)
-    forbid_base_grounding(monkeypatch)
+    forbid_base_work(monkeypatch)
     warm = fresh_session(micro_sharded(), tmp_path)
-    warm_results = [signature(r) for r in warm.solve(BATCH)]
+    warm_results = warm.solve(BATCH)
 
-    assert warm_results == cold_results
+    assert_solver_ready_warm_start(cold, cold_results, warm, warm_results)
     assert warm.stats.shard_layers_grounded == 0
     assert warm.stats.base_groundings == 0
     # deepest-prefix-wins: one attach restores the whole layered chain
@@ -155,7 +207,7 @@ def test_unsat_cores_identical_across_snapshot_warm_start(micro_repo, tmp_path, 
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("damage", ["truncate", "corrupt"])
+@pytest.mark.parametrize("damage", ["truncate", "corrupt", "template"])
 def test_damaged_snapshot_falls_back_to_pickle(micro_repo, tmp_path, damage):
     cold = fresh_session(micro_repo, tmp_path)
     cold_results = [signature(r) for r in cold.solve(BATCH)]
@@ -164,21 +216,35 @@ def test_damaged_snapshot_falls_back_to_pickle(micro_repo, tmp_path, damage):
         data = path.read_bytes()
         if damage == "truncate":
             path.write_bytes(data[: len(data) // 2])
-        else:
-            middle = len(data) // 2
-            path.write_bytes(data[:middle] + b"\xff" + data[middle + 1 :])
+            continue
+        if damage == "corrupt":
+            flipped = len(data) // 2
+        else:  # a byte inside the template sections, which end the file
+            with GroundSnapshot.attach(path) as snapshot:
+                flipped = len(data) - snapshot.header["template"]["bytes"] // 2
+        path.write_bytes(data[:flipped] + bytes([data[flipped] ^ 0xFF]) + data[flipped + 1 :])
+        with GroundSnapshot.attach(path) as snapshot:
+            with pytest.raises(SnapshotError, match="checksum"):
+                snapshot.materialize()
 
     clear_solve_cache(tmp_path)
     warm = fresh_session(micro_repo, tmp_path)
     assert [signature(r) for r in warm.solve(BATCH)] == cold_results
-    # no grounding: the intact pickle cache carried the warm start
+    # no grounding: the intact pickle cache carried the warm start, and the
+    # pickle holds no template, so the warm session built one
     assert warm.stats.base_groundings == 0
     assert warm.stats.snapshot_attaches == 0
     assert warm.stats.base_disk_hits == 1
+    assert warm.statistics()["base"]["template_builds"] == 1
     store_stats = warm.statistics()["snapshot_store"]
     assert store_stats["load_errors"] == 1
-    # self-healed: the damaged snapshot was rewritten
+    # self-healed: the damaged snapshot was rewritten, template included
     assert store_stats["writes"] == 1
+    clear_solve_cache(tmp_path)
+    third = fresh_session(micro_repo, tmp_path)
+    assert [signature(r) for r in third.solve(BATCH)] == cold_results
+    assert third.stats.snapshot_attaches == 1
+    assert third.statistics()["base"]["template_builds"] == 0
 
 
 def test_damaged_snapshot_and_pickle_degrade_to_cold_ground(micro_repo, tmp_path):

@@ -970,15 +970,29 @@ def test_http_stats_stay_exact_under_concurrent_requests(micro_repo):
     assert tenant["solve_cache_hits"] + tenant["solve_cache_misses"] == specs
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_cli_prints_its_ready_line_and_stops_on_sigint(workers, tmp_path):
+def ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize(
+    "signum, preexec_fn, workers",
+    [pytest.param(signal.SIGINT, None, n, id=str(n)) for n in (1, 2)]
+    + [
+        pytest.param(signal.SIGINT, ignore_sigint, n, id=f"ignored-SIGINT-{n}")
+        for n in (1, 2)
+    ]
+    + [pytest.param(signal.SIGTERM, None, n, id=f"SIGTERM-{n}") for n in (1, 2)],
+)
+def test_cli_prints_its_ready_line_and_stops_on_sigint(signum, preexec_fn, workers, tmp_path):
     """``python -m repro.spack.service`` prints exactly ``concretization
     service listening on URL`` once its service is up (tools that start it
     parse the URL from that line; with ``--workers N`` > 1 it adds ``(N
     worker processes)``), answers on that URL, and returns from ``main()``
-    on SIGINT.  With two workers this process forked one child that
-    accepts on the same listener; SIGINT ends and reaps it too, so once
-    ``main()`` has returned nothing accepts on the port any more."""
+    on SIGINT or SIGTERM, also when it was started with SIGINT ignored (as a
+    non-interactive shell starts a background command).  With two workers
+    this process forked one child that accepts on the same listener; the
+    signal ends and reaps it too, so once ``main()`` has returned nothing
+    accepts on the port any more."""
     if workers > 1 and not hasattr(os, "fork"):
         pytest.skip("serving with several workers needs os.fork")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
@@ -992,6 +1006,7 @@ def test_cli_prints_its_ready_line_and_stops_on_sigint(workers, tmp_path):
         text=True,
         env=env,
         start_new_session=True,
+        preexec_fn=preexec_fn,
     )
     rest = None
     try:
@@ -1007,7 +1022,7 @@ def test_cli_prints_its_ready_line_and_stops_on_sigint(workers, tmp_path):
             f"{ready.group(1)}/v1/concretize", {"spec": "zlib"}
         )
         assert status == 200 and body["result"]["concrete"].startswith("zlib")
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         rest, _ = proc.communicate(timeout=60)
     finally:
         # whatever failed above, no process of the server outlives the test

@@ -17,12 +17,13 @@ drives the request lifecycle end to end:
 7. server and service shut down cleanly (no lingering non-daemon threads).
 
 With ``--workers N`` it instead exercises the multi-process warm-start
-contract (ISSUE 9 tentpole): N server processes share one ``cache_dir``;
-the first request grounds its one base cold (``service.snapshot.cold_grounds
-== 1`` on the first worker) and publishes an mmap ground snapshot, and
-every later worker reaches warm state by *attaching* it — asserted as
-``service.snapshot.cold_grounds == 0`` with ``attaches >= 1`` on the
-second worker's ``/v1/stats``.
+contract: N server processes share one ``cache_dir``; the first request
+grounds its one base cold (``service.snapshot.cold_grounds == 1`` and
+``tenants.default.base.template_builds == 1`` on the first worker) and
+publishes an mmap ground snapshot that carries the base's completion
+template, and every later worker reaches warm state by *attaching* it —
+asserted as ``service.snapshot.cold_grounds == 0`` with ``attaches >= 1``
+and ``template_builds == 0`` on each later worker's ``/v1/stats``.
 
 Exits non-zero on the first violated expectation.  Run from the repository
 root (CI does)::
@@ -214,6 +215,9 @@ def multi_worker_main(workers: int) -> int:
               status == 200 and snap.get("cold_grounds") == 1
               and snap.get("writes", 0) >= 1,
               f"snapshot={snap}")
+        base = body.get("tenants", {}).get("default", {}).get("base", {})
+        check("worker 0 built the base's completion template once",
+              base.get("template_builds") == 1, f"base={base}")
 
         # every other worker answers a *new* spec of the same family: its
         # base must come from the shared snapshot, with zero grounding
@@ -229,6 +233,9 @@ def multi_worker_main(workers: int) -> int:
                   status == 200 and snap.get("cold_grounds") == 0
                   and snap.get("attaches", 0) >= 1,
                   f"snapshot={snap}")
+            base = body.get("tenants", {}).get("default", {}).get("base", {})
+            check(f"worker {index} solved on the template the snapshot carried",
+                  base.get("template_builds") == 0, f"base={base}")
     finally:
         for proc in procs:
             proc.terminate()
