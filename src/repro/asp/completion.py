@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from repro.asp.errors import SolveError
 from repro.asp.ground import GroundProgram
-from repro.asp.solver import CDCLSolver
+from repro.asp.solver import CDCLSolver, collector_paused
 
 
 class Support(NamedTuple):
@@ -240,13 +240,15 @@ class BaseCompletion:
         self.skipped_checks = 0
 
     def template(self) -> CompletionTemplate:
-        """The base's template, built now unless it already exists."""
+        """The base's template, built now unless it already exists (with
+        the cyclic collector paused until the builder's solver is freed)."""
         template = self._template
         if template is None:
             with self._lock:
                 template = self._template
                 if template is None:
-                    template = CompletionBuilder(self.base_program).build_template()
+                    with collector_paused():
+                        template = CompletionBuilder(self.base_program).build_template()
                     self._template = template
                     self.template_builds += 1
         return template

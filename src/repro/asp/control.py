@@ -21,18 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.asp.completion import (
-    BaseCompletion,
-    CompletedProgram,
-    CompletionTemplate,
-    complete,
-)
+from repro.asp.completion import BaseCompletion, CompletionTemplate, complete
 from repro.asp.configs import SolverConfig
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
 from repro.asp.optimization import OptimizationResult, Optimizer
 from repro.asp.parser import parse_program
-from repro.asp.solver import CDCLSolver
+from repro.asp.solver import CDCLSolver, collector_paused
 from repro.asp.stats import PhaseTimer
 from repro.asp.syntax import Program, ground_atom
 
@@ -111,7 +106,12 @@ class SolveResult:
 
 
 class Control:
-    """Top-level entry point of the ASP system (the 'clingo' object)."""
+    """Top-level entry point of the ASP system (the 'clingo' object).
+
+    A control keeps its ground program, never its solver: :meth:`solve`
+    builds the completed program, the solver and the optimizer, and frees
+    them before it returns (see :func:`~repro.asp.solver.collector_paused`).
+    """
 
     def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig.preset("tweety")
@@ -119,8 +119,6 @@ class Control:
         self.program = Program()
         self.extra_facts: List[Tuple] = []
         self.ground_program: Optional[GroundProgram] = None
-        self.completed: Optional[CompletedProgram] = None
-        self._optimizer: Optional[Optimizer] = None
         #: the completion state of the base this control was forked from
         self._base_completion: Optional[BaseCompletion] = None
 
@@ -171,28 +169,32 @@ class Control:
     def _build_solver(self) -> CDCLSolver:
         return CDCLSolver(**self.config.solver_kwargs())
 
+    def _search(self) -> Tuple[OptimizationResult, Dict[str, object]]:
+        """Complete and optimize; returns the outcome and the statistics.
+        The completed program, solver and optimizer are locals, freed by
+        reference counting when this returns."""
+        completed = complete(
+            self.ground_program, self._build_solver(), base=self._base_completion
+        )
+        optimizer = Optimizer(completed, enforce_stability=self.config.enforce_stability)
+        outcome = optimizer.optimize()
+        if self._base_completion is not None:
+            self._base_completion.count_skipped(optimizer.enforcer.skipped)
+        return outcome, {
+            "ground": self.ground_program.statistics(),
+            "solver": completed.solver.statistics(),
+            "optimization": optimizer.statistics(),
+            "config": self.config.name,
+        }
+
     def solve(self, on_model=None) -> SolveResult:
-        """Complete, search, and optimize ("solve" phase)."""
+        """Complete, search, and optimize ("solve" phase), with the cyclic
+        collector paused from the solver's construction to its release."""
         if self.ground_program is None:
             self.ground()
 
-        with self.timer.phase("solve"):
-            self.completed = complete(
-                self.ground_program, self._build_solver(), base=self._base_completion
-            )
-            self._optimizer = Optimizer(
-                self.completed, enforce_stability=self.config.enforce_stability
-            )
-            outcome: OptimizationResult = self._optimizer.optimize()
-        if self._base_completion is not None:
-            self._base_completion.count_skipped(self._optimizer.enforcer.skipped)
-
-        statistics: Dict[str, object] = {
-            "ground": self.ground_program.statistics(),
-            "solver": self.completed.solver.statistics(),
-            "optimization": self._optimizer.statistics(),
-            "config": self.config.name,
-        }
+        with self.timer.phase("solve"), collector_paused():
+            outcome, statistics = self._search()
 
         if not outcome.satisfiable:
             return SolveResult(

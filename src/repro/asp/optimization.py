@@ -22,11 +22,17 @@ This module provides the equivalent machinery on top of our CDCL solver:
   :class:`repro.asp.unfounded.StableModelEnforcer`.
 
 A greedy first model is not guaranteed optimal: a variable decided false
-early can force costlier ones true later.  Optimality comes from the bound
-proofs alone: each level is fixed to its minimal achievable value (given
-all higher levels) before the next level is explored.  When the first model
-is already optimal, each nonzero level costs one UNSAT proof instead of a
-chain of re-descents.
+early can force costlier ones true later.  Its optimality is proved one of
+two ways:
+
+* **from the descent's own trail** (:meth:`Optimizer.certified`): when
+  every level's cost was forced by the decisions of the levels above it,
+  the first model is optimal as it stands, with no further solve call
+  (the case for every solve of the benchmark's workloads);
+* **by bound proofs** otherwise: each level is fixed to its minimal
+  achievable value (given all higher levels) before the next level is
+  explored.  When the first model is already optimal, each nonzero level
+  costs one UNSAT proof instead of a chain of re-descents.
 """
 
 from __future__ import annotations
@@ -99,6 +105,53 @@ class Optimizer:
             coefficients.append(required)
         return self.completed.solver.add_linear_geq(literals, coefficients, required)
 
+    def certified(self, costs: Dict[int, int]) -> bool:
+        """Whether the trail of the first model proves its ``costs`` optimal.
+
+        Walk the levels from the highest priority down, with ``depth`` the
+        number of decisions made on higher levels' variables (0 at first).
+        A level is certified when its base plus the weight of its true
+        terms assigned at decision level ``depth`` or below equals its
+        cost; ``depth`` then advances past the decisions right after it
+        that set one of the level's variables false.
+
+        Why that proves optimality, by induction over the levels: every
+        stable model that is optimal on the higher levels satisfies the
+        first ``depth`` decisions, hence everything propagated at those
+        decision levels (implied by the completion, learnt clauses and
+        loop nogoods, which every stable model satisfies).  So it pays at
+        least the forced weight at this level, and the first model, which
+        pays exactly that, is optimal here too.  Weights are positive, so a
+        stable model at this optimum has every other term of the level
+        false, in particular the variables of the level's own decisions:
+        objective variables come first in the decision order, by priority,
+        and are decided false, so each level's decisions form one block
+        right after the higher levels' blocks.  A stable model optimal on
+        this level too therefore satisfies every decision up to the
+        advanced ``depth``, which carries the induction to the next level.
+
+        Reads the trail of the first solve, which has no assumptions.
+        """
+        solver = self.completed.solver
+        objectives = self.completed.objectives
+        bases = self.completed.objective_bases
+        decisions = solver.decisions()
+        level = solver.level
+        depth = 0
+        for priority in sorted(objectives, reverse=True):
+            terms = objectives[priority]
+            forced = bases.get(priority, 0) + sum(
+                term.weight
+                for term in terms
+                if solver.model_value(term.variable) and level(term.variable) <= depth
+            )
+            if forced != costs[priority]:
+                return False
+            block = {-term.variable for term in terms}
+            while depth < len(decisions) and decisions[depth] in block:
+                depth += 1
+        return True
+
     # -- main driver -----------------------------------------------------------------
 
     def optimize(self) -> OptimizationResult:
@@ -113,6 +166,14 @@ class Optimizer:
         if not self.enforcer.solve():
             return OptimizationResult(satisfiable=False)
         best_atoms, best_costs = self._snapshot()
+        if self.certified(best_costs):
+            return OptimizationResult(
+                satisfiable=True,
+                optimal=True,
+                atoms=best_atoms,
+                costs=best_costs,
+                models_found=self.models_found,
+            )
 
         priorities = sorted(
             set(self.completed.objectives) | set(self.completed.objective_bases),

@@ -38,9 +38,11 @@ File layout::
 
 The header carries a caller-chosen ``key`` (the cache token, which already
 encodes content hash and cache format version) and a payload SHA-256, over
-the symbol blob, the int64 payload and the template sections, that is
-verified on materialize — attach stays O(1), while truncation or bit rot
-surfaces as :class:`SnapshotError` and the caller degrades to a cold ground.
+every other header field (section table, counts and template spans say
+where each part lies), the symbol blob, the int64 payload and the template
+sections, that is verified on materialize — attach stays O(1), while
+truncation or bit rot surfaces as :class:`SnapshotError` and the caller
+degrades to a cold ground.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ __all__ = ["GroundSnapshot", "SnapshotError", "snapshot_bytes", "SNAPSHOT_FORMAT
 SNAPSHOT_MAGIC = b"RASNAP01"
 #: version of the binary layout itself; bump together with
 #: ``repro.spack.store.CACHE_FORMAT_VERSION`` when the encoding changes
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 _HEADER_LEN = struct.Struct("<Q")
 _SCALAR_TYPES = (str, int, bool)
@@ -297,30 +299,27 @@ def snapshot_bytes(
         sym_blob = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
 
     int_bytes = int_data.tobytes()
-    digest = hashlib.sha256()
+    fields = {
+        "format": SNAPSHOT_FORMAT,
+        "key": key,
+        "byteorder": sys.byteorder,
+        "program": text,
+        "config": asdict(prepared.config),
+        "base_groundings": grounder.base_groundings,
+        "delta_groundings": grounder.delta_groundings,
+        "symbols": {"encoding": sym_encoding, "bytes": len(sym_blob)},
+        "int_count": len(int_data),
+        "sections": sections,
+        "counts": counts,
+        "template": template,
+    }
+    digest = _header_digest(fields)
     digest.update(sym_blob)
     digest.update(int_bytes)
     for chunk in template_chunks:
         digest.update(chunk)
-
-    header = json.dumps(
-        {
-            "format": SNAPSHOT_FORMAT,
-            "key": key,
-            "byteorder": sys.byteorder,
-            "program": text,
-            "config": asdict(prepared.config),
-            "base_groundings": grounder.base_groundings,
-            "delta_groundings": grounder.delta_groundings,
-            "symbols": {"encoding": sym_encoding, "bytes": len(sym_blob)},
-            "int_count": len(int_data),
-            "sections": sections,
-            "counts": counts,
-            "template": template,
-            "payload_sha256": digest.hexdigest(),
-        },
-        ensure_ascii=False,
-    ).encode("utf-8")
+    fields["payload_sha256"] = digest.hexdigest()
+    header = json.dumps(fields, ensure_ascii=False).encode("utf-8")
 
     prefix_len = len(SNAPSHOT_MAGIC) + _HEADER_LEN.size + len(header) + len(sym_blob)
     padding = b"\0" * (-prefix_len % 8)
@@ -334,6 +333,15 @@ def snapshot_bytes(
             int_bytes,
             *template_chunks,
         )
+    )
+
+
+def _header_digest(header: dict):
+    """A SHA-256 fed with every header field but the checksum itself, in
+    canonical JSON, which a decoded header reproduces byte for byte."""
+    fields = {name: value for name, value in header.items() if name != "payload_sha256"}
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True, ensure_ascii=False).encode("utf-8")
     )
 
 
@@ -539,12 +547,12 @@ class GroundSnapshot:
         # exported buffers refuses to close (BufferError)
         payload = memoryview(mm)[int_off:]
         try:
-            # the int64 payload and the template sections after it
-            digest = hashlib.sha256()
+            # the header, then the int64 payload and the template sections
+            digest = _header_digest(header)
             digest.update(sym_blob)
             digest.update(payload)
             if digest.hexdigest() != header["payload_sha256"]:
-                raise SnapshotError(f"{self.path}: payload checksum mismatch")
+                raise SnapshotError(f"{self.path}: checksum mismatch")
             # one C-speed pass from the mapped page cache to Python ints;
             # every decode below slices this list
             int_view = payload[: int_end - int_off]

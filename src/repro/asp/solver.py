@@ -60,15 +60,23 @@ Extensible SAT-solver", SAT 2003):
   :meth:`CDCLSolver.load_image` rebuilds it in a fresh solver with
   C-level loops; completion uses the pair to load a grounded base once and
   start every solve on it from the same state.
+* **No reference cycles.**  A solver's clauses, watch lists and linear
+  constraints reference each other only one way, so reference counting
+  frees a solver whole.  The cyclic garbage collector would find nothing in
+  it, yet each of its passes walks the ~100k containers of a loaded
+  solver.  Whoever builds a solver keeps the collector off for its
+  lifetime with :func:`collector_paused`.
 """
 
 from __future__ import annotations
 
 import gc
+import threading
 from array import array
+from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.asp.errors import SolveError
 
@@ -78,6 +86,46 @@ _TRUE = 1
 
 #: activities are rescaled by 1e-100 once one exceeds this
 _RESCALE_LIMIT = 1e100
+
+
+# process-wide, as the collector itself is
+_pause_lock = threading.Lock()
+#: how many :func:`collector_paused` sections are open, in every thread
+_pauses = 0
+#: whether the collector was on when the first open section began
+_resume = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off while the section runs.
+
+    Sections nest and overlap across threads: the first to begin records
+    whether collection was on and turns it off, and the last to end turns
+    it back on only if it was.  So a caller that switched collection off
+    finds it off afterwards, and solves that interleave on threads cannot
+    leave it off for good, as a per-section save and restore of
+    :func:`gc.isenabled` could (a thread that read "off" while another's
+    section ran would restore "off").
+
+    A section should free what it built before it ends (build the solver
+    in a function called inside the section, whose locals die when it
+    returns): whatever is still alive when collection resumes is walked by
+    the next collection.
+    """
+    global _pauses, _resume
+    with _pause_lock:
+        if not _pauses:
+            _resume = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pauses -= 1
+            if not _pauses and _resume:
+                gc.enable()
 
 
 def _code(lit: int) -> int:
@@ -463,23 +511,13 @@ class CDCLSolver:
         image therefore starts from the same state.
 
         A load creates some 100k containers (clauses and watch lists) that
-        form no reference cycle, and frees none of them, so a cyclic
-        collection during it can find no garbage; each would only promote
-        part of the half-built solver towards the oldest generation and
-        bring the next full collection closer.  The collector is therefore
-        paused for the load, and resumed after it if it was running.
+        form no reference cycle.  A cyclic collection during the load, or
+        at any time while the solver lives, would walk them and find no
+        garbage, so callers load inside a :func:`collector_paused` section
+        that lasts until the solver is freed.
         """
         if self.num_vars or self.clauses or self.linears:
             raise SolveError("an image can only be loaded into a fresh solver")
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            self._load_image(image)
-        finally:
-            if enabled:
-                gc.enable()
-
-    def _load_image(self, image: SolverImage) -> None:
         count = image.num_vars
         self.num_vars = count
         self.ok = image.ok
@@ -534,6 +572,22 @@ class CDCLSolver:
         if self._model is None:
             raise SolveError("no model available")
         return list(map(_TRUE.__eq__, self._model[0::2]))
+
+    def decisions(self) -> List[int]:
+        """The decision literals of the current assignment, one per decision
+        level in order.  Valid after a :meth:`solve` without assumptions
+        that found a model, until the next change to the solver (an
+        assumption that was already true opens a level without a decision
+        of its own)."""
+        trail = self.trail
+        return [_literal(trail[start]) for start in self.trail_lim]
+
+    def level(self, var: int) -> int:
+        """The decision level at which ``var`` was assigned (0: implied by
+        the clauses and constraints alone).  Valid while ``var`` is
+        assigned, as every variable is after a :meth:`solve` that found a
+        model, until the next change to the solver."""
+        return self.levels[var]
 
     # ------------------------------------------------------------------
     # Propagation

@@ -40,7 +40,7 @@ from repro.asp.completion import complete
 from repro.asp.configs import SolverConfig
 from repro.asp.control import parse_program_cached
 from repro.asp.grounder import Grounder
-from repro.asp.solver import CDCLSolver
+from repro.asp.solver import CDCLSolver, collector_paused
 from repro.asp.syntax import ground_atom
 from repro.asp.unfounded import StableModelEnforcer
 from repro.spack.concretize.logic import logic_program
@@ -64,9 +64,19 @@ def explain_unsat(
     Returns ``[]`` when the program is satisfiable with all constraints
     active (no diagnosis to give) or unsatisfiable even with every suspect
     constraint relaxed (the cause lies outside the retractable constraints).
-    """
-    config = config or SolverConfig.preset("tweety")
 
+    The cyclic collector stays paused until the explainer's grounding and
+    solver are freed (:func:`~repro.asp.solver.collector_paused`).
+    """
+    with collector_paused():
+        return _minimal_core(facts, provenance, config or SolverConfig.preset("tweety"))
+
+
+def _minimal_core(
+    facts: Sequence[Tuple],
+    provenance: Sequence[ConstraintProvenance],
+    config: SolverConfig,
+) -> List[ConstraintProvenance]:
     suspect_atoms: Dict[Tuple, int] = {}
     groups: List[ConstraintProvenance] = []
     for entry in provenance:

@@ -54,7 +54,7 @@ from repro.spack.spec_parser import parse_spec
 #: serialized layout (or the semantics of what is cached) changes; readers
 #: treat any other version as a miss, so old and new code can share one cache
 #: directory without ever exchanging garbage.
-CACHE_FORMAT_VERSION = 7
+CACHE_FORMAT_VERSION = 8
 
 #: Age after which an orphaned ``.tmp`` file (an interrupted writer's
 #: leftover) may be reaped by budgeted pruning; generous enough that no

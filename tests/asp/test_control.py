@@ -1,10 +1,25 @@
-"""Control facade, configs, statistics, and Model accessors."""
+"""Control facade, configs, statistics, Model accessors, and the solver's
+lifetime: freed when ``solve`` returns, with the cyclic collector paused
+until then."""
+
+import gc
+import sys
+import threading
+import weakref
 
 import pytest
 
 from repro.asp.configs import SolverConfig
-from repro.asp.control import Control, Model, solve_program
+from repro.asp.control import Control, Model, PreparedProgram, solve_program
 from repro.asp.syntax import ground_atom
+
+#: a program with one objective level, whose forks solve from a template
+OPTIMIZED = "{ a }. b :- not a. #minimize { 1@1 : b }."
+
+#: five choices, each costing 1 when not taken: a template whose load is
+#: long enough for solves on threads to overlap in it
+CHOICES = "{ a(X) : item(X) }. b(X) :- item(X), not a(X). #minimize { 1@1,X : b(X) }."
+ITEMS = [("item", index) for index in range(5)]
 
 
 class TestControl:
@@ -142,3 +157,62 @@ class TestSolverConfig:
         )
         assert result.satisfiable
         assert result.model.holds("a")
+
+
+class TestSolverLifetime:
+    def test_solve_frees_its_solver_when_it_returns(self, monkeypatch):
+        """No reference outlives ``solve``: the solver is freed by reference
+        counting, before the collector resumes, on both completion paths."""
+        solvers = []
+        build = Control._build_solver
+
+        def tracked(self):
+            solver = build(self)
+            solvers.append(weakref.ref(solver))
+            return solver
+
+        monkeypatch.setattr(Control, "_build_solver", tracked)
+        prepared = PreparedProgram(OPTIMIZED)
+        controls = [Control().load(OPTIMIZED), prepared.fork(), prepared.fork()]
+        for control in controls:
+            assert control.solve().costs == {1: 0}
+            assert solvers[-1]() is None
+        assert len(solvers) == 3
+
+    def test_concurrent_solves_leave_the_collector_on(self):
+        """Solves on four threads, switching threads as often as they can,
+        end with collection on.  A pause that saved and restored
+        ``gc.isenabled()`` per solve left it off for good whenever one
+        solve read "on" as "off" while another's pause ran, then turned
+        it off after the other had turned it back on."""
+        prepared = PreparedProgram(CHOICES, ITEMS)
+        assert prepared.fork().solve().costs == {1: 0}  # builds the template
+        interval = sys.getswitchinterval()
+
+        def solve_many():
+            for _ in range(2000):
+                prepared.fork().solve()
+
+        try:
+            gc.enable()
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=solve_many) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert gc.isenabled()
+        finally:
+            sys.setswitchinterval(interval)
+            gc.enable()
+
+    def test_a_solve_leaves_collection_off_when_the_caller_turned_it_off(self):
+        prepared = PreparedProgram(OPTIMIZED)
+        gc.disable()
+        try:
+            assert solve_program(OPTIMIZED).costs == {1: 0}
+            assert prepared.fork().solve().costs == {1: 0}
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

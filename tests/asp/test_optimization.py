@@ -5,6 +5,8 @@ import pytest
 from repro.asp.configs import SolverConfig
 from repro.asp.control import Control, solve_program
 
+from tests.asp.test_properties import OPTIMAL_BUT_NOT_FORCED, optimization_text, solve_both_paths
+
 
 class TestSingleLevel:
     def test_minimize_picks_cheapest(self):
@@ -104,6 +106,28 @@ class TestLexicographic:
         assert result.costs[30] == 0
         assert result.costs[20] == 1
         assert result.costs[10] == 0
+
+
+class TestProofFromTheTrail:
+    """A first model whose every level's cost was forced by the higher
+    levels' decisions is optimal as found; otherwise a bound proves it.
+    Solve calls count the difference, on the one-shot path and on both
+    forks of a prepared program."""
+
+    def test_forced_costs_take_one_solve_call(self):
+        # deciding a's objective variable false (level 2) forces b (level 1)
+        text = "b :- not a. { a }. #minimize { 3@1 : b }. #minimize { 1@2 : a }."
+        for result in solve_both_paths(text, {}):
+            assert result.costs == {2: 0, 1: 3}
+            assert result.statistics["solver"]["solve_calls"] == 1
+
+    def test_an_optimum_the_trail_cannot_certify_takes_a_bound_proof(self):
+        rules, choices, constraints, levels, facts = OPTIMAL_BUT_NOT_FORCED
+        text = optimization_text(rules, choices, constraints, levels)
+        for result in solve_both_paths(text, facts):
+            assert result.costs == {1: 1}
+            assert result.statistics["optimization"]["models_found"] == 1
+            assert result.statistics["solver"]["solve_calls"] == 2
 
 
 class TestOptimizationDetails:

@@ -8,7 +8,10 @@ second path: some of the program's facts ground into a shared base and the
 rest arrive as delta facts of two forks, the second of which is completed
 from the base's template.  The CDCL kernel on its own is checked against
 truth tables, including weighted linear constraints added between solves and
-the assumption cores it reports.
+the assumption cores it reports, and so is the optimizer on the bare kernel,
+where conflicts and restarts shape the trail its first model is proved
+from.  The two ``#minimize`` oracles also run 1,000 examples each under the
+``slow`` marker.
 """
 
 from itertools import combinations
@@ -16,7 +19,10 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.asp.completion import CompletedProgram, ObjectiveTerm
 from repro.asp.control import PreparedProgram, solve_program
+from repro.asp.ground import GroundProgram
+from repro.asp.optimization import Optimizer
 from repro.asp.solver import CDCLSolver
 from repro.asp.syntax import compare_ground_values
 
@@ -387,28 +393,40 @@ FIRST_MODEL_NOT_OPTIMAL = (
 )
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+#: "1 { a; b }." with a and b costing 1 each: the first model is optimal,
+#: but b is true by a conflict after a was decided false, not by a
+#: higher level's decision, so its trail cannot certify it and a bound
+#: proof does (two solve calls)
+OPTIMAL_BUT_NOT_FORCED = (
+    [],
+    [(["a", "b"], [], [], 1, None)],
+    [],
+    [[(1, ["a"], []), (1, ["b"], [])], [(1, ["c"], [])]],
+    {},
+)
+
+#: "{ a }." with "not a" costing 1 and a costing 2 at level 1, and "not b"
+#: costing 1 at level 2: the objective variable of "not a" is decided
+#: false first, which forces a and its cost 2; a certificate that counted
+#: that decision as level 2's would call the non-optimal cost 2 proved
+ONLY_ITS_OWN_DECISIONS = (
+    [],
+    [(["a"], [], [], None, None)],
+    [],
+    [[(1, [], ["a"]), (2, ["a"], [])], [(1, [], ["b"])]],
+    {},
+)
+
+OPTIMIZATION_PROGRAMS = (
     st.lists(rule_strategy, max_size=4),
     st.lists(choice_strategy, min_size=1, max_size=3),
     st.lists(constraint_strategy, max_size=2),
     levels_strategy,
     facts_strategy,
 )
-@example(*FIRST_MODEL_NOT_OPTIMAL)
-@example(
-    # a <-> b is a positive loop whose external support is the choice of c;
-    # the delta fact d forces a, and minimizing c at the top level first
-    # finds the supported, unstable model {a, b, d}
-    [("a", ["b"], []), ("b", ["a"], []), ("a", ["c"], [])],
-    [(["c"], [], [], None, None)],
-    [(["d"], ["a"])],
-    [[(1, ["b"], [])], [(1, ["c"], [])]],
-    {"d": True},
-)
-def test_optimum_is_the_lexicographic_minimum_over_stable_models(
-    rules, choices, constraints, levels, facts
-):
+
+
+def check_lexicographic_optimum(rules, choices, constraints, levels, facts):
     """Every path returns a stable model whose cost vector is the
     lexicographic minimum over every stable model, level by level."""
     expected = brute_force_stable_models(rules + fact_rules(facts), choices, constraints)
@@ -423,6 +441,138 @@ def test_optimum_is_the_lexicographic_minimum_over_stable_models(
         assert cost_vector(model, levels) == best
         reported = tuple(result.costs.get(priority, 0) for priority in range(len(levels), 0, -1))
         assert reported == best
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(*OPTIMIZATION_PROGRAMS)
+@example(*FIRST_MODEL_NOT_OPTIMAL)
+@example(*OPTIMAL_BUT_NOT_FORCED)
+@example(*ONLY_ITS_OWN_DECISIONS)
+@example(
+    # a <-> b is a positive loop whose external support is the choice of c;
+    # the delta fact d forces a, and minimizing c at the top level first
+    # finds the supported, unstable model {a, b, d}
+    [("a", ["b"], []), ("b", ["a"], []), ("a", ["c"], [])],
+    [(["c"], [], [], None, None)],
+    [(["d"], ["a"])],
+    [[(1, ["b"], [])], [(1, ["c"], [])]],
+    {"d": True},
+)
+def test_optimum_is_the_lexicographic_minimum_over_stable_models(
+    rules, choices, constraints, levels, facts
+):
+    check_lexicographic_optimum(rules, choices, constraints, levels, facts)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(*OPTIMIZATION_PROGRAMS)
+def test_optimum_is_the_lexicographic_minimum_over_stable_models_at_length(
+    rules, choices, constraints, levels, facts
+):
+    check_lexicographic_optimum(rules, choices, constraints, levels, facts)
+
+
+kernel_variable = st.integers(min_value=1, max_value=KERNEL_VARS)
+
+#: clauses of one to three variables and up to two negated ones: objective
+#: variables are decided false first, so the positive part is what forces
+#: a cost, and the negated part what makes two choices conflict
+kernel_clause = st.builds(
+    lambda positive, negative: positive + [-var for var in negative],
+    st.lists(kernel_variable, min_size=1, max_size=3),
+    st.lists(kernel_variable, max_size=2),
+)
+
+#: objective terms (variable, weight, priority) on all but at most two
+#: variables, in a drawn order, one term per variable as completion makes
+#: one objective variable per term
+kernel_objective = st.builds(
+    lambda order, terms, free: [
+        (var, weight, priority) for var, (weight, priority) in zip(order, terms)
+    ][: KERNEL_VARS - free],
+    st.permutations(range(1, KERNEL_VARS + 1)),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3)),
+        min_size=KERNEL_VARS,
+        max_size=KERNEL_VARS,
+    ),
+    st.integers(min_value=0, max_value=2),
+)
+
+KERNEL_OPTIMIZATIONS = (
+    st.lists(kernel_clause, max_size=10),
+    st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(kernel_literal, st.integers(min_value=0, max_value=4)),
+                min_size=1,
+                max_size=5,
+            ),
+            st.integers(min_value=-1, max_value=9),
+        ),
+        max_size=1,
+    ),
+    kernel_objective,
+    st.sampled_from(["vsids", "fixed"]),
+    st.sampled_from([1, 100]),
+)
+
+
+def check_kernel_optimum(clauses, linears, objective, heuristic, restart_base):
+    """The optimizer over clauses and linear constraints returns a model
+    whose cost vector is the lexicographic minimum over every satisfying
+    assignment, whether its first model's trail proves it or bound proofs
+    do."""
+    solver = CDCLSolver(heuristic=heuristic, restart_base=restart_base)
+    solver.new_vars(KERNEL_VARS)
+    for clause in clauses:
+        solver.add_clause(clause)
+    for terms, bound in linears:
+        solver.add_linear_geq([lit for lit, _ in terms], [c for _, c in terms], bound)
+    completed = CompletedProgram(solver, GroundProgram())
+    completed.atom_to_var = {var: var for var in range(1, KERNEL_VARS + 1)}
+    completed.tight = True
+    for var, weight, priority in objective:
+        completed.objectives.setdefault(priority, []).append(ObjectiveTerm(weight, var))
+    priorities = sorted(completed.objectives, reverse=True)
+
+    def costs(model):
+        return tuple(
+            sum(weight for var, weight, level in objective if level == priority and model[var])
+            for priority in priorities
+        )
+
+    models = [
+        [False] + [(bits >> i) & 1 == 1 for i in range(KERNEL_VARS)]
+        for bits in range(1 << KERNEL_VARS)
+    ]
+    models = [model for model in models if satisfies(model, clauses, linears)]
+    outcome = Optimizer(completed).optimize()
+    assert outcome.satisfiable == bool(models)
+    if outcome.satisfiable:
+        found = [var in outcome.atoms for var in range(KERNEL_VARS + 1)]
+        assert satisfies(found, clauses, linears)
+        best = min(map(costs, models))
+        assert costs(found) == best
+        assert outcome.cost_tuple() == best
+
+
+@settings(max_examples=150, deadline=None)
+@given(*KERNEL_OPTIMIZATIONS)
+def test_kernel_optimum_is_the_lexicographic_minimum_over_assignments(
+    clauses, linears, objective, heuristic, restart_base
+):
+    check_kernel_optimum(clauses, linears, objective, heuristic, restart_base)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(*KERNEL_OPTIMIZATIONS)
+def test_kernel_optimum_is_the_lexicographic_minimum_over_assignments_at_length(
+    clauses, linears, objective, heuristic, restart_base
+):
+    check_kernel_optimum(clauses, linears, objective, heuristic, restart_base)
 
 
 def test_branch_and_bound_improves_on_a_first_model_that_is_not_optimal():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.asp import control
 from repro.asp.optimization import Optimizer
-from repro.asp.solver import CDCLSolver, _literal, _luby
+from repro.asp.solver import CDCLSolver, _luby
 
 
 def make_solver(n, **kwargs):
@@ -201,12 +201,6 @@ class TestHeuristicsAndRestarts:
         assert solver.solve() is True
 
 
-def decisions(solver):
-    """The literal decided at each level of the current assignment (every
-    level must hold at least one entry)."""
-    return [_literal(solver.trail[start]) for start in solver.trail_lim]
-
-
 def satisfied(solver, clauses):
     model = solver.model()
     return all(any(model[abs(lit)] == (lit > 0) for lit in clause) for clause in clauses)
@@ -245,14 +239,14 @@ class TestPreferredPrefix:
 
         solver.prefer_false(reversed(preferred))
         assert solver.solve() is True
-        assert decisions(solver)[:3] == [-var for var in reversed(preferred)]
+        assert solver.decisions()[:3] == [-var for var in reversed(preferred)]
         assert not any(solver.model_value(var) for var in preferred)
 
     def test_assumptions_come_before_the_prefix(self, heuristic, default_phase):
         solver, (a, b, p, q, r) = make_solver(5, heuristic=heuristic, default_phase=default_phase)
         solver.prefer_false([p, q, r])
         assert solver.solve([a, -b, q]) is True
-        assert decisions(solver)[:5] == [a, -b, q, -p, -r]
+        assert solver.decisions()[:5] == [a, -b, q, -p, -r]
         assert solver.model_value(q) is True
 
     def test_forced_preferred_stays_true(self, heuristic, default_phase):
@@ -263,7 +257,7 @@ class TestPreferredPrefix:
         solver.prefer_false([p, q, s, r])
         assert solver.solve() is True
         assert satisfied(solver, clauses)
-        assert decisions(solver) == [-p, -r]
+        assert solver.decisions() == [-p, -r]
         assert [solver.model_value(v) for v in (p, q, r, s)] == [False, True, False, True]
 
     def test_prefix_survives_restarts_and_added_clauses(self, heuristic, default_phase):
@@ -286,15 +280,33 @@ class TestPreferredPrefix:
         solver.prefer_false([p, q, r])
         assert solver.solve() is True
         assert solver.stats.restarts > 0
-        assert decisions(solver)[:3] == [-p, -q, -r]
+        assert solver.decisions()[:3] == [-p, -q, -r]
         assert satisfied(solver, clauses)
 
         clauses.append([p, q])
         solver.add_clause([p, q])
         assert solver.solve() is True
-        assert decisions(solver)[:2] == [-p, -r]
+        assert solver.decisions()[:2] == [-p, -r]
         assert solver.model_value(q) is True
         assert satisfied(solver, clauses)
+
+
+class TestTrailAccessors:
+    """``decisions`` (also read by every ``TestPreferredPrefix`` case) and
+    ``level``: what the optimizer reads off the trail of its first
+    model."""
+
+    def test_a_propagated_variable_has_its_deciding_level(self):
+        solver, (p, q, r, x, unit) = make_solver(5)
+        solver.add_clause([unit])
+        solver.add_clause([q, x])  # q false forces x
+        solver.prefer_false([p, q, r])
+        assert solver.solve() is True
+        assert solver.decisions() == [-p, -q, -r]
+        assert [solver.level(var) for var in (p, q, r)] == [1, 2, 3]
+        assert solver.level(x) == solver.level(q) == 2
+        assert solver.model_value(x) is True
+        assert solver.level(unit) == 0
 
 
 class TestLuby:

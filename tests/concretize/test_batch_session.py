@@ -12,6 +12,7 @@ The contract under test (ISSUE 1):
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -415,6 +416,26 @@ def test_every_batch_spec_takes_one_model(micro_repo):
     for spec in FAMILY:
         result = session.solve([spec])[0]
         assert result.statistics["optimization"]["models_found"] == 1, spec
+
+
+def test_solves_leave_no_reference_cycles(micro_repo):
+    """A solve keeps the cyclic collector off while its solver lives
+    (:func:`repro.asp.solver.collector_paused`), which costs nothing only
+    because solving creates no reference cycles: with collection off, a
+    cold family, a warm spec, an unsat explanation and a one-shot solve
+    leave no garbage that only the collector could free."""
+    session = ConcretizationSession(repo=micro_repo)
+    gc.collect()
+    gc.disable()
+    try:
+        session.solve(["example"])  # cold: grounds the family's base
+        session.solve(["example+bzip"])  # warm: a delta on that base
+        with pytest.raises(UnsatisfiableSpecError):
+            session.solve(["example %intel"])  # explained
+        Concretizer(repo=micro_repo).concretize("minitool")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

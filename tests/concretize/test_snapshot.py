@@ -11,14 +11,16 @@ The contract under test (ISSUE 9 tentpole):
 * unsat answers survive the snapshot path too: the minimal conflict core a
   warm session reports is identical to the cold one's;
 * damage degrades, never breaks: a truncated or corrupted snapshot, or one
-  with a damaged template section, falls back to the pickle cache (or a
-  cold ground when that is damaged too), is counted as a load error, and is
-  healed by a fresh write that carries the template again.
+  with a damaged template section or header, falls back to the pickle cache
+  (or a cold ground when that is damaged too), is counted as a load error,
+  and is healed by a fresh write that carries the template again.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
+import struct
 
 import pytest
 
@@ -207,7 +209,19 @@ def test_unsat_cores_identical_across_snapshot_warm_start(micro_repo, tmp_path, 
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("damage", ["truncate", "corrupt", "template"])
+def shorten_facts_span(data: bytes) -> bytes:
+    """``data`` with the end of its header's ``facts`` span lowered by one:
+    still valid JSON of the same byte length, so the file attaches, and a
+    materialize that trusted the header would drop the base's last fact."""
+    (length,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + length])
+    header["sections"]["facts"][1] -= 1
+    damaged = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    assert len(damaged) <= length
+    return data[:16] + damaged.ljust(length) + data[16 + length :]
+
+
+@pytest.mark.parametrize("damage", ["truncate", "corrupt", "template", "header"])
 def test_damaged_snapshot_falls_back_to_pickle(micro_repo, tmp_path, damage):
     cold = fresh_session(micro_repo, tmp_path)
     cold_results = [signature(r) for r in cold.solve(BATCH)]
@@ -217,12 +231,17 @@ def test_damaged_snapshot_falls_back_to_pickle(micro_repo, tmp_path, damage):
         if damage == "truncate":
             path.write_bytes(data[: len(data) // 2])
             continue
-        if damage == "corrupt":
-            flipped = len(data) // 2
-        else:  # a byte inside the template sections, which end the file
-            with GroundSnapshot.attach(path) as snapshot:
-                flipped = len(data) - snapshot.header["template"]["bytes"] // 2
-        path.write_bytes(data[:flipped] + bytes([data[flipped] ^ 0xFF]) + data[flipped + 1 :])
+        if damage == "header":
+            path.write_bytes(shorten_facts_span(data))
+        else:
+            if damage == "corrupt":
+                flipped = len(data) // 2
+            else:  # a byte inside the template sections, which end the file
+                with GroundSnapshot.attach(path) as snapshot:
+                    flipped = len(data) - snapshot.header["template"]["bytes"] // 2
+            path.write_bytes(
+                data[:flipped] + bytes([data[flipped] ^ 0xFF]) + data[flipped + 1 :]
+            )
         with GroundSnapshot.attach(path) as snapshot:
             with pytest.raises(SnapshotError, match="checksum"):
                 snapshot.materialize()
