@@ -6,8 +6,8 @@ This mirrors :mod:`examples.batch_session` with a ``cache_dir`` (see
 
 1. a **cold session** (``SessionConfig(cache_dir=...)``) grounds the shared
    spec-independent base once, solves each spec in input order, and writes
-   every solved result (and the grounded base, as both a pickle and an
-   mmap-able snapshot) to disk;
+   every solved result (and the grounded base, as both a pickle and a
+   ground snapshot) to disk;
 2. a **warm session** — in a new process, hours later, or right away as
    here — pointed at the same directory replays the whole batch without a
    single grounding or solver call.

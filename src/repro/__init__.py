@@ -25,7 +25,7 @@ from repro.spack.concretize import (
 )
 from repro.spack.store import Database, SolveCache
 
-__version__ = "5.3.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "ConcretizationResult",

@@ -19,9 +19,9 @@ its supporting bodies"): a delta fact makes a base atom true without
 support, and a delta rule adds a support.  :class:`BaseCompletion` therefore
 loads each base once, without its closures, and keeps the result as a
 :class:`CompletionTemplate` of flat arrays; every solve loads the template
-into a fresh solver and adds only its delta and every closure.  The arrays
-travel in the base's ground snapshot, so a process that attaches the base
-never loads it again.  A delta the
+into a fresh solver and adds only its delta and every closure.  The
+template travels in the base's ground snapshot, so a process that reads the
+base from its snapshot never loads it again.  A delta the
 template cannot serve (the grounder upgraded a base choice instance in place,
 or a delta minimize element shares a base element's key) is completed whole,
 by the same :class:`CompletionBuilder` over an empty base.
@@ -221,8 +221,8 @@ class BaseCompletion:
     """The completion side of one grounded base: its template and what
     solves on the base counted.
 
-    The template is either handed in, decoded from the ground snapshot the
-    base was attached from (:mod:`repro.asp.snapshot`), or built by the
+    The template is either handed in, read with the base from its ground
+    snapshot (:mod:`repro.asp.snapshot`), or built by the
     first caller that asks for it: the first solve on the base, or the
     snapshot writer that persists it.  Solves on several threads share one
     instance: the first caller builds the template under a lock, later ones

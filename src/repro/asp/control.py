@@ -256,9 +256,9 @@ class PreparedProgram:
     (:class:`repro.spack.store.PersistentGroundCache`) pickles prepared
     programs to disk for later processes.  Pickling keeps only the parsed
     program and the ground state: templates and counters are per-process and
-    start afresh.  A ground snapshot of a base's last step carries its
-    template, so a program attached from it starts with the template and
-    builds none.
+    start afresh.  A ground snapshot (:mod:`repro.asp.snapshot`) of a base's
+    last step pickles its template beside it, so a program read from one
+    starts with the template and builds none.
     """
 
     def __init__(
@@ -278,10 +278,6 @@ class PreparedProgram:
         """
         self.config = config or SolverConfig.preset("tweety")
         self.timer = PhaseTimer()
-        #: source text kept for flat snapshots (repro.asp.snapshot): an
-        #: attaching process reparses it via the per-process parse memo
-        #: instead of pickling the AST.
-        self.text = text
         with self.timer.phase("load"):
             self.program = parse_program_cached(text)
         atoms = [ground_atom(*fact) for fact in base_facts]
@@ -336,7 +332,6 @@ class PreparedProgram:
         layered = PreparedProgram.__new__(PreparedProgram)
         layered.config = self.config
         layered.timer = PhaseTimer()
-        layered.text = self.text
         layered.program = self.program
         atoms = [ground_atom(*fact) for fact in extra_facts]
         hints = [ground_atom(*hint) for hint in possible_hints]

@@ -992,6 +992,7 @@ class Grounder:
         self._choice_instances: Dict[tuple, int] = {}
         self._constraint_keys: Set[tuple] = set()
         self._minimize_keys: Set[tuple] = set()
+        #: the inputs of :meth:`ground`, dropped once it has run
         self._extra_facts = list(extra_facts)
         #: atoms marked *possible* (but not certain, and not facts) before
         #: grounding starts.  Sound over-approximation knob: hinted atoms
@@ -1019,22 +1020,19 @@ class Grounder:
         """A streaming fact sink for the base layer (call before :meth:`ground`).
 
         Returns ``write(atom)``: it normalizes the value atom
-        (:func:`~repro.asp.syntax.ground_atom`), interns it straight into the
-        certain/possible databases and the atom table, and records it so the
-        grounder stays picklable — no intermediate fact list is materialized
-        between the producer (e.g. the problem encoder) and the grounder.
-        :meth:`ground` afterwards treats already-streamed facts as no-ops.
+        (:func:`~repro.asp.syntax.ground_atom`) and interns it straight into
+        the certain/possible databases and the atom table — no fact list is
+        materialized between the producer (e.g. the problem encoder) and the
+        grounder.
         """
         ids_of = self._ids_of
         possible_add = self.possible.add
         certain_add = self.certain.add
         facts_add = self.ground_program.facts.add
-        extra_facts = self._extra_facts
         value_atom_id = self._value_atom_id
 
         def write(atom):
             atom = ground_atom(*atom)
-            extra_facts.append(atom)
             key, args = ids_of(atom)
             possible_add(key, args)
             certain_add(key, args)
@@ -1052,6 +1050,8 @@ class Grounder:
         for atom in self._possible_hints:
             key, args = self._ids_of(atom)
             self.possible.add(key, args)
+        # spent: the ground state holds them now, and deltas bring their own
+        del self._extra_facts, self._possible_hints
         self._components = self._stratify(rules)
         self._constraints = constraints
         for component_rules in self._components:
@@ -1086,8 +1086,6 @@ class Grounder:
         other._choice_instances = dict(self._choice_instances)
         other._constraint_keys = set(self._constraint_keys)
         other._minimize_keys = set(self._minimize_keys)
-        other._extra_facts = list(self._extra_facts)
-        other._possible_hints = list(self._possible_hints)
         other._components = self._components
         other._constraints = self._constraints
         other._delta = None
@@ -1116,14 +1114,6 @@ class Grounder:
         problem encoder) can emit straight into the delta layer with no
         intermediate list.
         """
-        if self._components is None:
-            self._extra_facts.extend(extra_facts)
-            if fact_source is not None:
-                fact_source(
-                    lambda atom: self._extra_facts.append(ground_atom(*atom))
-                )
-            self._possible_hints.extend(possible_hints)
-            return self.ground()
         delta = _AtomDatabase()
 
         def add_fact(atom):
@@ -1139,7 +1129,6 @@ class Grounder:
         if fact_source is not None:
             fact_source(lambda atom: add_fact(ground_atom(*atom)))
         for atom in possible_hints:
-            self._possible_hints.append(atom)
             key, args = self._ids_of(atom)
             if self.possible.add(key, args):
                 delta.add(key, args)
@@ -1660,21 +1649,6 @@ class Grounder:
                 )
 
     # -- registry / pickling -------------------------------------------------
-
-    def restore_setup(self) -> None:
-        """Rebuild the stratified component plan from the program AST.
-
-        A grounder whose ground state was restored from a flat snapshot
-        (:mod:`repro.asp.snapshot`) is complete — atoms, relations, rules,
-        registries — but :meth:`ground_delta` also needs ``_components`` /
-        ``_constraints``, and would fall back to a *full* re-ground if they
-        were still ``None``.  Stratification depends only on the (already
-        safety-checked) program, so recomputing it here costs microseconds
-        and never touches ground state.
-        """
-        _facts, rules, constraints = self._split_statements()
-        self._components = self._stratify(rules)
-        self._constraints = constraints
 
     def _rule_position(self, rule: Rule) -> int:
         """A pickle-stable identity for ``rule`` (its index in the program).

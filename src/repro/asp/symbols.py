@@ -82,24 +82,14 @@ class SymbolTable:
         values = self._values
         return tuple(values[symbol] for symbol in symbols)
 
-    def snapshot_values(self) -> List[Hashable]:
-        """A consistent copy of the value list (serialization path).
-
-        Taken under the intern lock so a concurrent intern from another
-        thread cannot leave a half-appended entry in the copy.  Both the
-        pickle path and the flat mmap snapshot writer
-        (:mod:`repro.asp.snapshot`) use this.
-        """
-        with self._lock:
-            return list(self._values)
-
     # -- pickling ------------------------------------------------------
     # Only the value list is stored (the id map is derived) and the lock is
-    # dropped; the snapshot is taken under the lock so a concurrent intern
-    # from another thread cannot corrupt the pickled state.
+    # dropped; the copy is taken under the lock so a concurrent intern from
+    # another thread cannot leave a half-appended entry in it.
 
     def __getstate__(self):
-        return {"values": self.snapshot_values()}
+        with self._lock:
+            return {"values": list(self._values)}
 
     def __setstate__(self, state):
         self._values = state["values"]

@@ -15,8 +15,8 @@ original greedy baseline.
   input order.  All tuning rides in one frozen
   :class:`repro.spack.concretize.config.SessionConfig`:
   ``SessionConfig(cache_dir=...)`` persists the ground/solve caches — plus
-  mmap-able ground *snapshots* that a second process attaches near
-  zero-copy — on disk across processes (see ``docs/ARCHITECTURE.md`` and
+  ground *snapshots* from which a second process reads a base with its
+  completion template — on disk across processes (see ``docs/ARCHITECTURE.md`` and
   ``docs/CACHING.md``).
   Serving is :class:`repro.spack.service.app.ConcretizationService`, which
   answers cache hits on its request threads and solves each distinct miss

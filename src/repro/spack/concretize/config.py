@@ -57,8 +57,8 @@ class SessionConfig:
 
     * ``cache_dir`` — directory for the persistent solve/ground/snapshot
       layers; ``None`` (default) stays purely in-memory.  With a directory,
-      grounded bases always persist, as pickles and as flat mmap-able
-      snapshots (see ``docs/CACHING.md``);
+      grounded bases always persist, as pickles and as ground snapshots
+      that carry their completion templates (see ``docs/CACHING.md``);
     * ``cache_max_entries`` / ``cache_max_bytes`` — LRU disk budgets,
       applied to each persistent layer.
     """

@@ -39,14 +39,14 @@ processes that share warm state through the on-disk cache.  See
 **Persistence** — ``SessionConfig(cache_dir=...)`` swaps the private
 in-memory :class:`~repro.spack.store.SolveCache` for a
 :class:`~repro.spack.store.PersistentSolveCache` and adds a
-:class:`~repro.spack.store.PersistentGroundCache` plus a flat mmap-able
+:class:`~repro.spack.store.PersistentGroundCache` plus a
 :class:`~repro.spack.store.SnapshotStore` under ``_base_for``, so a second
 process pointed at the same directory replays a warm batch with zero
 grounding and zero solver calls.  Both hold each chain step of a base as
-its ground :class:`~repro.asp.control.PreparedProgram` (a snapshot is
-attached near-zero-copy, and preferred over the pickle), and the snapshot
-of a base's last step holds its completion template as well, so a process
-that attaches the base builds none; a base found on disk runs its encoder
+its ground :class:`~repro.asp.control.PreparedProgram`, pickled (the
+snapshot is preferred), and the snapshot of a base's last step holds its
+completion template as well, so a process that reads the base from its
+snapshot builds none; a base found on disk runs its encoder
 again, which is cheap, for the provenance its explanations need.  All
 layers are keyed by the same content hashes as the in-memory caches, so
 repo/preset/store changes invalidate disk entries exactly like memory
@@ -81,7 +81,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.asp.configs import SolverConfig
 from repro.asp.control import PreparedProgram
-from repro.asp.snapshot import SnapshotError
 from repro.spack.architecture import Platform, default_platform
 from repro.spack.compilers import CompilerRegistry
 from repro.spack.concretize.concretizer import (
@@ -295,7 +294,7 @@ class _GroundedBase:
         self.layers = {"total": len(keys), "grounded": len(keys) - start}
         self.layers["replayed_memory"] = start if source == "memory" else 0
         self.layers["replayed_disk"] = start if source in ("snapshot", "pickle") else 0
-        #: True when no grounder ran: the grounding came from an mmap snapshot
+        #: True when no grounder ran: the grounding came from a snapshot
         self.snapshot_attached = source == "snapshot" and start == len(keys)
 
     def _ground(
@@ -439,10 +438,10 @@ class SessionStatistics:
     base_cache_hits: int = 0
     #: how many grounded bases were loaded from the on-disk ground cache
     base_disk_hits: int = 0
-    #: disk loads (monolithic bases or shard-layer prefixes) that *attached*
-    #: a flat mmap snapshot instead of unpickling an object graph
+    #: disk loads (monolithic bases or shard-layer prefixes) that came from
+    #: a ground snapshot, completion template included, not the pickle
     snapshot_attaches: int = 0
-    #: flat snapshots this session wrote through to disk
+    #: ground snapshots this session wrote through to disk
     snapshot_writes: int = 0
     #: sharded repositories: shard/context layers this session delta-ground
     shard_layers_grounded: int = 0
@@ -498,11 +497,11 @@ class ConcretizationSession:
 
     With a ``cache_dir``, solved results are written through as versioned
     JSON, and every chain step of a grounded base as a versioned
-    :class:`~repro.asp.control.PreparedProgram` pickle and as a flat
-    mmap-able ground snapshot (:class:`repro.spack.store.SnapshotStore`)
-    that later *processes* attach near-zero-copy instead of unpickling,
-    with the base's completion template in its last step's snapshot; a
-    base this session took from the memo is written too.  See
+    :class:`~repro.asp.control.PreparedProgram` pickle and as a ground
+    snapshot (:class:`repro.spack.store.SnapshotStore`) that later
+    *processes* read first, with the base's completion template in its
+    last step's snapshot; a base this session took from the memo is
+    written too.  See
     ``docs/CACHING.md``.
 
     Grounded bases are memoized process-wide, so a later session over the
@@ -572,7 +571,7 @@ class ConcretizationSession:
         # chain-step keys this session found in, or wrote through to, the
         # pickle ground cache (avoids a probe per solve)
         self._ground_persisted: set = set()
-        # likewise for the flat snapshot layer
+        # likewise for the snapshot layer
         self._snapshot_persisted: set = set()
 
     # ------------------------------------------------------------------
@@ -643,31 +642,24 @@ class ConcretizationSession:
 
     def _find(self, key: Tuple) -> Optional[Tuple[PreparedProgram, str]]:
         """The ground program of one chain step and where it came from: the
-        process-wide memo (``"memory"``), an attached flat snapshot
-        (``"snapshot"``, tried first on disk: attaching is O(header) plus a
-        lazy decode, cheaper than walking a pickled object graph) or the
-        pickle ground cache (``"pickle"``); None when none has it.  A step
-        found on disk joins the memo and is not written back to where it
-        was found; an attached one is on disk in its preferred form, so its
-        pickle write-through is skipped as well."""
+        process-wide memo (``"memory"``), a ground snapshot (``"snapshot"``,
+        tried first on disk: it carries the completion template the pickle
+        lacks) or the pickle ground cache (``"pickle"``); None when none
+        has it.  A step found on disk joins the memo and is not written
+        back to where it was found; one read from its snapshot is on disk
+        in its preferred form, so its pickle write-through is skipped as
+        well."""
         prepared = _recall(_SHARED_STEPS, key)
         if prepared is not None:
             return prepared, "memory"
-        source = snapshot = None
+        source = None
         if self.snapshot_store is not None:
-            snapshot = self.snapshot_store.load(key)
-        if snapshot is not None:
-            try:
-                prepared, source = snapshot.materialize(), "snapshot"
-            except SnapshotError:
-                # corrupt past its valid header (tallied as a load error and
-                # deleted): the cold ground that follows writes it anew
-                self.snapshot_store.note_load_error(key)
-                snapshot.close()
-            else:
-                self._count(snapshot_attaches=1)
-                self._claim(self._snapshot_persisted, key)
-        if prepared is None and self.ground_cache is not None:
+            prepared = self.snapshot_store.load(key)
+        if prepared is not None:
+            source = "snapshot"
+            self._count(snapshot_attaches=1)
+            self._claim(self._snapshot_persisted, key)
+        elif self.ground_cache is not None:
             loaded = self.ground_cache.get(key)
             if isinstance(loaded, PreparedProgram):  # reject foreign payloads
                 prepared, source = loaded, "pickle"
@@ -687,8 +679,8 @@ class ConcretizationSession:
 
     def _write_through(self, key: Tuple, prepared: PreparedProgram, last: bool) -> None:
         """Write one chain step through to disk, at most once per key per
-        session: a flat snapshot and a pickle, each behind a validated probe
-        (an attach or a load, not a bare existence check), so a valid entry
+        session: a snapshot and a pickle, each behind a validated probe
+        (a header check or a load, not a bare existence check), so a valid entry
         is left alone and a damaged or version-skewed one is overwritten —
         the cache self-heals.  Steps that came from the memo are written
         too, so warm starts find on disk every step this session used.  The

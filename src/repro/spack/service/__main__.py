@@ -6,7 +6,7 @@ operationally: queue depth and default deadline, plus the concurrency and
 cache directory it passes on through one
 :class:`~repro.spack.concretize.config.SessionConfig`.  ``--workers N``
 selects the pre-forked multi-process mode: N processes accept on one
-socket and share warm ground state through the mmap snapshot files under
+socket and share warm ground state through the ground snapshot files under
 ``--cache-dir`` (see ``docs/ARCHITECTURE.md``).
 """
 

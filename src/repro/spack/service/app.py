@@ -612,8 +612,8 @@ class ConcretizationService:
         """Service counters plus per-tenant session/cache statistics.
 
         ``service.snapshot`` rolls up warm-start provenance across every
-        tenant session: how many grounded bases arrived by **attaching** an
-        mmap snapshot versus being **cold-ground** from scratch (the number
+        tenant session: how many grounded bases arrived by **attaching** a
+        ground snapshot versus being **cold-ground** from scratch (the number
         a multi-process deployment watches to confirm workers share one
         warm base — see ``docs/ARCHITECTURE.md``).
         """

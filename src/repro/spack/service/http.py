@@ -304,9 +304,9 @@ def serve(
     :class:`ConcretizationService` from ``service_factory``; this process
     serves too.  Point the factory's
     :class:`~repro.spack.concretize.SessionConfig` at a shared
-    ``cache_dir`` and the first worker to ground a base publishes an mmap
-    snapshot that every other worker attaches — N processes, one warm
-    base, near-zero-copy startup (``GET /v1/stats`` →
+    ``cache_dir`` and the first worker to ground a base publishes a
+    ground snapshot that every other worker reads — N processes, one
+    grounding and one completion template build per base (``GET /v1/stats`` →
     ``service.snapshot`` shows attaches vs cold grounds per worker).
     Requires :func:`os.fork` for ``workers > 1``; on platforms without it
     the worker count falls back to 1.

@@ -19,18 +19,17 @@ sessions (:mod:`repro.spack.concretize.session`) layer on top of the store:
 * :class:`PersistentGroundCache` — an on-disk (pickle) cache of grounded
   base programs, so warm processes skip re-grounding the shared
   spec-independent fact layer;
-* :class:`SnapshotStore` — flat, mmap-able ground snapshots
-  (:mod:`repro.asp.snapshot`) written beside the pickle entries, so N
-  service processes *attach* one shared warm base, completion template
-  included, with near-zero-copy startup instead of each unpickling its own
-  object graph.
+* :class:`SnapshotStore` — ground snapshots (:mod:`repro.asp.snapshot`)
+  written beside the pickle entries: the same base with its completion
+  template, under a checksummed header, so N service processes each read one
+  shared warm base and none of them builds its template.
 
 All persistent layers share the invariants documented in ``docs/CACHING.md``:
 content-hash keys (never mtimes), a :data:`CACHE_FORMAT_VERSION` field in
-every file, atomic single-file writes (safe under concurrent writers), and
-corruption-tolerant loads — a damaged, truncated, foreign, or version-skewed
-cache file is treated as a miss (a cold solve), never an error and never a
-stale result.
+every file, a SHA-256 of every payload checked before it is decoded, atomic
+single-file writes (safe under concurrent writers), and corruption-tolerant
+loads — a damaged, truncated, foreign, or version-skewed cache file is
+treated as a miss (a cold solve), never an error and never a stale result.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.spack.spec_parser import parse_spec
 #: serialized layout (or the semantics of what is cached) changes; readers
 #: treat any other version as a miss, so old and new code can share one cache
 #: directory without ever exchanging garbage.
-CACHE_FORMAT_VERSION = 8
+CACHE_FORMAT_VERSION = 9
 
 #: Age after which an orphaned ``.tmp`` file (an interrupted writer's
 #: leftover) may be reaped by budgeted pruning; generous enough that no
@@ -310,18 +309,29 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
+def _discard(path: str) -> None:
+    """Delete a damaged cache file (best effort: it may be gone already)."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
 class _DiskCacheLayer:
     """The envelope logic shared by every on-disk cache flavor.
 
     One file per key under ``<cache_dir>/<subdir>/<sha256(token)><suffix>``,
-    each holding ``{"version", "key", "payload"}`` through a pluggable codec
-    (JSON for results, pickle for ground programs).  :meth:`load` classifies
-    every outcome so callers count uniformly:
+    each holding ``{"version", "key", "sha256", "payload"}`` through a
+    pluggable codec (JSON for results, pickle for ground programs): the
+    payload is the codec's encoding of the value, and ``sha256`` its digest,
+    checked before the payload is decoded.  :meth:`load` classifies every
+    outcome so callers count uniformly:
 
     * ``("hit", payload)`` — complete, current-version, matching-key entry;
     * ``("miss", None)`` — absent, version-skewed, or foreign-key file
       (expected situations, not corruption);
-    * ``("error", None)`` — unreadable or undecodable file (corruption).
+    * ``("error", None)`` — unreadable or undecodable file, or a payload
+      that does not match its digest (corruption).
 
     With ``max_entries`` / ``max_bytes`` set, every successful write prunes
     the directory back under both budgets in least-recently-used order
@@ -365,8 +375,9 @@ class _DiskCacheLayer:
             if exc.errno in self._VANISHED_ERRNOS:
                 return ("miss", None)  # pruned concurrently: an ordinary miss
             return ("error", None)
+        codec = self.codec
         try:
-            envelope = self.codec.loads(data)
+            envelope = codec.loads(data)
         except Exception:
             return ("error", None)
         if (
@@ -375,8 +386,15 @@ class _DiskCacheLayer:
             or envelope.get("key") != token
         ):
             return ("miss", None)
+        try:
+            encoded = codec.raw(envelope.get("payload"))
+            if hashlib.sha256(encoded).hexdigest() != envelope.get("sha256"):
+                return ("error", None)
+            payload = codec.loads(encoded)
+        except Exception:
+            return ("error", None)
         self._touch(path)
-        return ("hit", envelope.get("payload"))
+        return ("hit", payload)
 
     @staticmethod
     def _touch(path: str) -> None:
@@ -394,10 +412,16 @@ class _DiskCacheLayer:
 
     def store(self, token: str, payload) -> Tuple[bool, int]:
         """Best-effort write; (True on success, entries pruned)."""
+        codec = self.codec
         try:
-            data = self.codec.dumps(
-                {"version": CACHE_FORMAT_VERSION, "key": token, "payload": payload}
-            )
+            encoded = codec.dumps(payload)
+            envelope = {
+                "version": CACHE_FORMAT_VERSION,
+                "key": token,
+                "sha256": hashlib.sha256(codec.raw(encoded)).hexdigest(),
+                "payload": encoded,
+            }
+            data = codec.raw(codec.dumps(envelope))
             path = self.path_for(token)
             _atomic_write_bytes(path, data)
         except Exception:
@@ -460,23 +484,37 @@ class _DiskCacheLayer:
 
 
 class _JsonCodec:
-    @staticmethod
-    def dumps(envelope: Dict) -> bytes:
-        return json.dumps(envelope, sort_keys=True).encode("utf-8")
+    """JSON text; the envelope carries its payload as a JSON string."""
 
     @staticmethod
-    def loads(data: bytes) -> Dict:
-        return json.loads(data.decode("utf-8"))
+    def dumps(value) -> str:
+        return json.dumps(value, sort_keys=True)
+
+    @staticmethod
+    def loads(data: bytes):
+        return json.loads(data)
+
+    @staticmethod
+    def raw(encoded: str) -> bytes:
+        """The bytes of an encoding (what is written, and digested)."""
+        return encoded.encode("utf-8")
 
 
 class _PickleCodec:
-    @staticmethod
-    def dumps(envelope: Dict) -> bytes:
-        return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    """Pickles; the envelope carries its payload as pickled bytes."""
 
     @staticmethod
-    def loads(data: bytes) -> Dict:
+    def dumps(value) -> bytes:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @staticmethod
+    def loads(data: bytes):
         return pickle.loads(data)
+
+    @staticmethod
+    def raw(encoded: bytes) -> bytes:
+        """The bytes of an encoding (what is written, and digested)."""
+        return encoded
 
 
 class PersistentSolveCache(SolveCache):
@@ -676,8 +714,8 @@ class PersistentGroundCache:
         """The cached object for ``key``, or None (on any miss or error).
 
         A damaged entry is deleted once counted, as a damaged snapshot is
-        (:meth:`SnapshotStore.note_load_error`), so the probe before the
-        write that replaces it reads a plain miss."""
+        (:meth:`SnapshotStore.load`), so the probe before the write that
+        replaces it reads a plain miss."""
         token = cache_key_token(key)
         status, payload = self._disk.load(token)
         with self._lock:
@@ -688,10 +726,7 @@ class PersistentGroundCache:
                 self.load_errors += 1
             self.misses += 1
         if status == "error":
-            try:
-                os.unlink(self._disk.path_for(token))
-            except OSError:
-                pass
+            _discard(self._disk.path_for(token))
         return None
 
     def put(self, key: Hashable, value) -> None:
@@ -722,24 +757,23 @@ class PersistentGroundCache:
 
 
 class SnapshotStore:
-    """On-disk, mmap-able ground snapshots beside the pickle ground cache.
+    """Ground snapshots (:mod:`repro.asp.snapshot`) beside the pickle ground
+    cache.
 
-    Where :class:`PersistentGroundCache` pickles whole prepared-program
-    object graphs, this store writes the flat binary form produced by
-    :func:`repro.asp.snapshot.snapshot_bytes` under
-    ``<cache_dir>/snapshot/<sha256(token)>.snap`` — one file per base, safe
-    for any number of concurrent readers because attaching maps it
-    read-only.  :meth:`load` returns an *attached*
-    :class:`~repro.asp.snapshot.GroundSnapshot` handle (O(1): header
-    validation only); the caller materializes it lazily.
+    Where :class:`PersistentGroundCache` holds a base's ground state alone,
+    a snapshot holds it with the base's completion template, under a header
+    that can be checked without reading the payload, in the file
+    :func:`repro.asp.snapshot.snapshot_bytes` writes under
+    ``<cache_dir>/snapshot/<sha256(token)>.snap``.  :meth:`load` returns the
+    decoded base; :meth:`has_valid` checks the header alone.
 
     The envelope invariants match the other persistent layers: the key
     token (which embeds :data:`CACHE_FORMAT_VERSION`) is echoed inside the
-    file and checked on attach, writes are atomic, every write prunes
-    least-recently-used entries beyond ``max_entries`` / ``max_bytes``
-    (never the file just written), and any damaged, truncated,
-    version-skewed, or foreign file degrades to a miss — tallied under
-    ``load_errors`` when the file was actually corrupt.
+    file and checked on load, the payload is checksummed, writes are atomic,
+    every write prunes least-recently-used entries beyond ``max_entries`` /
+    ``max_bytes`` (never the file just written), and any damaged,
+    truncated, version-skewed, or foreign file degrades to a miss — tallied
+    under ``load_errors`` when the file was actually damaged.
     """
 
     def __init__(
@@ -777,61 +811,44 @@ class SnapshotStore:
         return self._disk.path_for(self._token(key))
 
     def load(self, key: Hashable):
-        """Attach the snapshot for ``key`` read-only, or None on any miss.
+        """The :class:`~repro.asp.control.PreparedProgram` persisted under
+        ``key``, decoded with its completion template, or None on any miss.
 
-        The returned :class:`~repro.asp.snapshot.GroundSnapshot` has only
-        had its header validated; corruption in the payload surfaces when
-        the caller materializes it (and must be treated as a cold ground —
-        sessions do, via :meth:`note_load_error`).
-        """
+        A damaged file is counted under ``load_errors`` (and ``misses``) and
+        deleted, so the write-through that follows, which probes
+        :meth:`has_valid`, rewrites it."""
         from repro.asp.snapshot import GroundSnapshot, SnapshotError
 
         token = self._token(key)
         path = self._disk.path_for(token)
         try:
-            snapshot = GroundSnapshot.attach(path, expected_key=token)
+            prepared = GroundSnapshot.attach(path, expected_key=token).materialize()
         except SnapshotError as exc:
             with self._lock:
+                self.misses += 1
                 if exc.kind != "miss":
                     self.load_errors += 1
-                self.misses += 1
+            if exc.kind != "miss":
+                _discard(path)
             return None
         with self._lock:
             self.attaches += 1
         self._disk._touch(path)
-        return snapshot
+        return prepared
 
     def has_valid(self, key: Hashable) -> bool:
-        """Whether a validated snapshot exists for ``key`` (a silent attach
-        probe: no counters move, so write-through existence checks do not
-        skew the attach/miss statistics that ``/v1/stats`` reports)."""
+        """Whether a snapshot with a valid header exists for ``key`` (a
+        silent probe: no counters move, so write-through existence checks
+        do not skew the attach/miss statistics that ``/v1/stats``
+        reports)."""
         from repro.asp.snapshot import GroundSnapshot, SnapshotError
 
         token = self._token(key)
         try:
-            snapshot = GroundSnapshot.attach(
-                self._disk.path_for(token), expected_key=token
-            )
+            GroundSnapshot.attach(self._disk.path_for(token), expected_key=token)
         except SnapshotError:
             return False
-        snapshot.close()
         return True
-
-    def note_load_error(self, key: Hashable = None) -> None:
-        """Record a snapshot that attached but failed to materialize
-        (payload corruption found during the lazy decode).  When the key is
-        given, the damaged file is removed so the caller's write-through —
-        which probes :meth:`has_valid` and would otherwise be fooled by the
-        file's intact *header* — rewrites it."""
-        with self._lock:
-            self.load_errors += 1
-            self.attaches -= 1
-            self.misses += 1
-        if key is not None:
-            try:
-                os.unlink(self._disk.path_for(self._token(key)))
-            except OSError:
-                pass
 
     def put(self, key: Hashable, prepared, with_template: bool = False) -> bool:
         """Encode and persist ``prepared`` under ``key`` (best effort).
@@ -839,18 +856,14 @@ class SnapshotStore:
         With ``with_template``, its completion template goes too, built
         here unless a solve already built it: the same build, under the
         same lock, that the first solve on it would make."""
-        from repro.asp.snapshot import SnapshotError, snapshot_bytes
+        from repro.asp.snapshot import snapshot_bytes
 
         token = self._token(key)
+        path = self._disk.path_for(token)
         try:
-            payload = snapshot_bytes(prepared, key=token, with_template=with_template)
-        except SnapshotError:
-            # not snapshot-capable (no source text, exotic state): not an
-            # I/O failure, so it does not count against write_errors
-            return False
-        try:
-            path = self._disk.path_for(token)
-            _atomic_write_bytes(path, payload)
+            _atomic_write_bytes(
+                path, snapshot_bytes(prepared, key=token, with_template=with_template)
+            )
         except Exception:
             with self._lock:
                 self.write_errors += 1

@@ -14,6 +14,7 @@ import json
 import os
 import pathlib
 import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -222,6 +223,53 @@ def test_truncated_solve_entry_degrades_to_cold_solve(micro_repo, tmp_path):
     two = fresh_session(micro_repo, tmp_path)
     assert two.solve(["example"])[0].spec.concrete
     assert two.solve_cache.load_errors == 1
+
+
+def flip_bit(data: bytes, needle: bytes) -> bytes:
+    """``data`` with the lowest bit of the last byte of ``needle``'s first
+    occurrence flipped: a version ``1.1.0`` reads ``1.1.1`` and the file
+    still decodes, so only a digest of the payload can tell."""
+    index = data.index(needle) + len(needle) - 1
+    return data[:index] + bytes([data[index] ^ 1]) + data[index + 1 :]
+
+
+def test_flipped_payload_byte_in_solve_entry_is_a_load_error(micro_repo, tmp_path):
+    one = fresh_session(micro_repo, tmp_path)
+    expected = signature(one.solve(["example"])[0])
+    (path,) = solve_files(tmp_path)
+    damaged = flip_bit(pathlib.Path(path).read_bytes(), b"1.1.0")
+    pathlib.Path(path).write_bytes(damaged)
+
+    two = fresh_session(micro_repo, tmp_path)
+    assert signature(two.solve(["example"])[0]) == expected  # solved, not replayed
+    assert two.stats.solve_cache_misses == 1
+    assert two.solve_cache.load_errors == 1
+    assert pathlib.Path(path).read_bytes() != damaged  # rewritten
+    three = fresh_session(micro_repo, tmp_path)
+    assert signature(three.solve(["example"])[0]) == expected
+    assert three.stats.solve_cache_misses == 0
+
+
+def test_flipped_payload_byte_in_ground_entry_is_a_load_error(micro_repo, tmp_path):
+    one = fresh_session(micro_repo, tmp_path)
+    expected = signature(one.solve(["example"])[0])
+    shutil.rmtree(tmp_path / "snapshot")  # the pickle is the only base on disk
+    (path,) = ground_files(tmp_path)
+    damaged = flip_bit(pathlib.Path(path).read_bytes(), b"1.1.0")
+    pathlib.Path(path).write_bytes(damaged)
+
+    two = fresh_session(micro_repo, tmp_path, solve_cache=SolveCache())
+    assert signature(two.solve(["example"])[0]) == expected
+    assert two.stats.base_disk_hits == 0
+    assert two.stats.base_groundings == 1  # ground cold, not loaded
+    assert two.ground_cache.load_errors == 1
+    assert two.ground_cache.writes == 1
+    assert pathlib.Path(path).read_bytes() != damaged  # rewritten
+    shutil.rmtree(tmp_path / "snapshot")
+    three = fresh_session(micro_repo, tmp_path, solve_cache=SolveCache())
+    assert signature(three.solve(["example"])[0]) == expected
+    assert three.stats.base_disk_hits == 1
+    assert three.ground_cache.load_errors == 0
 
 
 def test_version_mismatch_is_a_miss_not_an_error(micro_repo, tmp_path):
@@ -504,6 +552,15 @@ def _loaded_layer(tmp_path):
     assert ok
     assert layer.load("token") == ("hit", {"answer": 42})
     return layer, "token"
+
+
+def test_entry_written_by_5x_is_a_miss_not_an_error(tmp_path):
+    """A 5.x entry (format 8) carries its payload inline, with no digest:
+    version skew, so a plain miss, never a load error."""
+    layer, token = _loaded_layer(tmp_path)
+    old = {"version": 8, "key": token, "payload": {"answer": 42}}
+    pathlib.Path(layer.path_for(token)).write_text(json.dumps(old))
+    assert layer.load(token) == ("miss", None)
 
 
 def test_vanished_before_open_is_a_miss(tmp_path):

@@ -1,24 +1,27 @@
-"""mmap-able ground snapshots: warm starts with zero grounder work.
+"""Ground snapshots: warm starts with zero grounder work.
 
-The contract under test (ISSUE 9 tentpole):
+The contract under test:
 
 * a second session pointed at the same ``cache_dir`` reaches warm state by
-  *attaching* the flat binary snapshot — no pickle object-graph walk, no
-  ``Grounder`` work and no completion template build at all (asserted by
-  making both raise) — and its results are element-wise identical to the
-  cold path, monolithic and sharded alike, down to the solver's counts:
-  the attached template is the writer's, array for array;
+  reading the base's snapshot — no ``Grounder`` work and no completion
+  template build at all (asserted by making both raise) — and its results
+  are element-wise identical to the cold path, monolithic and sharded
+  alike, down to the solver's counts: the restored template is the
+  writer's, array for array;
 * unsat answers survive the snapshot path too: the minimal conflict core a
   warm session reports is identical to the cold one's;
 * damage degrades, never breaks: a truncated or corrupted snapshot, or one
-  with a damaged template section or header, falls back to the pickle cache
+  with a damaged template or header, falls back to the pickle cache
   (or a cold ground when that is damaged too), is counted as a load error,
-  and is healed by a fresh write that carries the template again.
+  and is healed by a fresh write that carries the template again;
+* reading a snapshot leaves the cyclic collector as it found it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import pickle
 import shutil
 import struct
 
@@ -31,6 +34,7 @@ from repro.asp.solver import SolverImage
 from repro.spack.concretize import SessionConfig
 from repro.spack.concretize.session import ConcretizationSession, clear_shared_bases
 from repro.spack.errors import UnsatisfiableSpecError
+from repro.spack.store import SnapshotStore
 
 from tests.concretize.test_sharded_repo import micro_sharded, signature
 
@@ -142,9 +146,8 @@ def test_sharded_warm_start_attaches_the_deepest_prefix(tmp_path, monkeypatch):
     deepest = cold.snapshot_store.path_for(cold._last_base.steps[-1][0])
     with_template = []
     for path in snapshot_files(tmp_path):
-        with GroundSnapshot.attach(path) as snapshot:
-            if snapshot.header["template"] is not None:
-                with_template.append(str(path))
+        if GroundSnapshot.attach(path).header["template"] is not None:
+            with_template.append(str(path))
     assert len(snapshot_files(tmp_path)) == len(cold._last_base.steps) > 1
     assert with_template == [deepest]
 
@@ -209,14 +212,15 @@ def test_unsat_cores_identical_across_snapshot_warm_start(micro_repo, tmp_path, 
 # ---------------------------------------------------------------------------
 
 
-def shorten_facts_span(data: bytes) -> bytes:
-    """``data`` with the end of its header's ``facts`` span lowered by one:
-    still valid JSON of the same byte length, so the file attaches, and a
-    materialize that trusted the header would drop the base's last fact."""
+def lower_template_atoms(data: bytes) -> bytes:
+    """``data`` with its header's template atom count lowered by one: still
+    valid JSON of the same byte length, so the file attaches, and a
+    materialize that trusted the header would hand the template a program
+    it does not fit."""
     (length,) = struct.unpack_from("<Q", data, 8)
     header = json.loads(data[16 : 16 + length])
-    header["sections"]["facts"][1] -= 1
-    damaged = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    header["template"]["atoms"] -= 1
+    damaged = json.dumps(header).encode("utf-8")
     assert len(damaged) <= length
     return data[:16] + damaged.ljust(length) + data[16 + length :]
 
@@ -225,6 +229,8 @@ def shorten_facts_span(data: bytes) -> bytes:
 def test_damaged_snapshot_falls_back_to_pickle(micro_repo, tmp_path, damage):
     cold = fresh_session(micro_repo, tmp_path)
     cold_results = [signature(r) for r in cold.solve(BATCH)]
+    # the payload pickles (program, template), so the template ends the file
+    template_bytes = len(pickle.dumps(cold._last_base.prepared._completion.template()))
 
     for path in snapshot_files(tmp_path):
         data = path.read_bytes()
@@ -232,19 +238,18 @@ def test_damaged_snapshot_falls_back_to_pickle(micro_repo, tmp_path, damage):
             path.write_bytes(data[: len(data) // 2])
             continue
         if damage == "header":
-            path.write_bytes(shorten_facts_span(data))
+            path.write_bytes(lower_template_atoms(data))
         else:
             if damage == "corrupt":
                 flipped = len(data) // 2
-            else:  # a byte inside the template sections, which end the file
-                with GroundSnapshot.attach(path) as snapshot:
-                    flipped = len(data) - snapshot.header["template"]["bytes"] // 2
+            else:  # a byte inside the pickled template
+                flipped = len(data) - template_bytes // 2
             path.write_bytes(
                 data[:flipped] + bytes([data[flipped] ^ 0xFF]) + data[flipped + 1 :]
             )
-        with GroundSnapshot.attach(path) as snapshot:
-            with pytest.raises(SnapshotError, match="checksum"):
-                snapshot.materialize()
+        snapshot = GroundSnapshot.attach(path)
+        with pytest.raises(SnapshotError, match="checksum"):
+            snapshot.materialize()
 
     clear_solve_cache(tmp_path)
     warm = fresh_session(micro_repo, tmp_path)
@@ -286,3 +291,21 @@ def test_damaged_snapshot_and_pickle_degrade_to_cold_ground(micro_repo, tmp_path
     assert [signature(r) for r in third.solve(BATCH)] == cold_results
     assert third.stats.base_groundings == 0
     assert third.stats.snapshot_attaches == 1
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_snapshot_load_leaves_the_collector_as_it_found_it(micro_repo, tmp_path, collector):
+    """The payload is unpickled with the cyclic collector paused; the pause
+    ends with the collector as the caller had it, on or off."""
+    cold = fresh_session(micro_repo, tmp_path)
+    cold.solve(BATCH)
+    key = cold._last_base.steps[-1][0]
+    store = SnapshotStore(str(tmp_path))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if collector == "on" else gc.disable()
+        assert store.load(key) is not None
+        assert gc.isenabled() is (collector == "on")
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert store.statistics()["attaches"] == 1

@@ -20,7 +20,7 @@ With ``--workers N`` it instead exercises the multi-process warm-start
 contract: N server processes share one ``cache_dir``; the first request
 grounds its one base cold (``service.snapshot.cold_grounds == 1`` and
 ``tenants.default.base.template_builds == 1`` on the first worker) and
-publishes an mmap ground snapshot that carries the base's completion
+publishes a ground snapshot that carries the base's completion
 template, and every later worker reaches warm state by *attaching* it —
 asserted as ``service.snapshot.cold_grounds == 0`` with ``attaches >= 1``
 and ``template_builds == 0`` on each later worker's ``/v1/stats``.
